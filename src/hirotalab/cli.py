@@ -127,6 +127,23 @@ def _merged(defaults: dict, user) -> dict:
     return out
 
 
+def _snapshot_times(opts: dict) -> list[float]:
+    """Sorted propagate snapshot times, t_final always included."""
+    return sorted(set(float(s) for s in opts["snapshots"]) | {float(opts["t_final"])})
+
+
+def _check_propagate(opts: dict) -> None:
+    # the grid and step-schedule rules evolve() would otherwise enforce
+    # partway through a run
+    try:
+        if int(opts["n"]) != float(opts["n"]):
+            raise ValueError(f"n must be an integer, got {opts['n']!r}")
+        propagator.SpectralGrid(float(opts["length"]), int(opts["n"]))
+        propagator.step_schedule(float(opts["t_final"]), float(opts["dt"]), _snapshot_times(opts))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"propagate: {exc}") from exc
+
+
 def parse_config(doc: dict) -> RunConfig:
     try:
         pnode = doc["params"]
@@ -152,6 +169,8 @@ def parse_config(doc: dict) -> RunConfig:
     validate(spectral, params)
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(doc.get("tolerances", {}))
+    propagate = _merged(DEFAULT_PROPAGATE, doc.get("propagate"))
+    _check_propagate(propagate)
     return RunConfig(
         params=params,
         spectral=spectral,
@@ -163,7 +182,7 @@ def parse_config(doc: dict) -> RunConfig:
         zero_curvature=_merged(DEFAULT_ZC, doc.get("zero_curvature")),
         rh_check=_merged(DEFAULT_RH, doc.get("rh_check")),
         scatter=_merged(DEFAULT_SCATTER, doc.get("scatter")),
-        propagate=_merged(DEFAULT_PROPAGATE, doc.get("propagate")),
+        propagate=propagate,
         tolerances=tol,
     )
 
@@ -449,7 +468,7 @@ def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     grid = Grid1D(float(xs[0]), float(xs[-1]), sgrid.n)
     t_final = float(opts["t_final"])
     dt = float(opts["dt"])
-    snaps = sorted(set(float(s) for s in opts["snapshots"]) | {t_final})
+    snaps = _snapshot_times(opts)
 
     def analytic(tt: float) -> tuple[ComplexField, ComplexField]:
         av1, av2 = nsoliton._fields_batch(cfg.spectral, cfg.params, xs, tt)

@@ -1,45 +1,42 @@
-"""Pseudo-spectral time evolution with an in-house radix-2 FFT.
+"""Pseudo-spectral time evolution on numpy's FFT.
 
 The linear part of the evolution (second- plus third-order dispersion) is
 applied exactly in Fourier space through an integrating factor; the
 nonlinear terms are evaluated pseudo-spectrally with 2/3-rule dealiasing
-and advanced by classical RK4.  Only power-of-two transform sizes are
-supported.
+and advanced by classical RK4.  Any point count n >= 2 is supported.  Both
+fields travel as one (2, n) array, so each transform covers both.
+
+The forward transform is numpy's unnormalized ``np.fft.fft`` and the
+inverse is the normalized ``np.fft.ifft``.  ``np.fft`` is reached at call
+time because numpy loads that submodule lazily, which keeps it out of the
+cost of importing the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import ComplexField, Grid1D, SystemParams
 
 __all__ = [
-    "NonPowerOfTwoError",
     "StabilityBoundError",
     "EdgeDecayError",
     "BlowupError",
     "SpectralGrid",
     "EvolutionState",
-    "fft",
-    "ifft",
     "linear_symbol",
     "state_from_fields",
     "fields_from_state",
+    "step_schedule",
     "step",
     "evolve",
 ]
 
 EDGE_THRESHOLD = 1e-9
 STABILITY_LIMIT = 1.0
-
-
-class NonPowerOfTwoError(ValueError):
-    """Transform length is not a power of two."""
-
-    def __init__(self, n: int) -> None:
-        super().__init__(f"radix-2 transform needs a power-of-two length, got {n}")
 
 
 class StabilityBoundError(ValueError):
@@ -56,73 +53,35 @@ class EdgeDecayError(ValueError):
 
 
 class BlowupError(ArithmeticError):
-    """The evolved field stopped being finite."""
+    """The evolved field stopped being finite.
 
-    def __init__(self, t: float) -> None:
+    Carries the time and index of the failing step and the predicted
+    background growth rate 2 a2 k_max^2 of the largest retained mode, the
+    rate at which the linear part alone amplifies noise when a2 > 0.
+    """
+
+    def __init__(self, t: float, step: int, growth_rate: float) -> None:
         self.t = t
-        super().__init__(f"field values became non-finite near t = {t:.6g}")
-
-
-_PLANS: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
-
-
-def _plan(n: int):
-    plan = _PLANS.get(n)
-    if plan is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n)
-        rev = np.zeros(n, dtype=np.intp)
-        for b in range(bits):
-            rev = (rev << 1) | ((idx >> b) & 1)
-        twiddles = [
-            np.exp(-2j * np.pi * np.arange(1 << (s - 1)) / (1 << s))
-            for s in range(1, bits + 1)
-        ]
-        plan = (rev, twiddles)
-        _PLANS[n] = plan
-    return plan
-
-
-def fft(values: np.ndarray) -> np.ndarray:
-    """Unnormalized forward transform along the last axis (radix-2 Cooley-Tukey)."""
-    v = np.asarray(values, dtype=complex)
-    n = v.shape[-1]
-    if n < 1 or (n & (n - 1)) != 0:
-        raise NonPowerOfTwoError(n)
-    if n == 1:
-        return v.copy()
-    rev, twiddles = _plan(n)
-    y = v[..., rev].copy()
-    lead = v.shape[:-1]
-    for stage, w in enumerate(twiddles, start=1):
-        size = 1 << stage
-        half = size >> 1
-        y = y.reshape(lead + (n // size, size))
-        a = y[..., :half]
-        b = y[..., half:] * w
-        y[..., :half], y[..., half:] = a + b, a - b
-        y = y.reshape(lead + (n,))
-    return y
-
-
-def ifft(values: np.ndarray) -> np.ndarray:
-    """Inverse of fft, normalized so that ifft(fft(v)) == v."""
-    v = np.asarray(values, dtype=complex)
-    return np.conj(fft(np.conj(v))) / v.shape[-1]
+        self.step = step
+        self.growth_rate = growth_rate
+        super().__init__(
+            f"field values became non-finite near t = {t:.6g} (step {step}); "
+            f"predicted background growth rate 2 a2 k_max^2 = {growth_rate:.6g}"
+        )
 
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Periodic domain [-length/2, length/2) sampled at n (power of two) points."""
+    """Periodic domain [-length/2, length/2) sampled at n >= 2 points."""
 
     length: float
     n: int
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError("length must be positive")
-        if self.n < 2 or (self.n & (self.n - 1)) != 0:
-            raise NonPowerOfTwoError(self.n)
+        if not (np.isfinite(self.length) and self.length > 0):
+            raise ValueError("length must be positive and finite")
+        if self.n < 2:
+            raise ValueError(f"spectral grid needs n >= 2 points, got {self.n}")
 
     @property
     def spacing(self) -> float:
@@ -132,22 +91,23 @@ class SpectralGrid:
         return -0.5 * self.length + self.spacing * np.arange(self.n)
 
     def wavenumbers(self) -> np.ndarray:
-        m = np.concatenate([np.arange(0, self.n // 2), np.arange(-self.n // 2, 0)])
-        return 2.0 * np.pi * m / self.length
+        """Angular wavenumber of each bin, in numpy's FFT order."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, self.spacing)
 
     def dealias_mask(self) -> np.ndarray:
-        m = np.concatenate([np.arange(0, self.n // 2), np.arange(-self.n // 2, 0)])
-        return (np.abs(m) < self.n / 3.0).astype(float)
+        """1 on bins |m| < n/3 (the 2/3 rule), 0 above."""
+        return (np.abs(np.fft.fftfreq(self.n)) < 1.0 / 3.0).astype(float)
 
 
 @dataclass(frozen=True, eq=False)
 class EvolutionState:
-    """Fourier-side snapshot of both fields at time t."""
+    """Fourier-side snapshot of both fields at time t, after `steps` steps."""
 
     grid: SpectralGrid
     t: float
     q1_hat: np.ndarray
     q2_hat: np.ndarray
+    steps: int = 0
 
 
 def linear_symbol(k: np.ndarray, p: SystemParams) -> np.ndarray:
@@ -164,36 +124,22 @@ def linear_symbol(k: np.ndarray, p: SystemParams) -> np.ndarray:
 def state_from_fields(q1: ComplexField, q2: ComplexField) -> EvolutionState:
     """Transform sampled fields into an evolution state.
 
-    The field grid must be uniform with a power-of-two point count and must
-    exclude the periodic wrap point (spacing * nx == domain length).
+    The field grid must be uniform and must exclude the periodic wrap point
+    (spacing * nx == domain length).  Mode m of the domain lands in bin m
+    with weight nx: the forward transform is unnormalized.
     """
     if q1.grid != q2.grid or q1.t != q2.t:
         raise ValueError("fields must share grid and time")
     g = q1.grid
     sgrid = SpectralGrid(length=g.spacing * g.nx, n=g.nx)
-    return EvolutionState(sgrid, q1.t, fft(q1.values), fft(q2.values))
+    hat = np.fft.fft(np.stack((q1.values, q2.values)))
+    return EvolutionState(sgrid, q1.t, hat[0], hat[1])
 
 
 def fields_from_state(state: EvolutionState, grid: Grid1D) -> tuple[ComplexField, ComplexField]:
-    q1 = ifft(state.q1_hat)
-    q2 = ifft(state.q2_hat)
-    return ComplexField(grid, state.t, q1), ComplexField(grid, state.t, q2)
-
-
-def _nonlinear_hat(v1, v2, k, mask, p: SystemParams):
-    # overflow here only happens on a diverging run; the isfinite guard in
-    # step() turns it into BlowupError, so suppress the warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        q1 = ifft(v1)
-        q2 = ifft(v2)
-        q1x = ifft(1j * k * v1)
-        q2x = ifft(1j * k * v2)
-        dens = np.abs(q1) ** 2 + np.abs(q2) ** 2
-        cross = np.conj(q1) * q1x + np.conj(q2) * q2x
-        ksq = p.k1 * p.k1
-        n1 = -4.0 * ksq * p.a2 * dens * q1 + 3.0 * p.epsilon * ksq * (dens * q1x + q1 * cross)
-        n2 = -4.0 * ksq * p.a2 * dens * q2 + 3.0 * p.epsilon * ksq * (dens * q2x + q2 * cross)
-        return mask * fft(n1), mask * fft(n2)
+    """Normalized inverse of state_from_fields, sampled on grid."""
+    q = np.fft.ifft(np.stack((state.q1_hat, state.q2_hat)))
+    return ComplexField(grid, state.t, q[0]), ComplexField(grid, state.t, q[1])
 
 
 def check_stability(grid: SpectralGrid, p: SystemParams, dt: float,
@@ -215,36 +161,90 @@ def check_stability(grid: SpectralGrid, p: SystemParams, dt: float,
         )
 
 
-def step(state: EvolutionState, p: SystemParams, dt: float) -> EvolutionState:
-    """One integrating-factor RK4 step of both fields."""
-    check_stability(state.grid, p, dt)
-    k = state.grid.wavenumbers()
-    mask = state.grid.dealias_mask()
-    sym = linear_symbol(k, p)
+def _growth_rate(grid: SpectralGrid, p: SystemParams) -> float:
+    """2 a2 k_max^2, k_max the largest wavenumber the dealias mask retains."""
+    k_max = np.abs(grid.wavenumbers()[grid.dealias_mask() > 0]).max()
+    return 2.0 * p.a2 * float(k_max) ** 2
+
+
+@lru_cache(maxsize=8)
+def _step_factors(grid: SpectralGrid, p: SystemParams, dt: float) -> tuple[np.ndarray, ...]:
+    """(1j k, dealias mask, exp(symbol dt/2), exp(symbol dt/2)^2) for one step size.
+
+    Raises FloatingPointError when exp overflows; lru_cache stores no result
+    then, so every later step with the same arguments raises again.  Every
+    caller shares the cached arrays, so they are made read-only.
+    """
+    k = grid.wavenumbers()
     with np.errstate(over="raise"):
-        try:
-            e_half = np.exp(sym * (0.5 * dt))
-        except FloatingPointError as exc:
-            raise BlowupError(state.t) from exc
-    e_full = e_half * e_half
+        e_half = np.exp(linear_symbol(k, p) * (0.5 * dt))
+    factors = (1j * k, grid.dealias_mask(), e_half, e_half * e_half)
+    for a in factors:
+        a.flags.writeable = False
+    return factors
 
-    v1, v2 = state.q1_hat, state.q2_hat
-    a1, a2 = _nonlinear_hat(v1, v2, k, mask, p)
-    u1 = e_half * (v1 + 0.5 * dt * a1)
-    u2 = e_half * (v2 + 0.5 * dt * a2)
-    b1, b2 = _nonlinear_hat(u1, u2, k, mask, p)
-    w1 = e_half * v1 + 0.5 * dt * b1
-    w2 = e_half * v2 + 0.5 * dt * b2
-    c1, c2 = _nonlinear_hat(w1, w2, k, mask, p)
-    z1 = e_full * v1 + dt * e_half * c1
-    z2 = e_full * v2 + dt * e_half * c2
-    d1, d2 = _nonlinear_hat(z1, z2, k, mask, p)
 
-    new1 = e_full * v1 + (dt / 6.0) * (e_full * a1 + 2.0 * e_half * (b1 + c1) + d1)
-    new2 = e_full * v2 + (dt / 6.0) * (e_full * a2 + 2.0 * e_half * (b2 + c2) + d2)
-    if not (np.all(np.isfinite(new1)) and np.all(np.isfinite(new2))):
-        raise BlowupError(state.t + dt)
-    return EvolutionState(state.grid, state.t + dt, new1, new2)
+def _nonlinear_hat(v: np.ndarray, ik: np.ndarray, mask: np.ndarray, p: SystemParams) -> np.ndarray:
+    # v holds both spectra as the rows of a (2, n) array.  Overflow here only
+    # happens on a diverging run; the isfinite guard in step() turns it into
+    # BlowupError, so suppress the warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.fft.ifft(v)
+        qx = np.fft.ifft(ik * v)
+        dens = (q.real**2 + q.imag**2).sum(axis=0)
+        cross = (np.conj(q) * qx).sum(axis=0)
+        ksq = p.k1 * p.k1
+        beta = 3.0 * p.epsilon * ksq
+        # -4 k1^2 a2 dens q + 3 eps k1^2 (dens q_x + q cross), grouped so the
+        # per-point factors are formed once for both fields
+        nl = q * (-4.0 * ksq * p.a2 * dens + beta * cross) + qx * (beta * dens)
+        return mask * np.fft.fft(nl)
+
+
+def step(state: EvolutionState, p: SystemParams, dt: float) -> EvolutionState:
+    """One integrating-factor RK4 step of both fields.
+
+    The integrating factors, derivative multiplier and dealias mask are built
+    once per (grid, params, dt).  The stability bound, the overflow check on
+    the integrating factor and the finiteness check on the result run on
+    every call.
+    """
+    check_stability(state.grid, p, dt)
+    try:
+        ik, mask, e_half, e_full = _step_factors(state.grid, p, dt)
+    except FloatingPointError as exc:
+        raise BlowupError(state.t, state.steps + 1, _growth_rate(state.grid, p)) from exc
+
+    v = np.stack((state.q1_hat, state.q2_hat))
+    a = _nonlinear_hat(v, ik, mask, p)
+    b = _nonlinear_hat(e_half * (v + 0.5 * dt * a), ik, mask, p)
+    c = _nonlinear_hat(e_half * v + 0.5 * dt * b, ik, mask, p)
+    d = _nonlinear_hat(e_full * v + dt * e_half * c, ik, mask, p)
+
+    new = e_full * v + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+    if not np.all(np.isfinite(new)):
+        raise BlowupError(state.t + dt, state.steps + 1, _growth_rate(state.grid, p))
+    return EvolutionState(state.grid, state.t + dt, new[0], new[1], state.steps + 1)
+
+
+def step_schedule(t_final: float, dt: float, snapshots) -> tuple[int, list[int]]:
+    """Number of steps to t_final and the step index of each snapshot, sorted.
+
+    Raises ValueError unless t_final >= 0 and dt > 0 are finite, t_final is
+    an integer multiple of dt, and every snapshot is one within [0, t_final].
+    """
+    if not (0.0 <= t_final < np.inf and 0.0 < dt < np.inf):
+        raise ValueError("need finite t_final >= 0 and dt > 0")
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise ValueError("t_final must be an integer multiple of dt")
+    snap_steps = []
+    for s in sorted(float(s) for s in snapshots):
+        m = int(round(s / dt))
+        if not 0.0 <= s <= t_final or abs(m * dt - s) > 1e-9 * max(1.0, t_final):
+            raise ValueError(f"snapshot {s} is not a multiple of dt within [0, t_final]")
+        snap_steps.append(m)
+    return n_steps, snap_steps
 
 
 def evolve(
@@ -269,17 +269,7 @@ def evolve(
     snaps = sorted(float(s) for s in snapshots)
     if t_final == 0.0:
         return [(q1_0, q2_0) for _ in snaps] or [(q1_0, q2_0)]
-    if t_final < 0 or dt <= 0:
-        raise ValueError("need t_final >= 0 and dt > 0")
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError("t_final must be an integer multiple of dt")
-    snap_steps = []
-    for s in snaps:
-        m = int(round(s / dt))
-        if s < 0 or s > t_final or abs(m * dt - s) > 1e-9 * max(1.0, t_final):
-            raise ValueError(f"snapshot {s} is not a multiple of dt within [0, t_final]")
-        snap_steps.append(m)
+    n_steps, snap_steps = step_schedule(t_final, dt, snaps)
 
     state = state_from_fields(q1_0, q2_0)
     grid = q1_0.grid

@@ -188,3 +188,44 @@ def test_propagate_reports_blowup_on_default_config(tmp_path):
     assert cli.main(["propagate", "--out", str(out), "--quiet"]) == cli.EXIT_VERIFICATION
     report = (out / "propagation_report.csv").read_text()
     assert "propagation_completed" in report and "BlowupError" in report
+
+
+def test_propagate_abort_line_names_step_and_growth_rate(tmp_path, capsys):
+    out = tmp_path / "p2"
+    assert cli.main(["propagate", "--out", str(out)]) == cli.EXIT_VERIFICATION
+    lines = [row for row in capsys.readouterr().out.splitlines() if "propagation aborted" in row]
+    assert len(lines) == 1 and "(step 7)" in lines[0]
+    # 2 a2 k_max^2 for the bundled grid, k_max = 2 pi 341 / 80
+    assert f"{2.0 * (2 * np.pi * 341 / 80.0) ** 2:.6g}" in lines[0]
+    assert (out / "propagation_report.csv").read_bytes() == (
+        b"name,value,threshold,pass\npropagation_completed,nan,BlowupError,false\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"snapshots": [0.0505]},
+        {"t_final": 0.0505, "snapshots": []},
+        {"dt": -1e-3},
+        {"length": 0.0},
+        {"n": 1000.5},
+    ],
+    ids=["snapshot_off_dt", "t_final_off_dt", "negative_dt", "zero_length", "fractional_n"],
+)
+def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
+    doc = _third_order_doc()
+    doc["propagate"] = {**doc["propagate"], "t_final": 0.1, "snapshots": [0.1], **change}
+    path = _write_config(tmp_path, doc)
+    code = cli.main(["propagate", "--config", path, "--out", str(tmp_path / "bad"), "--quiet"])
+    assert code == cli.EXIT_VALIDATION
+    assert "configuration error: propagate:" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("n", [1000, 1023])
+def test_propagate_accepts_any_point_count(tmp_path, n):
+    doc = _third_order_doc()
+    doc["propagate"] = dict(doc["propagate"], n=n, t_final=0.05, snapshots=[0.05])
+    path = _write_config(tmp_path, doc)
+    assert cli.main(["propagate", "--config", path, "--out", str(tmp_path / "p"), "--quiet"]) == 0

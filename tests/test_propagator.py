@@ -1,86 +1,41 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hirotalab.core import ComplexField, Grid1D, SpectralData, SpectralDatum, SystemParams, trapezoid_mass
 from hirotalab import nsoliton, propagator, residual
 
 
-def _direct_dft(v):
-    n = len(v)
-    j = np.arange(n)
-    return np.array([np.sum(v * np.exp(-2j * np.pi * j * k / n)) for k in range(n)])
-
-
-def test_fft_delta():
-    out = propagator.fft(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
-    assert np.array_equal(out, np.ones(4, dtype=complex))
-
-
-@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64])
-def test_fft_matches_direct_transform(n):
-    rng = np.random.default_rng(n)
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    assert np.abs(propagator.fft(v) - _direct_dft(v)).max() < 1e-10 * max(1, n)
+def _fields_on(grid: propagator.SpectralGrid, v1, v2, t=0.0):
+    xs = grid.points()
+    g = Grid1D(float(xs[0]), float(xs[-1]), grid.n)
+    return ComplexField(g, t, v1), ComplexField(g, t, v2)
 
 
 @pytest.mark.parametrize("n", [2, 64, 1024, 4096])
 def test_fft_roundtrip(n):
     rng = np.random.default_rng(n + 1)
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    back = propagator.ifft(propagator.fft(v))
-    assert np.abs(back - v).max() < 1e-13 * np.abs(v).max()
-
-
-def test_fft_parseval():
-    rng = np.random.default_rng(12)
-    v = rng.normal(size=512) + 1j * rng.normal(size=512)
-    hat = propagator.fft(v)
-    lhs = np.sum(np.abs(v) ** 2)
-    rhs = np.sum(np.abs(hat) ** 2) / 512
-    assert abs(lhs - rhs) < 1e-12 * lhs
+    v = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    q1, q2 = _fields_on(propagator.SpectralGrid(80.0, n), v[0], v[1])
+    b1, b2 = propagator.fields_from_state(propagator.state_from_fields(q1, q2), q1.grid)
+    assert np.abs(b1.values - v[0]).max() < 1e-13 * np.abs(v[0]).max()
+    assert np.abs(b2.values - v[1]).max() < 1e-13 * np.abs(v[1]).max()
 
 
 def test_fft_pure_mode_single_bin():
+    # mode m lands in bin m with weight n (unnormalized forward), mode -m in
+    # bin n - m, and the inverse is normalized
     grid = propagator.SpectralGrid(40.0, 128)
     xs = grid.points()
     m = 9
-    hat = propagator.fft(np.exp(2j * np.pi * m * (xs + 20.0) / 40.0))
-    assert abs(hat[m]) == pytest.approx(128.0, rel=1e-12)
-    rest = np.delete(np.abs(hat), m)
-    assert rest.max() < 1e-9
-
-
-def test_fft_rejects_non_power_of_two():
-    for n in (3, 12, 100):
-        with pytest.raises(propagator.NonPowerOfTwoError):
-            propagator.fft(np.zeros(n, complex))
-
-
-@given(
-    st.integers(min_value=2, max_value=6),
-    st.floats(min_value=-2.0, max_value=2.0),
-    st.floats(min_value=-2.0, max_value=2.0),
-)
-@settings(max_examples=25, deadline=None)
-def test_fft_linearity(pw, ar, br):
-    n = 2**pw
-    rng = np.random.default_rng(1000 + n)
-    u = rng.normal(size=n) + 1j * rng.normal(size=n)
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    c = complex(ar, br)
-    lhs = propagator.fft(u + c * v)
-    rhs = propagator.fft(u) + c * propagator.fft(v)
-    assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, np.abs(rhs).max())
-
-
-def test_fft_batched_rows_match():
-    rng = np.random.default_rng(5)
-    vb = rng.normal(size=(3, 256)) + 1j * rng.normal(size=(3, 256))
-    batched = propagator.fft(vb)
-    for i in range(3):
-        assert np.array_equal(batched[i], propagator.fft(vb[i]))
+    wave = np.exp(2j * np.pi * m * (xs + 20.0) / 40.0)
+    q1, q2 = _fields_on(grid, wave, np.conj(wave))
+    state = propagator.state_from_fields(q1, q2)
+    for hat, b in ((state.q1_hat, m), (state.q2_hat, 128 - m)):
+        assert abs(hat[b]) == pytest.approx(128.0, rel=1e-12)
+        rest = np.delete(np.abs(hat), b)
+        assert rest.max() < 1e-9
+    back, _ = propagator.fields_from_state(state, q1.grid)
+    assert np.abs(back.values - wave).max() < 1e-13
 
 
 def test_spectral_grid_properties():
@@ -91,8 +46,19 @@ def test_spectral_grid_properties():
     k = g.wavenumbers()
     assert k[0] == 0.0 and k[1] == pytest.approx(2 * np.pi / 80.0)
     assert k[512] == pytest.approx(-2 * np.pi * 512 / 80.0)
-    with pytest.raises(propagator.NonPowerOfTwoError):
-        propagator.SpectralGrid(80.0, 1000)
+    assert propagator.SpectralGrid(80.0, 1000).n == 1000
+    # odd n: bins run 0..(n-1)/2, then -(n-1)/2..-1, and the 2/3-rule mask
+    # keeps |m| < n/3 on both sides
+    odd = propagator.SpectralGrid(80.0, 1023)
+    k = odd.wavenumbers()
+    assert k[511] == pytest.approx(2 * np.pi * 511 / 80.0)
+    assert k[512] == pytest.approx(-2 * np.pi * 511 / 80.0)
+    mask = odd.dealias_mask()
+    assert mask.sum() == 2 * 340 + 1  # n/3 = 341 exactly, so |m| <= 340
+    assert np.array_equal(mask[1:], mask[1:][::-1])
+    for bad in ((0.0, 64), (80.0, 1)):
+        with pytest.raises(ValueError):
+            propagator.SpectralGrid(*bad)
 
 
 def test_linear_symbol_against_stencil_route(third_order_params, default_params):
@@ -124,22 +90,36 @@ def test_single_mode_matches_linear_multiplier(default_params, third_order_param
 
 
 def _soliton_fields(datum, p, grid: propagator.SpectralGrid, t):
-    xs = grid.points()
-    g = Grid1D(float(xs[0]), float(xs[-1]), grid.n)
-    q1, q2 = nsoliton.one_soliton(datum, p, xs, t)
-    return ComplexField(g, t, q1), ComplexField(g, t, q2)
+    return _fields_on(grid, *nsoliton.one_soliton(datum, p, grid.points(), t), t=t)
 
 
 NARROW = SpectralDatum(0.3 + 0.9j, 1.0, 1.0 / np.sqrt(5.0), 2.0 / np.sqrt(5.0))
 
 
 def test_soliton_short_run_matches_analytic(third_order_params):
-    grid = propagator.SpectralGrid(80.0, 1024)
-    q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
-    (q1, q2), = propagator.evolve(q10, q20, third_order_params, 0.25, 1e-3, [0.25])
-    a1, a2 = _soliton_fields(NARROW, third_order_params, grid, 0.25)
-    assert np.abs(q1.values - a1.values).max() < 1e-9
-    assert np.abs(q2.values - a2.values).max() < 1e-9
+    for n in (1024, 1000, 1023):
+        grid = propagator.SpectralGrid(80.0, n)
+        q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
+        (q1, q2), = propagator.evolve(q10, q20, third_order_params, 0.25, 1e-3, [0.25])
+        a1, a2 = _soliton_fields(NARROW, third_order_params, grid, 0.25)
+        assert np.abs(q1.values - a1.values).max() < 1e-9
+        assert np.abs(q2.values - a2.values).max() < 1e-9
+
+
+def test_step_is_symmetric_in_the_two_fields(default_params, third_order_params):
+    # both fields share one stacked transform path: exchanging them in the
+    # state must exchange the stepped spectra exactly
+    grid = propagator.SpectralGrid(80.0, 512)
+    other = SpectralDatum(-0.4 + 0.6j, 1.0, 0.3 - 0.5j, 1.1)
+    for p in (default_params, third_order_params):
+        q1, _ = _soliton_fields(NARROW, p, grid, 0.0)
+        _, q2 = _soliton_fields(other, p, grid, 0.0)
+        state = propagator.state_from_fields(q1, q2)
+        swapped = propagator.EvolutionState(grid, 0.0, state.q2_hat, state.q1_hat)
+        a = propagator.step(state, p, 1e-3)
+        b = propagator.step(swapped, p, 1e-3)
+        assert np.array_equal(a.q1_hat, b.q2_hat)
+        assert np.array_equal(a.q2_hat, b.q1_hat)
 
 
 def test_temporal_convergence_is_fourth_order(third_order_params):
@@ -211,6 +191,11 @@ def test_stability_guard(third_order_params):
     q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
     with pytest.raises(propagator.StabilityBoundError):
         propagator.evolve(q10, q20, third_order_params, 1.0, 2e-2, [1.0])
+    # the guard is not cached away: a valid step does not exempt the next call
+    state = propagator.step(propagator.state_from_fields(q10, q20), third_order_params, 1e-3)
+    for dt in (2e-2, -1e-3):
+        with pytest.raises(propagator.StabilityBoundError):
+            propagator.step(state, third_order_params, dt)
 
 
 def test_edge_guard(third_order_params):
@@ -227,5 +212,9 @@ def test_second_order_dispersion_run_blows_up(default_params):
     wide = SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0)
     grid = propagator.SpectralGrid(80.0, 1024)
     q10, q20 = _soliton_fields(wide, default_params, grid, 0.0)
-    with pytest.raises(propagator.BlowupError):
+    with pytest.raises(propagator.BlowupError) as info:
         propagator.evolve(q10, q20, default_params, 1.0, 1e-3, [1.0], edge_threshold=1e-2)
+    # pinned abort step and time: a change of transform must not move them
+    assert info.value.step == 7 and info.value.t == pytest.approx(7e-3)
+    # 2 a2 k_max^2 with k_max = 2 pi 341 / 80, the largest retained mode
+    assert info.value.growth_rate == pytest.approx(2.0 * (2 * np.pi * 341 / 80.0) ** 2)
