@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hirotalab.core import ComplexField, Grid1D, SpectralData, SpectralDatum, SystemParams, trapezoid_mass
 from hirotalab import nsoliton, propagator, residual
@@ -11,6 +13,33 @@ def _fields_on(grid: propagator.SpectralGrid, v1, v2, t=0.0):
     return ComplexField(g, t, v1), ComplexField(g, t, v2)
 
 
+def _direct_dft(v):
+    n = len(v)
+    j = np.arange(n)
+    return np.array([np.sum(v * np.exp(-2j * np.pi * j * k / n)) for k in range(n)])
+
+
+def _state_of(v1, v2):
+    q1, q2 = _fields_on(propagator.SpectralGrid(80.0, len(v1)), v1, v2)
+    return propagator.state_from_fields(q1, q2)
+
+
+def test_fft_delta():
+    state = _state_of(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex), np.zeros(4, complex))
+    assert np.array_equal(state.q1_hat, np.ones(4, dtype=complex))
+    assert np.array_equal(state.q2_hat, np.zeros(4, dtype=complex))
+
+
+# powers of two as before, plus point counts the radix-2 transform rejected
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 3, 12, 100])
+def test_fft_matches_direct_transform(n):
+    rng = np.random.default_rng(n)
+    v = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    state = _state_of(v[0], v[1])
+    assert np.abs(state.q1_hat - _direct_dft(v[0])).max() < 1e-10 * max(1, n)
+    assert np.abs(state.q2_hat - _direct_dft(v[1])).max() < 1e-10 * max(1, n)
+
+
 @pytest.mark.parametrize("n", [2, 64, 1024, 4096])
 def test_fft_roundtrip(n):
     rng = np.random.default_rng(n + 1)
@@ -19,6 +48,16 @@ def test_fft_roundtrip(n):
     b1, b2 = propagator.fields_from_state(propagator.state_from_fields(q1, q2), q1.grid)
     assert np.abs(b1.values - v[0]).max() < 1e-13 * np.abs(v[0]).max()
     assert np.abs(b2.values - v[1]).max() < 1e-13 * np.abs(v[1]).max()
+
+
+def test_fft_parseval():
+    rng = np.random.default_rng(12)
+    v = rng.normal(size=(2, 512)) + 1j * rng.normal(size=(2, 512))
+    state = _state_of(v[0], v[1])
+    for row, hat in zip(v, (state.q1_hat, state.q2_hat)):
+        lhs = np.sum(np.abs(row) ** 2)
+        rhs = np.sum(np.abs(hat) ** 2) / 512
+        assert abs(lhs - rhs) < 1e-12 * lhs
 
 
 def test_fft_pure_mode_single_bin():
@@ -36,6 +75,40 @@ def test_fft_pure_mode_single_bin():
         assert rest.max() < 1e-9
     back, _ = propagator.fields_from_state(state, q1.grid)
     assert np.abs(back.values - wave).max() < 1e-13
+
+
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_fft_linearity(pw, ar, br):
+    n = 2**pw
+    rng = np.random.default_rng(1000 + n)
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    c = complex(ar, br)
+    mixed = _state_of(u + c * v, v + c * u)
+    su, sv = _state_of(u, v), _state_of(v, u)
+    for lhs, rhs in ((mixed.q1_hat, su.q1_hat + c * sv.q1_hat), (mixed.q2_hat, su.q2_hat + c * sv.q2_hat)):
+        assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, np.abs(rhs).max())
+
+
+def test_fft_batched_rows_match():
+    # the stacked (2, n) transforms give each field exactly what it gets alone
+    rng = np.random.default_rng(5)
+    vb = rng.normal(size=(2, 256)) + 1j * rng.normal(size=(2, 256))
+    zero = np.zeros(256, complex)
+    both = _state_of(vb[0], vb[1])
+    assert np.array_equal(both.q1_hat, _state_of(vb[0], zero).q1_hat)
+    assert np.array_equal(both.q2_hat, _state_of(zero, vb[1]).q2_hat)
+    grid = Grid1D(-40.0, 40.0 - 80.0 / 256, 256)
+    b1, b2 = propagator.fields_from_state(both, grid)
+    alone1, _ = propagator.fields_from_state(_state_of(vb[0], zero), grid)
+    _, alone2 = propagator.fields_from_state(_state_of(zero, vb[1]), grid)
+    assert np.array_equal(b1.values, alone1.values)
+    assert np.array_equal(b2.values, alone2.values)
 
 
 def test_spectral_grid_properties():
