@@ -132,16 +132,45 @@ def _snapshot_times(opts: dict) -> list[float]:
     return sorted(set(float(s) for s in opts["snapshots"]) | {float(opts["t_final"])})
 
 
+def _positive(values, key: str) -> None:
+    if not all(float(v) > 0 for v in values):
+        raise ValueError(f"{key} must be positive, got {values!r}")
+
+
+def _scatter_grid(opts: dict) -> Grid1D:
+    """Grid of the scatter command: x_min onward in steps of spacing, ending
+    at the node nearest x_max."""
+    h = float(opts["spacing"])
+    _positive([h], "spacing")
+    nx = int(round((float(opts["x_max"]) - float(opts["x_min"])) / h)) + 1
+    return Grid1D(float(opts["x_min"]), float(opts["x_min"]) + (nx - 1) * h, nx)
+
+
+# Load-time checks of the command sections: each raises what its command
+# would otherwise raise partway through a run.
+def _check_residual(opts: dict) -> None:
+    if float(opts["order"]) not in (2.0, 4.0):
+        raise ValueError(f"order must be 2 or 4, got {opts['order']!r}")
+    _positive(opts["spacings"], "spacings")
+
+
+def _check_zero_curvature(opts: dict) -> None:
+    _positive(opts["order2_spacings"], "order2_spacings")
+    _positive(opts["order4_spacings"], "order4_spacings")
+
+
+def _check_scatter(opts: dict, spectral: SpectralData) -> None:
+    grid = _scatter_grid(opts)
+    _positive([opts["tail_threshold"]], "tail_threshold")
+    for zeta in (*spectral.zetas(), *(float(z) for z in opts["real_zetas"])):
+        rh.check_phase_step(grid.spacing, complex(zeta))
+
+
 def _check_propagate(opts: dict) -> None:
-    # the grid and step-schedule rules evolve() would otherwise enforce
-    # partway through a run
-    try:
-        if int(opts["n"]) != float(opts["n"]):
-            raise ValueError(f"n must be an integer, got {opts['n']!r}")
-        propagator.SpectralGrid(float(opts["length"]), int(opts["n"]))
-        propagator.step_schedule(float(opts["t_final"]), float(opts["dt"]), _snapshot_times(opts))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"propagate: {exc}") from exc
+    if int(opts["n"]) != float(opts["n"]):
+        raise ValueError(f"n must be an integer, got {opts['n']!r}")
+    propagator.SpectralGrid(float(opts["length"]), int(opts["n"]))
+    propagator.step_schedule(float(opts["t_final"]), float(opts["dt"]), _snapshot_times(opts))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -169,8 +198,23 @@ def parse_config(doc: dict) -> RunConfig:
     validate(spectral, params)
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(doc.get("tolerances", {}))
-    propagate = _merged(DEFAULT_PROPAGATE, doc.get("propagate"))
-    _check_propagate(propagate)
+    sections = {
+        "residual": _merged(DEFAULT_RESIDUAL, doc.get("residual")),
+        "zero_curvature": _merged(DEFAULT_ZC, doc.get("zero_curvature")),
+        "rh_check": _merged(DEFAULT_RH, doc.get("rh_check")),
+        "scatter": _merged(DEFAULT_SCATTER, doc.get("scatter")),
+        "propagate": _merged(DEFAULT_PROPAGATE, doc.get("propagate")),
+    }
+    for name, check in (
+        ("residual", _check_residual),
+        ("zero_curvature", _check_zero_curvature),
+        ("scatter", lambda opts: _check_scatter(opts, spectral)),
+        ("propagate", _check_propagate),
+    ):
+        try:
+            check(sections[name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
     return RunConfig(
         params=params,
         spectral=spectral,
@@ -178,12 +222,8 @@ def parse_config(doc: dict) -> RunConfig:
         times=times,
         output_dir=str(doc.get("output_dir", "out")),
         emit_plots=bool(doc.get("emit_plots", False)),
-        residual=_merged(DEFAULT_RESIDUAL, doc.get("residual")),
-        zero_curvature=_merged(DEFAULT_ZC, doc.get("zero_curvature")),
-        rh_check=_merged(DEFAULT_RH, doc.get("rh_check")),
-        scatter=_merged(DEFAULT_SCATTER, doc.get("scatter")),
-        propagate=propagate,
         tolerances=tol,
+        **sections,
     )
 
 
@@ -438,9 +478,7 @@ def cmd_rh_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
 def cmd_scatter(cfg: RunConfig, out: Path, quiet: bool) -> int:
     opts = cfg.scatter
     tol = cfg.tolerances
-    h = float(opts["spacing"])
-    nx = int(round((float(opts["x_max"]) - float(opts["x_min"])) / h)) + 1
-    grid = Grid1D(float(opts["x_min"]), float(opts["x_min"]) + (nx - 1) * h, nx)
+    grid = _scatter_grid(opts)
     (q1, q2), = nsoliton.sample(cfg.spectral, cfg.params, grid, [0.0])
     tail = float(opts["tail_threshold"])
 
@@ -471,7 +509,7 @@ def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     snaps = _snapshot_times(opts)
 
     def analytic(tt: float) -> tuple[ComplexField, ComplexField]:
-        av1, av2 = nsoliton._fields_batch(cfg.spectral, cfg.params, xs, tt)
+        av1, av2 = nsoliton.fields_batch(cfg.spectral, cfg.params, xs, tt)
         return ComplexField(grid, tt, av1), ComplexField(grid, tt, av2)
 
     q10, q20 = analytic(0.0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SpectralData, SystemParams
-from .nsoliton import _fields_batch
+from .nsoliton import fields_batch
 
 __all__ = [
     "FieldJet",
@@ -123,7 +123,7 @@ def jet_at(
         offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     else:
         raise ValueError("order must be 2 or 4")
-    q1, q2 = _fields_batch(data, p, x + h * offs, t)
+    q1, q2 = fields_batch(data, p, x + h * offs, t)
     if order == 2:
         d1 = np.array([-0.5, 0.0, 0.5]) / h
         d2 = np.array([1.0, -2.0, 1.0]) / h**2

@@ -31,6 +31,7 @@ __all__ = [
     "AlphaNotOneError",
     "ZeroBetaGammaError",
     "interaction_matrix",
+    "fields_batch",
     "evaluate",
     "one_soliton",
     "sample",
@@ -113,7 +114,7 @@ def interaction_matrix(
     return InteractionMatrix(n=n, entries=num / denom)
 
 
-def _fields_batch(data: SpectralData, p: SystemParams, x: np.ndarray, t: float):
+def fields_batch(data: SpectralData, p: SystemParams, x: np.ndarray, t: float):
     """(q1, q2) arrays over the points x at time t via the rescaled solve."""
     x = np.asarray(x, dtype=float)
     n = len(data)
@@ -159,7 +160,7 @@ def _fields_batch(data: SpectralData, p: SystemParams, x: np.ndarray, t: float):
 def evaluate(data: SpectralData, p: SystemParams, x: float, t: float) -> tuple[complex, complex]:
     """Pointwise N-soliton fields (q1, q2) at (x, t)."""
     validate(data, p)
-    q1, q2 = _fields_batch(data, p, np.array([float(x)]), float(t))
+    q1, q2 = fields_batch(data, p, np.array([float(x)]), float(t))
     return complex(q1[0]), complex(q2[0])
 
 
@@ -194,7 +195,7 @@ def sample(
     xs = grid.points()
     out = []
     for t in times:
-        q1, q2 = _fields_batch(data, p, xs, float(t))
+        q1, q2 = fields_batch(data, p, xs, float(t))
         out.append((ComplexField(grid, float(t), q1), ComplexField(grid, float(t), q2)))
     return out
 
@@ -227,7 +228,7 @@ def _refine_peak(xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
 
 def peak_position(data: SpectralData, p: SystemParams, grid: Grid1D, t: float) -> float:
     """Location of the maximum of sqrt(|q1|^2 + |q2|^2) at time t."""
-    q1, q2 = _fields_batch(data, p, grid.points(), t)
+    q1, q2 = fields_batch(data, p, grid.points(), t)
     mod = np.sqrt(np.abs(q1) ** 2 + np.abs(q2) ** 2)
     pos, _ = _refine_peak(grid.points(), mod)
     return pos

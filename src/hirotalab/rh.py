@@ -29,6 +29,7 @@ __all__ = [
     "rh_plus_order1",
     "kernel_report",
     "reconstruct",
+    "check_phase_step",
     "direct_scattering",
 ]
 
@@ -37,6 +38,8 @@ SIGMA = np.diag([-1.0, 1.0, 1.0]).astype(complex)
 POLE_RADIUS = 1e-12
 TAIL_THRESHOLD = 1e-5
 PHASE_STEP_LIMIT = 0.1
+# RK4 steps multiplied together per block in direct_scattering
+FOLD_BLOCK = 1024
 
 
 class PoleHitError(ZeroDivisionError):
@@ -165,9 +168,46 @@ def reconstruct(data: SpectralData, p: SystemParams, x: float, t: float) -> tupl
     )
 
 
+def check_phase_step(h: float, zeta: complex) -> None:
+    """Raise ScatteringStepError unless a scattering grid of spacing h
+    resolves the phase of zeta."""
+    if h * abs(zeta) > PHASE_STEP_LIMIT:
+        raise ScatteringStepError(h, zeta)
+
+
 def _free_factor(zeta: complex, x: float) -> np.ndarray:
     """Diagonal free-evolution factor exp((i/2) zeta sigma x)."""
     return np.diag(np.exp(0.5j * zeta * np.array([-1.0, 1.0, 1.0]) * x))
+
+
+def _matmul33(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a[..., k] @ b[..., k] of 3x3 matrices stored as (3, 3, k) stacks."""
+    return (a[:, :, None] * b[None]).sum(axis=1)
+
+
+def _rk4_step_matrices(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray, s: float) -> np.ndarray:
+    """RK4 propagators of psi' = a psi over k steps of length s.
+
+    a0, a1, a2 are (3, 3, k) stacks of the coefficient at the start, middle
+    and end of each step; the stages are those of RK4 applied to the identity.
+    """
+    eye = np.eye(3)[:, :, None]
+    k1 = a0
+    k2 = _matmul33(a1, eye + 0.5 * s * k1)
+    k3 = _matmul33(a1, eye + 0.5 * s * k2)
+    k4 = _matmul33(a2, eye + s * k3)
+    return eye + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _fold(steps: np.ndarray) -> np.ndarray:
+    """Ordered product steps[..., k-1] @ ... @ steps[..., 0] by pairwise products."""
+    while steps.shape[2] > 1:
+        k = steps.shape[2]
+        paired = _matmul33(steps[:, :, 1::2], steps[:, :, 0 : k - 1 : 2])
+        if k % 2:
+            paired = np.concatenate([paired, steps[:, :, -1:]], axis=2)
+        steps = paired
+    return steps[:, :, 0]
 
 
 def direct_scattering(
@@ -182,52 +222,54 @@ def direct_scattering(
     Integrates the 3x3 spectral ODE from the left grid end (initialized to
     the free factor) and reads off S at the right end.  Classical RK4 over
     node pairs, so grid values supply the exact midpoints; accuracy is
-    O(h^4).  For zeta off the real axis only the first column of S is
-    meaningful; its (1,1) entry extends analytically to the upper half
-    plane.
+    O(h^4).  An odd interval count ends with one step of h whose midpoint
+    coefficient is the average of its two end nodes.  For zeta off the real
+    axis only the first column of S is meaningful; its (1,1) entry extends
+    analytically to the upper half plane.
+
+    The ODE is linear, so each RK4 step is a fixed matrix polynomial in the
+    coefficients a0, a1, a2 at its start, middle and end node (step s):
+    I + s/6 (a0 + 4a1 + a2) + s^2/6 (a1a0 + a1^2 + a2a1)
+    + s^3/12 (a1^2a0 + a2a1^2) + s^4/24 a2a1^2a0.  All step matrices of a
+    block of FOLD_BLOCK steps are built at once and multiplied together by
+    pairwise (log-depth) products, later steps on the left; the block
+    products are then applied in order.  Blocks bound the memory: the
+    coefficient and step matrices of one block exist at a time, however
+    long the grid is.
     """
     if q1.grid != q2.grid:
         raise ValueError("fields must share one grid")
     grid = q1.grid
     h = grid.spacing
-    if h * abs(zeta) > PHASE_STEP_LIMIT:
-        raise ScatteringStepError(h, zeta)
+    check_phase_step(h, zeta)
     edge = max(
         abs(q1.values[0]), abs(q1.values[-1]), abs(q2.values[0]), abs(q2.values[-1])
     )
     if edge > tail_threshold:
         raise NonDecayingTailsError(float(edge), tail_threshold)
 
-    n = grid.nx
-    coeff = np.zeros((n, 3, 3), dtype=complex)
-    coeff[:, 0, 1] = -p.k1 * q1.values
-    coeff[:, 0, 2] = -p.k1 * q2.values
-    coeff[:, 1, 0] = p.k1 * np.conj(q1.values)
-    coeff[:, 2, 0] = p.k1 * np.conj(q2.values)
-    diag = 0.5j * zeta * np.array([-1.0, 1.0, 1.0])
-    coeff[:, 0, 0] = diag[0]
-    coeff[:, 1, 1] = diag[1]
-    coeff[:, 2, 2] = diag[2]
+    def coefficients(lo: int, hi: int) -> np.ndarray:
+        # (3, 3, hi - lo) coefficient matrices at nodes lo..hi-1
+        a = np.zeros((3, 3, hi - lo), dtype=complex)
+        a[0, 1] = -p.k1 * q1.values[lo:hi]
+        a[0, 2] = -p.k1 * q2.values[lo:hi]
+        a[1, 0] = p.k1 * np.conj(q1.values[lo:hi])
+        a[2, 0] = p.k1 * np.conj(q2.values[lo:hi])
+        a[0, 0] = -0.5j * zeta
+        a[1, 1] = a[2, 2] = 0.5j * zeta
+        return a
 
+    n = grid.nx
     psi = _free_factor(zeta, grid.x_min)
-    i = 0
-    while i + 2 <= n - 1:
-        a0, a1, a2 = coeff[i], coeff[i + 1], coeff[i + 2]
-        step = 2.0 * h
-        k1m = a0 @ psi
-        k2m = a1 @ (psi + 0.5 * step * k1m)
-        k3m = a1 @ (psi + 0.5 * step * k2m)
-        k4m = a2 @ (psi + step * k3m)
-        psi = psi + (step / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        i += 2
-    if i == n - 2:
+    last = 2 * ((n - 1) // 2)  # node where the steps of 2h end
+    for i in range(0, last, 2 * FOLD_BLOCK):
+        a = coefficients(i, min(i + 2 * FOLD_BLOCK, last) + 1)
+        steps = _rk4_step_matrices(a[:, :, :-1:2], a[:, :, 1::2], a[:, :, 2::2], 2.0 * h)
+        psi = _fold(steps) @ psi
+    if last == n - 2:
         # odd interval count: one single RK4 step with averaged midpoint
-        a0, a1 = coeff[i], coeff[i + 1]
-        amid = 0.5 * (a0 + a1)
-        k1m = a0 @ psi
-        k2m = amid @ (psi + 0.5 * h * k1m)
-        k3m = amid @ (psi + 0.5 * h * k2m)
-        k4m = a1 @ (psi + h * k3m)
-        psi = psi + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+        a = coefficients(n - 2, n)
+        a0, a1 = a[:, :, :1], a[:, :, 1:]
+        psi = _rk4_step_matrices(a0, 0.5 * (a0 + a1), a1, h)[:, :, 0] @ psi
 
     return _free_factor(-zeta, grid.x_max) @ psi

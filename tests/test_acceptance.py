@@ -278,7 +278,7 @@ def test_criterion_7_propagation(tmp_path):
     sg = propagator.SpectralGrid(160.0, 2048)
     xs = sg.points()
     g = Grid1D(float(xs[0]), float(xs[-1]), sg.n)
-    w1, w2 = nsoliton._fields_batch(pair, THIRD_ORDER_PARAMS, xs, 0.0)
+    w1, w2 = nsoliton.fields_batch(pair, THIRD_ORDER_PARAMS, xs, 0.0)
     f1, f2 = ComplexField(g, 0.0, w1), ComplexField(g, 0.0, w2)
     (c1, c2), = propagator.evolve(f1, f2, THIRD_ORDER_PARAMS, 35.0, 2e-3, [35.0])
     drift_coll = abs(trapezoid_mass(c1, c2) - trapezoid_mass(f1, f2)) / trapezoid_mass(f1, f2)

@@ -223,6 +223,46 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize(
+    "section, change",
+    [
+        ("residual", {"order": 3}),
+        ("residual", {"spacings": [0.1, 0.0, -0.1]}),
+        ("zero_curvature", {"order2_spacings": [2e-2, -1e-2, 5e-3]}),
+        ("zero_curvature", {"order4_spacings": [0.2, 0.1, 0.0]}),
+        ("scatter", {"spacing": 0.0}),
+        ("scatter", {"spacing": -0.01}),
+        ("scatter", {"x_min": 60.0, "x_max": -60.0}),
+        ("scatter", {"x_max": -60.0}),
+        ("scatter", {"tail_threshold": 0.0}),
+        ("scatter", {"real_zetas": [0.5, 11.0]}),
+        ("scatter", {"spacing": 0.2, "real_zetas": []}),
+    ],
+    ids=[
+        "residual_order_3",
+        "residual_nonpositive_spacing",
+        "zc_negative_order2_spacing",
+        "zc_zero_order4_spacing",
+        "scatter_zero_spacing",
+        "scatter_negative_spacing",
+        "scatter_reversed_bounds",
+        "scatter_empty_interval",
+        "scatter_zero_tail_threshold",
+        "scatter_real_zeta_phase_step",
+        "scatter_eigenvalue_phase_step",
+    ],
+)
+def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change):
+    doc = _third_order_doc()
+    doc[section] = {**doc[section], **change}
+    path = _write_config(tmp_path, doc)
+    command = section.replace("_", "-")
+    code = cli.main([command, "--config", path, "--out", str(tmp_path / "bad"), "--quiet"])
+    assert code == cli.EXIT_VALIDATION
+    assert f"configuration error: {section}:" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 @pytest.mark.parametrize("n", [1000, 1023])
 def test_propagate_accepts_any_point_count(tmp_path, n):
     doc = _third_order_doc()

@@ -59,7 +59,7 @@ def test_evaluate_zero_beta_kills_q1(default_params):
 def test_evaluate_matches_closed_form(default_datum, default_data, default_params):
     xs = np.linspace(-20.0, 20.0, 101)
     for t in (0.0, 1.0, 5.0):
-        qa1, qa2 = nsoliton._fields_batch(default_data, default_params, xs, t)
+        qa1, qa2 = nsoliton.fields_batch(default_data, default_params, xs, t)
         qb1, qb2 = nsoliton.one_soliton(default_datum, default_params, xs, t)
         assert np.abs(qa1 - qb1).max() < 1e-12
         assert np.abs(qa2 - qb2).max() < 1e-12

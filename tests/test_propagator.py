@@ -234,11 +234,11 @@ def test_collision_matches_analytic_formula(third_order_params):
     grid = propagator.SpectralGrid(160.0, 1024)
     xs = grid.points()
     g = Grid1D(float(xs[0]), float(xs[-1]), grid.n)
-    q1v, q2v = nsoliton._fields_batch(data, third_order_params, xs, 0.0)
+    q1v, q2v = nsoliton.fields_batch(data, third_order_params, xs, 0.0)
     q10 = ComplexField(g, 0.0, q1v)
     q20 = ComplexField(g, 0.0, q2v)
     (q1, q2), = propagator.evolve(q10, q20, third_order_params, 2.0, 2e-3, [2.0])
-    a1, a2 = nsoliton._fields_batch(data, third_order_params, xs, 2.0)
+    a1, a2 = nsoliton.fields_batch(data, third_order_params, xs, 2.0)
     assert np.abs(q1.values - a1).max() < 1e-8
     assert np.abs(q2.values - a2).max() < 1e-8
 
