@@ -166,9 +166,22 @@ def _check_scatter(opts: dict, spectral: SpectralData) -> None:
         rh.check_phase_step(grid.spacing, complex(zeta))
 
 
+def _check_integer(opts: dict, key: str, least: int) -> None:
+    if int(opts[key]) != float(opts[key]) or int(opts[key]) < least:
+        raise ValueError(f"{key} must be an integer >= {least}, got {opts[key]!r}")
+
+
+def _check_rh_check(opts: dict) -> None:
+    _check_integer(opts, "n_symmetry", 1)
+    _check_integer(opts, "n_product", 1)
+    _check_integer(opts, "seed", 0)
+    for key in ("x", "t"):
+        if not np.isfinite(float(opts[key])):
+            raise ValueError(f"{key} must be finite, got {opts[key]!r}")
+
+
 def _check_propagate(opts: dict) -> None:
-    if int(opts["n"]) != float(opts["n"]):
-        raise ValueError(f"n must be an integer, got {opts['n']!r}")
+    _check_integer(opts, "n", 2)
     propagator.SpectralGrid(float(opts["length"]), int(opts["n"]))
     propagator.step_schedule(float(opts["t_final"]), float(opts["dt"]), _snapshot_times(opts))
 
@@ -208,6 +221,7 @@ def parse_config(doc: dict) -> RunConfig:
     for name, check in (
         ("residual", _check_residual),
         ("zero_curvature", _check_zero_curvature),
+        ("rh_check", _check_rh_check),
         ("scatter", lambda opts: _check_scatter(opts, spectral)),
         ("propagate", _check_propagate),
     ):
@@ -317,11 +331,13 @@ def cmd_sample(cfg: RunConfig, out: Path, quiet: bool) -> int:
         if not quiet:
             print(f"  wrote {name}")
     if cfg.emit_plots and names:
-        _emit_plot_scripts(cfg, out, names)
+        _emit_plot_scripts(cfg, out, names, pairs)
     return EXIT_OK
 
 
-def _emit_plot_scripts(cfg: RunConfig, out: Path, names: list[str]) -> None:
+def _emit_plot_scripts(
+    cfg: RunConfig, out: Path, names: list[str], pairs: list[tuple[ComplexField, ComplexField]]
+) -> None:
     slice_lines = [
         "set datafile separator ','",
         "set xlabel 'x'",
@@ -340,7 +356,6 @@ def _emit_plot_scripts(cfg: RunConfig, out: Path, names: list[str]) -> None:
     _write_text(out / "plot_slices.gp", "\n".join(slice_lines) + "\n")
 
     surf_rows = ["# x t abs_q1 abs_q2 re_q1 re_q2 im_q1 im_q2"]
-    pairs = nsoliton.sample(cfg.spectral, cfg.params, cfg.grid, cfg.times)
     xs = cfg.grid.points()
     for (q1, q2), t in zip(pairs, cfg.times):
         for i in range(cfg.grid.nx):
@@ -394,6 +409,7 @@ def cmd_residual(cfg: RunConfig, out: Path, quiet: bool) -> int:
 def cmd_zero_curvature(cfg: RunConfig, out: Path, quiet: bool) -> int:
     opts = cfg.zero_curvature
     x, t = float(opts["x"]), float(opts["t"])
+    zetas = laxpair.default_zeta_samples()
     report = Report()
     for order, key, band_key in (
         (2, "order2_spacings", "zc_order2_band"),
@@ -401,19 +417,16 @@ def cmd_zero_curvature(cfg: RunConfig, out: Path, quiet: bool) -> int:
     ):
         spacings = [float(h) for h in opts[key]]
         lo, hi = (float(v) for v in cfg.tolerances[band_key])
-        for iz, zeta in enumerate(laxpair.default_zeta_samples()):
-            sups = [
-                float(
-                    np.abs(
-                        laxpair.zero_curvature_residual(
-                            cfg.spectral, cfg.params, zeta, x, t, h, order
-                        )
-                    ).max()
-                )
-                for h in spacings
-            ]
+        # sups[j][iz]: sup norm of the residual at spacing j and sample iz
+        sups = [
+            np.abs(
+                laxpair.zero_curvature_residual(cfg.spectral, cfg.params, zetas, x, t, h, order)
+            ).max(axis=(1, 2)).tolist()
+            for h in spacings
+        ]
+        for iz in range(len(zetas)):
             for j in range(len(sups) - 1):
-                ratio = sups[j] / sups[j + 1] if sups[j + 1] > 0 else float("inf")
+                ratio = sups[j][iz] / sups[j + 1][iz] if sups[j + 1][iz] > 0 else float("inf")
                 report.check_band(f"zc_o{order}_z{iz}_ratio{j}", ratio, lo, hi)
     report.write(out / "zero_curvature_report.csv", quiet)
     return EXIT_OK if report.all_pass else EXIT_VERIFICATION

@@ -7,6 +7,7 @@ test absorbs the differencing error.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,19 @@ __all__ = [
 ]
 
 _SIGMA_DIAG = np.array([-1.0, 1.0, 1.0])
+
+# Central-difference stencils by order: offsets in units of h, the weights of
+# the first and of the second derivative, and their common divisor (the
+# weights are divided by div*h and div*h**2).
+_STENCILS = {
+    2: (np.array([-1.0, 0.0, 1.0]), np.array([-0.5, 0.0, 0.5]), np.array([1.0, -2.0, 1.0]), 1),
+    4: (
+        np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
+        np.array([1.0, -8.0, 0.0, 8.0, -1.0]),
+        np.array([-1.0, 16.0, -30.0, 16.0, -1.0]),
+        12,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -113,25 +127,21 @@ def build_V(jet: FieldJet, zeta: complex, p: SystemParams) -> np.ndarray:
     return cubic + quad + lin + b
 
 
+def _stencil(order: int):
+    if order not in _STENCILS:
+        raise ValueError("order must be 2 or 4")
+    return _STENCILS[order]
+
+
 def jet_at(
     data: SpectralData, p: SystemParams, x: float, t: float, h: float, order: int = 2
 ) -> FieldJet:
     """Jet of the analytic solution at (x, t) by central differences in x."""
-    if order == 2:
-        offs = np.array([-1.0, 0.0, 1.0])
-    elif order == 4:
-        offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    else:
-        raise ValueError("order must be 2 or 4")
+    offs, d1, d2, div = _stencil(order)
     q1, q2 = fields_batch(data, p, x + h * offs, t)
-    if order == 2:
-        d1 = np.array([-0.5, 0.0, 0.5]) / h
-        d2 = np.array([1.0, -2.0, 1.0]) / h**2
-        mid = 1
-    else:
-        d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
-        d2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h**2)
-        mid = 2
+    d1 = d1 / (div * h)
+    d2 = d2 / (div * h**2)
+    mid = len(offs) // 2
     return FieldJet(
         q1=complex(q1[mid]),
         q2=complex(q2[mid]),
@@ -145,7 +155,7 @@ def jet_at(
 def zero_curvature_residual(
     data: SpectralData,
     p: SystemParams,
-    zeta: complex,
+    zeta: complex | Sequence[complex],
     x: float,
     t: float,
     h: float,
@@ -153,31 +163,29 @@ def zero_curvature_residual(
 ) -> np.ndarray:
     """U_t - V_x + [U, V] on the analytic solution, by finite differences.
 
+    zeta is one spectral parameter (result 3x3) or a sequence of k of them
+    (result (k, 3, 3)); the jets do not depend on zeta and are built once.
     For exact solutions the sup norm decreases at the stencil's nominal
     order under h-refinement.
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    if order == 2:
-        offs = [-1.0, 1.0]
-        wts = np.array([-0.5, 0.5]) / h
-    elif order == 4:
-        offs = [-2.0, -1.0, 1.0, 2.0]
-        wts = np.array([1.0, -8.0, 8.0, -1.0]) / (12 * h)
-    else:
-        raise ValueError("order must be 2 or 4")
-
-    u_t = np.zeros((3, 3), dtype=complex)
-    for o, w in zip(offs, wts):
-        u_t += w * build_U(jet_at(data, p, x, t + o * h, h, order), zeta, p)
-    v_x = np.zeros((3, 3), dtype=complex)
-    for o, w in zip(offs, wts):
-        v_x += w * build_V(jet_at(data, p, x + o * h, t, h, order), zeta, p)
-
+    offs, d1, _, div = _stencil(order)
+    side = offs != 0.0
+    wts = d1[side] / (div * h)
+    jets_t = [jet_at(data, p, x, t + o * h, h, order) for o in offs[side].tolist()]
+    jets_x = [jet_at(data, p, x + o * h, t, h, order) for o in offs[side].tolist()]
     jet0 = jet_at(data, p, x, t, h, order)
-    u0 = build_U(jet0, zeta, p)
-    v0 = build_V(jet0, zeta, p)
-    return u_t - v_x + u0 @ v0 - v0 @ u0
+
+    def residual(z: complex) -> np.ndarray:
+        u_t = sum(w * build_U(jet, z, p) for w, jet in zip(wts, jets_t))
+        v_x = sum(w * build_V(jet, z, p) for w, jet in zip(wts, jets_x))
+        u0, v0 = build_U(jet0, z, p), build_V(jet0, z, p)
+        return u_t - v_x + u0 @ v0 - v0 @ u0
+
+    if np.ndim(zeta) == 0:
+        return residual(zeta)
+    return np.array([residual(z) for z in zeta])
 
 
 def default_zeta_samples() -> list[complex]:

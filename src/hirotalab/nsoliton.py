@@ -10,8 +10,6 @@ values then underflow gracefully to zero instead of producing NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -25,12 +23,9 @@ from .core import (
 )
 
 __all__ = [
-    "InteractionMatrix",
-    "OverflowBoundError",
     "SingularMatrixError",
     "AlphaNotOneError",
     "ZeroBetaGammaError",
-    "interaction_matrix",
     "fields_batch",
     "evaluate",
     "one_soliton",
@@ -40,19 +35,7 @@ __all__ = [
     "peak_velocity",
 ]
 
-EXP_BOUND = 700.0
 CONDITION_LIMIT = 1e14
-
-
-class OverflowBoundError(OverflowError):
-    """A raw matrix exponent exceeds the configured magnitude bound."""
-
-    def __init__(self, x: float, t: float, magnitude: float) -> None:
-        self.x, self.t = x, t
-        super().__init__(
-            f"exponent magnitude {magnitude:.3g} exceeds bound at (x, t) = ({x}, {t}); "
-            "use the rescaled evaluation path"
-        )
 
 
 class SingularMatrixError(ArithmeticError):
@@ -71,47 +54,9 @@ class ZeroBetaGammaError(ValueError):
     """beta = gamma = 0 makes the one-soliton identically zero (xi = -inf)."""
 
 
-@dataclass(frozen=True, eq=False)
-class InteractionMatrix:
-    """N x N matrix M_kj = (vhat_k . v_j) / (zeta_j - zeta_k*) at one point."""
-
-    n: int
-    entries: np.ndarray
-
-
 def _phases(data: SpectralData, p: SystemParams, x, t) -> np.ndarray:
     """Stack of phase exponents, shape (N,) + broadcast shape of (x, t)."""
     return np.stack([np.asarray(phase(d, p, x, t)) for d in data])
-
-
-def interaction_matrix(
-    data: SpectralData, p: SystemParams, x: float, t: float, exp_bound: float = EXP_BOUND
-) -> InteractionMatrix:
-    """Interaction matrix in its raw (unscaled) form.
-
-    Raises OverflowBoundError when any exponent magnitude exceeds exp_bound;
-    callers hitting that should evaluate through the rescaled path used by
-    evaluate() instead.
-    """
-    validate(data, p)
-    n = len(data)
-    th = np.array([phase(d, p, x, t) for d in data])
-    e_minus = -np.conj(th)[:, None] - th[None, :]
-    e_plus = np.conj(th)[:, None] + th[None, :]
-    worst = max(np.abs(e_minus.real).max(), np.abs(e_plus.real).max())
-    if worst > exp_bound:
-        raise OverflowBoundError(x, t, worst)
-    alpha = np.array([d.alpha for d in data])
-    beta = np.array([d.beta for d in data])
-    gamma = np.array([d.gamma for d in data])
-    zetas = data.zetas()
-    num = (
-        np.conj(alpha)[:, None] * alpha[None, :] * np.exp(e_minus)
-        + (np.conj(beta)[:, None] * beta[None, :] + np.conj(gamma)[:, None] * gamma[None, :])
-        * np.exp(e_plus)
-    )
-    denom = zetas[None, :] - np.conj(zetas)[:, None]
-    return InteractionMatrix(n=n, entries=num / denom)
 
 
 def fields_batch(data: SpectralData, p: SystemParams, x: np.ndarray, t: float):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hirotalab import cli
+from hirotalab import cli, laxpair, nsoliton
 
 THIRD_ORDER = Path(__file__).resolve().parents[1] / "src/hirotalab/data/third_order_config.json"
 
@@ -79,13 +79,17 @@ def test_sample_no_times_writes_nothing(tmp_path):
     assert not out.exists() or not list(out.iterdir())
 
 
-def test_sample_emits_plot_scripts(tmp_path):
+def test_sample_emits_plot_scripts(tmp_path, monkeypatch):
     doc = _third_order_doc()
     doc["emit_plots"] = True
     doc["times"] = [0.0, 1.0]
     path = _write_config(tmp_path, doc)
     out = tmp_path / "plots"
+    calls = []
+    sample = nsoliton.sample
+    monkeypatch.setattr(nsoliton, "sample", lambda *args: calls.append(args) or sample(*args))
     assert cli.main(["sample", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert len(calls) == 1
     assert (out / "plot_slices.gp").exists()
     assert (out / "plot_surface.gp").exists()
     surface = (out / "surface.dat").read_text()
@@ -131,6 +135,20 @@ def test_zero_curvature_verdicts_differ_by_sector(tmp_path):
         == 0
     )
     assert cli.main(["zero-curvature", "--out", str(tmp_path / "z1"), "--quiet"]) == cli.EXIT_VERIFICATION
+
+
+def test_zero_curvature_builds_jets_once_per_spacing(tmp_path, monkeypatch):
+    calls = []
+    jet_at = laxpair.jet_at
+    monkeypatch.setattr(laxpair, "jet_at", lambda *args: calls.append(args) or jet_at(*args))
+    out = tmp_path / "zc"
+    assert cli.main(["zero-curvature", "--config", str(THIRD_ORDER), "--out", str(out), "--quiet"]) == 0
+    # (2 * 2 + 1) jets per order-2 spacing and (2 * 4 + 1) per order-4 spacing
+    assert len(calls) == 3 * 5 + 3 * 9
+    names = [r.split(",")[0] for r in (out / "zero_curvature_report.csv").read_text().split("\n")[1:-1]]
+    assert names == [
+        f"zc_o{order}_z{iz}_ratio{j}" for order in (2, 4) for iz in range(10) for j in range(2)
+    ]
 
 
 def test_scatter_smaller_domain(tmp_path):
@@ -237,6 +255,11 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         ("scatter", {"tail_threshold": 0.0}),
         ("scatter", {"real_zetas": [0.5, 11.0]}),
         ("scatter", {"spacing": 0.2, "real_zetas": []}),
+        ("rh_check", {"n_symmetry": -3}),
+        ("rh_check", {"n_product": 0}),
+        ("rh_check", {"n_symmetry": 2.5}),
+        ("rh_check", {"seed": -1}),
+        ("rh_check", {"t": float("inf")}),
     ],
     ids=[
         "residual_order_3",
@@ -250,6 +273,11 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         "scatter_zero_tail_threshold",
         "scatter_real_zeta_phase_step",
         "scatter_eigenvalue_phase_step",
+        "rh_negative_n_symmetry",
+        "rh_zero_n_product",
+        "rh_fractional_n_symmetry",
+        "rh_negative_seed",
+        "rh_infinite_t",
     ],
 )
 def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change):

@@ -111,14 +111,28 @@ def test_residual_fourth_order_convergence(default_datum, third_order_params):
     assert all(14.0 <= r <= 18.0 for r in ratios)
 
 
+TWO_SOLITON = SpectralData((
+    SpectralDatum(0.3 + 0.45j, 1.0, 0.8, 0.6),
+    SpectralDatum(-0.25 + 0.6j, 1.0, 0.5 + 0.3j, 1.1),
+))
+
+
 def test_residual_second_order_convergence_two_soliton(third_order_params):
-    data = SpectralData((
-        SpectralDatum(0.3 + 0.45j, 1.0, 0.8, 0.6),
-        SpectralDatum(-0.25 + 0.6j, 1.0, 0.5 + 0.3j, 1.1),
-    ))
-    sups = _ladder(data, third_order_params, 0.8, 2, (1e-2, 5e-3, 2.5e-3))
+    sups = _ladder(TWO_SOLITON, third_order_params, 0.8, 2, (1e-2, 5e-3, 2.5e-3))
     ratios = [sups[i] / sups[i + 1] for i in range(2)]
     assert all(3.5 <= r <= 4.5 for r in ratios)
+
+
+@pytest.mark.parametrize("order, h", [(2, 1e-2), (4, 0.1)])
+def test_residual_over_zeta_samples_matches_scalar_calls(third_order_params, order, h):
+    zetas = laxpair.default_zeta_samples()
+    batch = laxpair.zero_curvature_residual(TWO_SOLITON, third_order_params, zetas, 2.0, 0.5, h, order)
+    single = np.stack([
+        laxpair.zero_curvature_residual(TWO_SOLITON, third_order_params, z, 2.0, 0.5, h, order)
+        for z in zetas
+    ])
+    assert batch.shape == single.shape == (10, 3, 3)
+    assert np.all(batch == single)
 
 
 def test_residual_plateaus_with_second_order_dispersion(default_data, default_params):

@@ -11,37 +11,6 @@ from conftest import make_random_data
 moderate = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
 
-def test_interaction_matrix_origin(default_data, default_params):
-    m = nsoliton.interaction_matrix(default_data, default_params, 0.0, 0.0)
-    # (|alpha|^2 + |beta|^2 + |gamma|^2) / (zeta - zeta*) = 6 / 0.4i
-    assert abs(m.entries[0, 0] - (-15j)) < 1e-12
-
-
-def test_interaction_matrix_two_soliton(default_datum, default_params):
-    other = SpectralDatum(-0.1 + 0.4j, 1.0, 0.5, 0.5)
-    data = SpectralData((default_datum, other))
-    m = nsoliton.interaction_matrix(data, default_params, 0.3, 0.2).entries
-    assert np.all(np.isfinite(m))
-    z1, z2 = default_datum.zeta, other.zeta
-    # denominator antisymmetry (zeta_j - zeta_k*) = -(zeta_k - zeta_j*)*
-    assert abs((z2 - np.conj(z1)) + np.conj(z1 - np.conj(z2))) < 1e-15
-    # the matrix itself is anti-Hermitian
-    assert np.abs(np.conj(m.T) + m).max() < 1e-12
-
-
-def test_interaction_matrix_grows_in_far_field(default_data, default_params):
-    mid = abs(nsoliton.interaction_matrix(default_data, default_params, 0.0, 0.0).entries[0, 0])
-    right = abs(nsoliton.interaction_matrix(default_data, default_params, 60.0, 0.0).entries[0, 0])
-    left = abs(nsoliton.interaction_matrix(default_data, default_params, -60.0, 0.0).entries[0, 0])
-    assert right > 10 * mid and left > 10 * mid
-
-
-def test_interaction_matrix_overflow_guard(default_data, default_params):
-    with pytest.raises(nsoliton.OverflowBoundError) as err:
-        nsoliton.interaction_matrix(default_data, default_params, 1.0e4, 0.0)
-    assert err.value.x == 1.0e4
-
-
 def test_evaluate_origin(default_data, default_params):
     q1, q2 = nsoliton.evaluate(default_data, default_params, 0.0, 0.0)
     assert abs(q1 - (-1.0 / 15.0)) < 1e-13
