@@ -148,13 +148,21 @@ def _scatter_grid(opts: dict) -> Grid1D:
 
 # Load-time checks of the command sections: each raises what its command
 # would otherwise raise partway through a run.
+def _check_finite(opts: dict, *keys: str) -> None:
+    for key in keys:
+        if not np.isfinite(float(opts[key])):
+            raise ValueError(f"{key} must be finite, got {opts[key]!r}")
+
+
 def _check_residual(opts: dict) -> None:
     if float(opts["order"]) not in (2.0, 4.0):
         raise ValueError(f"order must be 2 or 4, got {opts['order']!r}")
     _positive(opts["spacings"], "spacings")
+    _check_finite(opts, "t_center")
 
 
 def _check_zero_curvature(opts: dict) -> None:
+    _check_finite(opts, "x", "t")
     _positive(opts["order2_spacings"], "order2_spacings")
     _positive(opts["order4_spacings"], "order4_spacings")
 
@@ -175,9 +183,7 @@ def _check_rh_check(opts: dict) -> None:
     _check_integer(opts, "n_symmetry", 1)
     _check_integer(opts, "n_product", 1)
     _check_integer(opts, "seed", 0)
-    for key in ("x", "t"):
-        if not np.isfinite(float(opts[key])):
-            raise ValueError(f"{key} must be finite, got {opts[key]!r}")
+    _check_finite(opts, "x", "t")
 
 
 def _check_propagate(opts: dict) -> None:
@@ -208,6 +214,8 @@ def parse_config(doc: dict) -> RunConfig:
         times = tuple(float(t) for t in doc.get("times", []))
     except KeyError as exc:
         raise ConfigError(f"missing config field {exc}") from exc
+    if not all(np.isfinite(times)):
+        raise ConfigError(f"times: every time must be finite, got {list(times)!r}")
     validate(spectral, params)
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(doc.get("tolerances", {}))
@@ -304,16 +312,11 @@ class Report:
 
 
 def _field_csv(q1: ComplexField, q2: ComplexField) -> str:
-    xs = q1.grid.points()
+    # one %-format per row over Python floats renders every value as _fmt does
+    row = ",".join(["%.17g"] * 7)
     lines = ["x,re_q1,im_q1,abs_q1,re_q2,im_q2,abs_q2"]
-    for i in range(q1.grid.nx):
-        a, b = q1.values[i], q2.values[i]
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (xs[i], a.real, a.imag, abs(a), b.real, b.imag, abs(b))
-            )
-        )
+    for x, a, b in zip(q1.grid.points().tolist(), q1.values.tolist(), q2.values.tolist()):
+        lines.append(row % (x, a.real, a.imag, abs(a), b.real, b.imag, abs(b)))
     return "\n".join(lines) + "\n"
 
 
@@ -356,16 +359,11 @@ def _emit_plot_scripts(
     _write_text(out / "plot_slices.gp", "\n".join(slice_lines) + "\n")
 
     surf_rows = ["# x t abs_q1 abs_q2 re_q1 re_q2 im_q1 im_q2"]
-    xs = cfg.grid.points()
+    row = " ".join(["%.17g"] * 8)
+    xs = cfg.grid.points().tolist()
     for (q1, q2), t in zip(pairs, cfg.times):
-        for i in range(cfg.grid.nx):
-            a, b = q1.values[i], q2.values[i]
-            surf_rows.append(
-                " ".join(
-                    _fmt(v)
-                    for v in (xs[i], t, abs(a), abs(b), a.real, b.real, a.imag, b.imag)
-                )
-            )
+        for x, a, b in zip(xs, q1.values.tolist(), q2.values.tolist()):
+            surf_rows.append(row % (x, t, abs(a), abs(b), a.real, b.real, a.imag, b.imag))
         surf_rows.append("")
     _write_text(out / "surface.dat", "\n".join(surf_rows) + "\n")
     surf_lines = [

@@ -171,7 +171,7 @@ def reconstruct(data: SpectralData, p: SystemParams, x: float, t: float) -> tupl
 def check_phase_step(h: float, zeta: complex) -> None:
     """Raise ScatteringStepError unless a scattering grid of spacing h
     resolves the phase of zeta."""
-    if h * abs(zeta) > PHASE_STEP_LIMIT:
+    if not h * abs(zeta) <= PHASE_STEP_LIMIT:
         raise ScatteringStepError(h, zeta)
 
 

@@ -96,6 +96,24 @@ def test_sample_emits_plot_scripts(tmp_path, monkeypatch):
     assert surface.startswith("# x t abs_q1")
 
 
+def test_field_csv_rows_match_per_value_format():
+    grid = cli.Grid1D(-1.0, 1.0, 4)
+    q1 = cli.ComplexField(
+        grid, 0.0, [complex(-0.0, 5e-324), complex(1e308, -0.0), 0.1 + 0.2j, complex(-3e-310, 1e308)]
+    )
+    q2 = cli.ComplexField(
+        grid, 0.0, [complex(5e-324, -0.0), 1.0 / 3.0, complex(-1e308, -1e-300), 2.5 - 7.0j]
+    )
+    lines = ["x,re_q1,im_q1,abs_q1,re_q2,im_q2,abs_q2"]
+    for x, a, b in zip(grid.points(), q1.values, q2.values):
+        lines.append(
+            ",".join(cli._fmt(v) for v in (x, a.real, a.imag, abs(a), b.real, b.imag, abs(b)))
+        )
+    text = cli._field_csv(q1, q2)
+    assert text == "\n".join(lines) + "\n"
+    assert ",-0," in text and "4.9406564584124654e-324" in text and "1e+308" in text
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     doc = _third_order_doc()
     path = _write_config(tmp_path, doc)
@@ -260,6 +278,12 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         ("rh_check", {"n_symmetry": 2.5}),
         ("rh_check", {"seed": -1}),
         ("rh_check", {"t": float("inf")}),
+        ("scatter", {"real_zetas": [float("nan")]}),
+        ("zero_curvature", {"x": float("nan")}),
+        ("zero_curvature", {"t": float("inf")}),
+        ("residual", {"t_center": float("nan")}),
+        ("times", [float("nan")]),
+        ("times", [0.0, float("inf")]),
     ],
     ids=[
         "residual_order_3",
@@ -278,13 +302,19 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         "rh_fractional_n_symmetry",
         "rh_negative_seed",
         "rh_infinite_t",
+        "scatter_nan_real_zeta",
+        "zc_nan_x",
+        "zc_infinite_t",
+        "residual_nan_t_center",
+        "nan_time",
+        "infinite_time",
     ],
 )
 def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change):
     doc = _third_order_doc()
-    doc[section] = {**doc[section], **change}
+    doc[section] = {**doc[section], **change} if isinstance(change, dict) else change
     path = _write_config(tmp_path, doc)
-    command = section.replace("_", "-")
+    command = "sample" if section == "times" else section.replace("_", "-")
     code = cli.main([command, "--config", path, "--out", str(tmp_path / "bad"), "--quiet"])
     assert code == cli.EXIT_VALIDATION
     assert f"configuration error: {section}:" in capsys.readouterr().err

@@ -46,6 +46,110 @@ def test_singular_matrix_guard(default_data, default_params, monkeypatch):
         nsoliton.evaluate(default_data, default_params, 0.0, 0.0)
 
 
+def _reference_matrix(data, p, x, t):
+    """The rescaled interaction matrix as plain expressions, shape (m, n, n)."""
+    th = nsoliton._phases(data, p, x, t)
+    c = np.abs(th.real)
+    alpha = np.array([d.alpha for d in data])
+    beta = np.array([d.beta for d in data])
+    gamma = np.array([d.gamma for d in data])
+    zetas = data.zetas()
+    e_minus = np.exp(-np.conj(th)[:, None, :] - th[None, :, :] - c[:, None, :] - c[None, :, :])
+    e_plus = np.exp(np.conj(th)[:, None, :] + th[None, :, :] - c[:, None, :] - c[None, :, :])
+    gram_a = np.conj(alpha)[:, None] * alpha[None, :]
+    gram_bg = np.conj(beta)[:, None] * beta[None, :] + np.conj(gamma)[:, None] * gamma[None, :]
+    denom = zetas[None, :] - np.conj(zetas)[:, None]
+    msc = (gram_a[:, :, None] * e_minus + gram_bg[:, :, None] * e_plus) / denom[:, :, None]
+    return np.moveaxis(msc, 2, 0)
+
+
+def _reference_fields_batch(data, p, x, t):
+    """fields_batch with the 2-norm condition number taken at every point."""
+    x = np.asarray(x, dtype=float)
+    msc = _reference_matrix(data, p, x, t)
+    cond = np.linalg.cond(msc)
+    if not np.all(np.isfinite(cond)) or np.any(cond > nsoliton.CONDITION_LIMIT):
+        bad = int(np.argmax(np.where(np.isfinite(cond), cond, np.inf)))
+        raise nsoliton.SingularMatrixError(float(x.flat[bad]), t)
+    th = nsoliton._phases(data, p, x, t)
+    c = np.abs(th.real)
+    alpha = np.array([d.alpha for d in data])
+    beta = np.array([d.beta for d in data])
+    gamma = np.array([d.gamma for d in data])
+    u = alpha[:, None] * np.exp(-th - c)
+    vb = np.conj(beta)[:, None] * np.exp(np.conj(th) - c)
+    vg = np.conj(gamma)[:, None] * np.exp(np.conj(th) - c)
+    w = np.linalg.solve(np.swapaxes(msc, 1, 2), np.moveaxis(u, 1, 0)[:, :, None])[:, :, 0]
+    w = np.moveaxis(w, 0, 1)
+    return (1j / p.k1) * np.sum(w * vb, axis=0), (1j / p.k1) * np.sum(w * vg, axis=0)
+
+
+def _same_outcome(data, p, x, t) -> bool:
+    """Both evaluators give bit-identical fields or raise at the same x."""
+    try:
+        want = _reference_fields_batch(data, p, x, t)
+    except nsoliton.SingularMatrixError as exc:
+        with pytest.raises(nsoliton.SingularMatrixError) as info:
+            nsoliton.fields_batch(data, p, x, t)
+        assert info.value.x == exc.x
+        return True
+    got = nsoliton.fields_batch(data, p, x, t)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    return False
+
+
+def test_fields_batch_matches_reference_bit_for_bit(monkeypatch):
+    xs = np.linspace(-60.0, 60.0, 201)
+    p = SystemParams(1.0, 1.0, 0.0)
+    raised = calls = 0
+    for limit in (1e14, 1e10, 1e6, 1e3):
+        monkeypatch.setattr(nsoliton, "CONDITION_LIMIT", limit)
+        for seed in range(30):
+            for n in range(1, 11):
+                raised += _same_outcome(make_random_data(n, seed), p, xs, 0.5)
+                calls += 1
+    assert 0 < raised < calls
+
+
+def test_condition_guard_runs_svd_on_points_the_bound_keeps(monkeypatch):
+    # a limit between the batch's largest 2-norm and Frobenius condition
+    # numbers: the Frobenius screen keeps some points and the SVD clears them
+    data = make_random_data(6, 4)
+    p = SystemParams(1.0, 1.0, 0.0)
+    xs = np.linspace(-60.0, 60.0, 201)
+    msc = _reference_matrix(data, p, xs, 0.5)
+    top2, topf = np.linalg.cond(msc).max(), np.linalg.cond(msc, "fro").max()
+    limit = np.sqrt(top2 * topf)
+    assert top2 < limit < topf
+    monkeypatch.setattr(nsoliton, "CONDITION_LIMIT", limit)
+    svd_batches = []
+    cond = np.linalg.cond
+
+    def spy(a, order=None):
+        if order is None:
+            svd_batches.append(len(a))
+        return cond(a, order)
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    assert not _same_outcome(data, p, xs, 0.5)
+    assert len(svd_batches) == 2  # one from the reference, one from the screen
+    assert 0 < svd_batches[1] < len(xs)
+
+
+def test_condition_guard_matches_reference_at_the_limit():
+    # nearly coincident eigenvalues: the condition number crosses 1e14 near
+    # x = 23.1, where both estimates carry rounding noise of a few percent
+    p = SystemParams(1.0, 1.0, 0.0)
+    data = SpectralData(
+        (
+            SpectralDatum(0.94 + 0.67j, 1.0, 1.0, 1.0),
+            SpectralDatum(complex(0.94, 0.67 + 9e-8), 1.0, 1.0, 2.0),
+        )
+    )
+    outcomes = [_same_outcome(data, p, np.array([x]), 0.0) for x in np.linspace(22.5, 23.5, 401)]
+    assert any(outcomes) and not all(outcomes)
+
+
 def test_one_soliton_normalization_errors(default_params):
     with pytest.raises(nsoliton.AlphaNotOneError):
         nsoliton.one_soliton(SpectralDatum(0.3 + 0.2j, 2.0, 1.0, 1.0), default_params, 0.0, 0.0)
