@@ -120,9 +120,12 @@ def _complex_of(node, where: str) -> complex:
 
 def _merged(defaults: dict, user) -> dict:
     out = dict(defaults)
-    if user:
+    if user is not None:
         if not isinstance(user, dict):
-            raise ConfigError("command option sections must be objects")
+            raise ValueError(f"expected an object, got {user!r}")
+        unknown = sorted(set(user) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}, expected keys of {sorted(defaults)}")
         out.update(user)
     return out
 
@@ -152,6 +155,19 @@ def _check_finite(opts: dict, *keys: str) -> None:
     for key in keys:
         if not np.isfinite(float(opts[key])):
             raise ValueError(f"{key} must be finite, got {opts[key]!r}")
+
+
+def _check_tolerances(tol: dict) -> None:
+    for key, value in tol.items():
+        if not isinstance(DEFAULT_TOLERANCES[key], list):
+            _check_finite(tol, key)
+            continue
+        # a band: [lo, hi]
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ValueError(f"{key} must be a pair [lo, hi], got {value!r}")
+        lo, hi = float(value[0]), float(value[1])
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+            raise ValueError(f"{key} must be finite with lo <= hi, got {value!r}")
 
 
 def _check_residual(opts: dict) -> None:
@@ -210,30 +226,31 @@ def parse_config(doc: dict) -> RunConfig:
             )
         spectral = SpectralData(tuple(data))
         gnode = doc["grid"]
+        try:
+            _check_integer(gnode, "nx", 2)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"grid: {exc}") from exc
         grid = Grid1D(float(gnode["x_min"]), float(gnode["x_max"]), int(gnode["nx"]))
         times = tuple(float(t) for t in doc.get("times", []))
     except KeyError as exc:
         raise ConfigError(f"missing config field {exc}") from exc
     if not all(np.isfinite(times)):
         raise ConfigError(f"times: every time must be finite, got {list(times)!r}")
+    emit_plots = doc.get("emit_plots", False)
+    if not isinstance(emit_plots, bool):
+        raise ConfigError(f"emit_plots: must be true or false, got {emit_plots!r}")
     validate(spectral, params)
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(doc.get("tolerances", {}))
-    sections = {
-        "residual": _merged(DEFAULT_RESIDUAL, doc.get("residual")),
-        "zero_curvature": _merged(DEFAULT_ZC, doc.get("zero_curvature")),
-        "rh_check": _merged(DEFAULT_RH, doc.get("rh_check")),
-        "scatter": _merged(DEFAULT_SCATTER, doc.get("scatter")),
-        "propagate": _merged(DEFAULT_PROPAGATE, doc.get("propagate")),
-    }
-    for name, check in (
-        ("residual", _check_residual),
-        ("zero_curvature", _check_zero_curvature),
-        ("rh_check", _check_rh_check),
-        ("scatter", lambda opts: _check_scatter(opts, spectral)),
-        ("propagate", _check_propagate),
+    sections = {}
+    for name, defaults, check in (
+        ("tolerances", DEFAULT_TOLERANCES, _check_tolerances),
+        ("residual", DEFAULT_RESIDUAL, _check_residual),
+        ("zero_curvature", DEFAULT_ZC, _check_zero_curvature),
+        ("rh_check", DEFAULT_RH, _check_rh_check),
+        ("scatter", DEFAULT_SCATTER, lambda opts: _check_scatter(opts, spectral)),
+        ("propagate", DEFAULT_PROPAGATE, _check_propagate),
     ):
         try:
+            sections[name] = _merged(defaults, doc.get(name))
             check(sections[name])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name}: {exc}") from exc
@@ -243,8 +260,7 @@ def parse_config(doc: dict) -> RunConfig:
         grid=grid,
         times=times,
         output_dir=str(doc.get("output_dir", "out")),
-        emit_plots=bool(doc.get("emit_plots", False)),
-        tolerances=tol,
+        emit_plots=emit_plots,
         **sections,
     )
 
@@ -318,6 +334,11 @@ def _field_csv(q1: ComplexField, q2: ComplexField) -> str:
     for x, a, b in zip(q1.grid.points().tolist(), q1.values.tolist(), q2.values.tolist()):
         lines.append(row % (x, a.real, a.imag, abs(a), b.real, b.imag, abs(b)))
     return "\n".join(lines) + "\n"
+
+
+def _worst(values) -> float:
+    """Largest of non-negative values, 0 for none; NaN if any value is NaN."""
+    return float(np.max(values, initial=0.0))
 
 
 def _time_tag(t: float) -> str:
@@ -449,38 +470,34 @@ def cmd_rh_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
             else True
         )
 
-    sym_worst = 0.0
-    count = 0
-    while count < int(opts["n_symmetry"]):
+    sym = []
+    while len(sym) < int(opts["n_symmetry"]):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, -0.05))
         if not far_from_poles(z):
             continue
         lhs = np.conj(rh.rh_plus(np.conj(z), data, params, x, t).T)
         rhs = rh.rh_minus(z, data, params, x, t)
-        sym_worst = max(sym_worst, float(np.abs(lhs - rhs).max()))
-        count += 1
-    report.check_le("symmetry_max", sym_worst, float(tol["symmetry"]))
+        sym.append(np.abs(lhs - rhs).max())
+    report.check_le("symmetry_max", _worst(sym), float(tol["symmetry"]))
 
-    prod_worst = 0.0
-    count = 0
-    while count < int(opts["n_product"]):
-        if count < int(opts["n_product"]) // 2:
+    prod = []
+    while len(prod) < int(opts["n_product"]):
+        if len(prod) < int(opts["n_product"]) // 2:
             z = complex(rng.uniform(-2, 2), 0.0)
         else:
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if not far_from_poles(z):
             continue
-        prod = rh.rh_minus(z, data, params, x, t) @ rh.rh_plus(z, data, params, x, t)
-        prod_worst = max(prod_worst, float(np.abs(prod - np.eye(3)).max()))
-        count += 1
-    report.check_le("product_max", prod_worst, float(tol["product"]))
+        m = rh.rh_minus(z, data, params, x, t) @ rh.rh_plus(z, data, params, x, t)
+        prod.append(np.abs(m - np.eye(3)).max())
+    report.check_le("product_max", _worst(prod), float(tol["product"]))
 
-    rec_worst = 0.0
+    rec = []
     for xx in np.linspace(cfg.grid.x_min, cfg.grid.x_max, 9):
         qr = rh.reconstruct(data, params, float(xx), t)
         qe = nsoliton.evaluate(data, params, float(xx), t)
-        rec_worst = max(rec_worst, abs(qr[0] - qe[0]), abs(qr[1] - qe[1]))
-    report.check_le("reconstruct_max", rec_worst, float(tol["reconstruct"]))
+        rec += [abs(qr[0] - qe[0]), abs(qr[1] - qe[1])]
+    report.check_le("reconstruct_max", _worst(rec), float(tol["reconstruct"]))
 
     report.write(out / "rh_report.csv", quiet)
     return EXIT_OK if report.all_pass else EXIT_VERIFICATION
@@ -497,14 +514,13 @@ def cmd_scatter(cfg: RunConfig, out: Path, quiet: bool) -> int:
     for i, d in enumerate(cfg.spectral):
         s = rh.direct_scattering(q1, q2, complex(d.zeta), cfg.params, tail_threshold=tail)
         report.check_le(f"s11_zero_{i}", abs(s[0, 0]), float(tol["s11_zero"]))
-    det_worst = 0.0
-    refl_worst = 0.0
+    refl, det = [], []
     for zr in opts["real_zetas"]:
         s = rh.direct_scattering(q1, q2, complex(float(zr)), cfg.params, tail_threshold=tail)
-        refl_worst = max(refl_worst, abs(s[1, 0]), abs(s[2, 0]))
-        det_worst = max(det_worst, abs(np.linalg.det(s) - 1.0))
-    report.check_le("reflection_max", refl_worst, float(tol["reflection"]))
-    report.check_le("det_s_max_err", det_worst, float(tol["det_s"]))
+        refl += [abs(s[1, 0]), abs(s[2, 0])]
+        det.append(abs(np.linalg.det(s) - 1.0))
+    report.check_le("reflection_max", _worst(refl), float(tol["reflection"]))
+    report.check_le("det_s_max_err", _worst(det), float(tol["det_s"]))
     report.write(out / "scatter_report.csv", quiet)
     return EXIT_OK if report.all_pass else EXIT_VERIFICATION
 

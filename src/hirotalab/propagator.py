@@ -142,9 +142,9 @@ def fields_from_state(state: EvolutionState, grid: Grid1D) -> tuple[ComplexField
     return ComplexField(grid, state.t, q[0]), ComplexField(grid, state.t, q[1])
 
 
-def check_stability(grid: SpectralGrid, p: SystemParams, dt: float,
-                    limit: float = STABILITY_LIMIT) -> None:
-    """dt * nu_max^3 * |eps| <= limit, nu_max the largest retained cyclic wavenumber.
+def check_stability(grid: SpectralGrid, p: SystemParams, dt: float) -> None:
+    """dt * nu_max^3 * |eps| <= STABILITY_LIMIT, nu_max the largest retained
+    cyclic wavenumber.
 
     The integrating factor treats the full linear part exactly and the
     2/3-rule zeroes every mode above the dealiasing cutoff, so the explicit
@@ -155,9 +155,9 @@ def check_stability(grid: SpectralGrid, p: SystemParams, dt: float,
         raise StabilityBoundError("dt must be positive")
     nu_max = (2.0 / 3.0) * (grid.n / 2) / grid.length
     metric = dt * nu_max**3 * abs(p.epsilon)
-    if metric > limit:
+    if metric > STABILITY_LIMIT:
         raise StabilityBoundError(
-            f"dt * nu_max^3 * |eps| = {metric:.3g} exceeds {limit}; reduce dt"
+            f"dt * nu_max^3 * |eps| = {metric:.3g} exceeds {STABILITY_LIMIT}; reduce dt"
         )
 
 

@@ -1,10 +1,10 @@
-"""Finite-difference stencils and direct substitution into the coupled system.
+"""Finite-difference derivatives and direct substitution into the coupled system.
 
 The time derivative always comes from three analytic time slices (memory
 light; the solution is cheap anywhere); spatial derivatives use centered
-stencils of order 2 or 4 with one-sided closures of matching order at the
-boundary.  Sup norms exclude the boundary closure nodes, whose one-sided
-noise says nothing about the equations.
+stencils of order 2 or 4.  Every derivative, and so the residual, is formed
+only on the interior nodes where the widest (third-derivative) stencil
+fits, which is where the sup norms are taken.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ __all__ = [
     "GridTooSmallError",
     "GridMismatchError",
     "InsufficientLadderError",
-    "Stencil",
     "fd_weights",
-    "differentiate",
+    "interior_derivatives",
     "hirota_residual",
-    "trimmed_sup_norm",
     "ResidualReport",
     "convergence_order",
     "soliton_residual_ladder",
@@ -60,58 +58,28 @@ def fd_weights(offsets, derivative: int) -> np.ndarray:
     return np.linalg.solve(moments, rhs)
 
 
-@dataclass(frozen=True)
-class Stencil:
-    """Centered difference stencil of a given derivative (1..3) and order (2 or 4)."""
+def interior_derivatives(v, h: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First, second and third derivatives of the samples v at spacing h.
 
-    derivative: int
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.derivative not in (1, 2, 3):
-            raise ValueError("derivative must be 1, 2, or 3")
-        if self.order not in (2, 4):
-            raise ValueError("order must be 2 or 4")
-
-    @property
-    def half_width(self) -> int:
-        return (self.derivative + self.order - 1) // 2
-
-    @property
-    def boundary_points(self) -> int:
-        # one-sided closure of matching order
-        return self.derivative + self.order
-
-    def interior_weights(self) -> np.ndarray:
-        w = self.half_width
-        return fd_weights(np.arange(-w, w + 1), self.derivative)
-
-
-def differentiate(f: ComplexField, s: Stencil) -> ComplexField:
-    """Pointwise derivative approximation on the field's own grid."""
-    n = f.grid.nx
-    need = max(2 * s.half_width + 1, s.boundary_points)
-    if n < need:
-        raise GridTooSmallError(f"need at least {need} nodes for this stencil, got {n}")
-    h = f.grid.spacing
-    v = f.values
-    out = np.empty(n, dtype=complex)
-
-    w = s.half_width
-    weights = s.interior_weights()
-    acc = np.zeros(n - 2 * w, dtype=complex)
-    for c, off in zip(weights, range(-w, w + 1)):
-        acc += c * v[w + off : n - w + off]
-    out[w : n - w] = acc
-
-    m = s.boundary_points
-    for i in range(w):
-        wl = fd_weights(np.arange(m) - i, s.derivative)
-        out[i] = wl @ v[:m]
-        wr = fd_weights(-(np.arange(m)) + i, s.derivative)
-        out[n - 1 - i] = wr @ v[n - m :][::-1]
-    out /= h**s.derivative
-    return ComplexField(f.grid, f.t, out)
+    All three are given on the nodes v[w:n-w], w = (order + 2) // 2 being the
+    half-width of the third-derivative stencil of the given order (2 or 4).
+    """
+    if order not in (2, 4):
+        raise ValueError("order must be 2 or 4")
+    n = len(v)
+    w = (order + 2) // 2
+    if n < 2 * w + 1:
+        raise GridTooSmallError(f"need at least {2 * w + 1} nodes for order {order}, got {n}")
+    out = []
+    for derivative in (1, 2, 3):
+        half = (derivative + order - 1) // 2
+        offsets = range(-half, half + 1)
+        acc = np.zeros(n - 2 * w, dtype=complex)
+        for c, off in zip(fd_weights(offsets, derivative), offsets):
+            acc += c * v[w + off : n - w + off]
+        acc /= h**derivative
+        out.append(acc)
+    return tuple(out)
 
 
 def _check_slices(slices) -> float:
@@ -126,13 +94,14 @@ def _check_slices(slices) -> float:
 
 
 def hirota_residual(
-    q1_slices, q2_slices, p: SystemParams, s: Stencil
-) -> tuple[ComplexField, ComplexField]:
-    """Residual fields of both coupled equations on the center slice.
+    q1_slices, q2_slices, p: SystemParams, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of both coupled equations on the center slice.
 
     q1_slices and q2_slices are (earlier, center, later) fields with equal
     time spacing; the time derivative is the centered difference of the
-    outer slices.
+    outer slices.  The residuals are given on the interior nodes of
+    interior_derivatives.
     """
     dt = _check_slices(q1_slices)
     if abs(dt - _check_slices(q2_slices)) > 1e-12:
@@ -142,21 +111,18 @@ def hirota_residual(
     if q10.grid != q20.grid:
         raise GridMismatchError("q1 and q2 must share one grid")
 
-    d1 = Stencil(1, s.order)
-    d2 = Stencil(2, s.order)
-    d3 = Stencil(3, s.order)
-    q1x = differentiate(q10, d1).values
-    q2x = differentiate(q20, d1).values
-    q1xx = differentiate(q10, d2).values
-    q2xx = differentiate(q20, d2).values
-    q1xxx = differentiate(q10, d3).values
-    q2xxx = differentiate(q20, d3).values
+    h = q10.grid.spacing
+    q1x, q1xx, q1xxx = interior_derivatives(q10.values, h, order)
+    q2x, q2xx, q2xxx = interior_derivatives(q20.values, h, order)
 
-    v1, v2 = q10.values, q20.values
+    # the derivatives cover the middle q1x.size nodes
+    w = (q10.grid.nx - q1x.size) // 2
+    inner = slice(w, w + q1x.size)
+    v1, v2 = q10.values[inner], q20.values[inner]
     dens = np.abs(v1) ** 2 + np.abs(v2) ** 2
     cross = np.conj(v1) * q1x + np.conj(v2) * q2x
-    q1t = (q1p.values - q1m.values) / (2.0 * dt)
-    q2t = (q2p.values - q2m.values) / (2.0 * dt)
+    q1t = (q1p.values[inner] - q1m.values[inner]) / (2.0 * dt)
+    q2t = (q2p.values[inner] - q2m.values[inner]) / (2.0 * dt)
     ksq = p.k1 * p.k1
 
     r1 = (
@@ -171,13 +137,7 @@ def hirota_residual(
         + 4.0 * ksq * p.a2 * dens * v2
         - p.epsilon * (q2xxx + 3.0 * ksq * dens * q2x + 3.0 * ksq * v2 * cross)
     )
-    return ComplexField(q10.grid, q10.t, r1), ComplexField(q20.grid, q20.t, r2)
-
-
-def trimmed_sup_norm(f: ComplexField, s: Stencil) -> float:
-    """Sup norm over the interior, excluding the one-sided closure nodes."""
-    trim = Stencil(3, s.order).half_width
-    return float(np.abs(f.values[trim : f.grid.nx - trim]).max())
+    return r1, r2
 
 
 @dataclass(frozen=True)
@@ -187,9 +147,6 @@ class ResidualReport:
     spacings: tuple[float, ...]
     sup_norms: tuple[float, ...]
     estimated_order: float
-
-    def is_convergent(self, min_order: float = 0.5) -> bool:
-        return self.estimated_order >= min_order
 
 
 def convergence_order(spacings, sup_norms) -> ResidualReport:
@@ -226,7 +183,6 @@ def soliton_residual_ladder(
     perturbation(x) multiplies both center-time fields, as a negative
     control that must destroy convergence.
     """
-    s = Stencil(3, order)
     norms1, norms2 = [], []
     for h in spacings:
         nx = int(round((x_max - x_min) / h)) + 1
@@ -239,9 +195,9 @@ def soliton_residual_ladder(
             factor = 1.0 + perturbation(grid.points())
             q1s[1] = ComplexField(grid, q1s[1].t, q1s[1].values * factor)
             q2s[1] = ComplexField(grid, q2s[1].t, q2s[1].values * factor)
-        r1, r2 = hirota_residual(tuple(q1s), tuple(q2s), p, s)
-        norms1.append(trimmed_sup_norm(r1, s))
-        norms2.append(trimmed_sup_norm(r2, s))
+        r1, r2 = hirota_residual(tuple(q1s), tuple(q2s), p, order)
+        norms1.append(float(np.abs(r1).max()))
+        norms2.append(float(np.abs(r2).max()))
     return (
         convergence_order(spacings, norms1),
         convergence_order(spacings, norms2),

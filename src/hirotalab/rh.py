@@ -19,7 +19,6 @@ import numpy as np
 from .core import ComplexField, SpectralData, SystemParams, phase, validate
 
 __all__ = [
-    "SIGMA",
     "PoleHitError",
     "NonDecayingTailsError",
     "ScatteringStepError",
@@ -32,8 +31,6 @@ __all__ = [
     "check_phase_step",
     "direct_scattering",
 ]
-
-SIGMA = np.diag([-1.0, 1.0, 1.0]).astype(complex)
 
 POLE_RADIUS = 1e-12
 TAIL_THRESHOLD = 1e-5
@@ -80,7 +77,8 @@ class KernelReport:
 
     @property
     def max_norm(self) -> float:
-        return max(self.right_norms + self.left_norms, default=0.0)
+        # np.max, unlike max, propagates a NaN norm
+        return float(np.max(self.right_norms + self.left_norms, initial=0.0))
 
 
 def _scaled_vectors(data: SpectralData, p: SystemParams, x: float, t: float):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hirotalab import cli, laxpair, nsoliton
+from hirotalab import cli, laxpair, nsoliton, rh
 
 THIRD_ORDER = Path(__file__).resolve().parents[1] / "src/hirotalab/data/third_order_config.json"
 
@@ -17,6 +17,12 @@ def _write_config(tmp_path, doc, name="config.json"):
 
 def _third_order_doc():
     return json.loads(THIRD_ORDER.read_text())
+
+
+def _report_rows(path):
+    """name -> (value, pass) of a report CSV."""
+    rows = path.read_text().strip().split("\n")[1:]
+    return {name: (value, ok) for name, value, _, ok in (r.split(",") for r in rows)}
 
 
 def test_default_config_loads_bundled_parameters():
@@ -130,6 +136,41 @@ def test_rh_check_passes_on_both_bundled_configs(tmp_path):
     assert report[0] == "name,value,threshold,pass"
     assert len(report) == 5 and all(r.endswith(",true") for r in report[1:])
     assert cli.main(["rh-check", "--config", str(THIRD_ORDER), "--out", str(out), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize(
+    "target, value, failing",
+    [
+        ("rh_minus", np.full((3, 3), complex(np.nan)), {"kernel_max", "symmetry_max", "product_max"}),
+        ("reconstruct", (complex(np.nan), complex(np.nan)), {"reconstruct_max"}),
+    ],
+)
+def test_rh_check_nan_fails_its_rows(tmp_path, monkeypatch, target, value, failing):
+    monkeypatch.setattr(rh, target, lambda *args: value)
+    out = tmp_path / "rh"
+    code = cli.main(["rh-check", "--config", str(THIRD_ORDER), "--out", str(out), "--quiet"])
+    assert code == cli.EXIT_VERIFICATION
+    rows = _report_rows(out / "rh_report.csv")
+    assert {name for name, (_, ok) in rows.items() if ok == "false"} == failing
+    assert all(rows[name][0] == "nan" for name in failing)
+
+
+def test_scatter_nan_fails_real_axis_rows(tmp_path, monkeypatch):
+    scattering = rh.direct_scattering
+
+    def nan_on_real_axis(q1, q2, zeta, *args, **kwargs):
+        if zeta.imag == 0.0:
+            return np.full((3, 3), complex(np.nan))
+        return scattering(q1, q2, zeta, *args, **kwargs)
+
+    monkeypatch.setattr(rh, "direct_scattering", nan_on_real_axis)
+    out = tmp_path / "sc"
+    code = cli.main(["scatter", "--config", str(THIRD_ORDER), "--out", str(out), "--quiet"])
+    assert code == cli.EXIT_VERIFICATION
+    rows = _report_rows(out / "scatter_report.csv")
+    assert rows["s11_zero_0"][1] == "true"
+    assert rows["reflection_max"] == ("nan", "false")
+    assert rows["det_s_max_err"] == ("nan", "false")
 
 
 def test_residual_verdicts_differ_by_sector(tmp_path):
@@ -284,6 +325,15 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         ("residual", {"t_center": float("nan")}),
         ("times", [float("nan")]),
         ("times", [0.0, float("inf")]),
+        ("tolerances", {"kernel": "abc"}),
+        ("tolerances", {"symmetry": float("nan")}),
+        ("tolerances", {"kernal": 1e-10}),
+        ("tolerances", {"zc_order2_band": [4.5, 3.5]}),
+        ("tolerances", {"zc_order4_band": 16.0}),
+        ("tolerances", {"zc_order4_band": [14.0, float("inf")]}),
+        ("residual", {"spacing": [0.2, 0.1, 0.05]}),
+        ("grid", {"nx": 400.7}),
+        ("emit_plots", "false"),
     ],
     ids=[
         "residual_order_3",
@@ -308,13 +358,24 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         "residual_nan_t_center",
         "nan_time",
         "infinite_time",
+        "tolerances_string_kernel",
+        "tolerances_nan_symmetry",
+        "tolerances_misspelled_key",
+        "tolerances_reversed_band",
+        "tolerances_scalar_band",
+        "tolerances_infinite_band",
+        "residual_unknown_key",
+        "grid_fractional_nx",
+        "emit_plots_string",
     ],
 )
 def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change):
     doc = _third_order_doc()
-    doc[section] = {**doc[section], **change} if isinstance(change, dict) else change
+    doc[section] = {**doc.get(section, {}), **change} if isinstance(change, dict) else change
     path = _write_config(tmp_path, doc)
-    command = "sample" if section == "times" else section.replace("_", "-")
+    # a command that reads the section
+    readers = {"times": "sample", "grid": "sample", "emit_plots": "sample", "tolerances": "zero-curvature"}
+    command = readers.get(section, section.replace("_", "-"))
     code = cli.main([command, "--config", path, "--out", str(tmp_path / "bad"), "--quiet"])
     assert code == cli.EXIT_VALIDATION
     assert f"configuration error: {section}:" in capsys.readouterr().err

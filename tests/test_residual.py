@@ -42,37 +42,39 @@ def test_weights_sum_to_zero():
 def test_differentiate_quadratic_exactly():
     g = Grid1D(-1.0, 1.0, 41)
     x = g.points()
-    f = ComplexField(g, 0.0, (x**2).astype(complex))
-    d2 = residual.differentiate(f, residual.Stencil(2, 2))
-    assert np.abs(d2.values - 2.0).max() < 1e-10
+    for order in (2, 4):
+        d1, d2, d3 = residual.interior_derivatives((x**2).astype(complex), g.spacing, order)
+        w = (order + 2) // 2
+        assert d1.size == d2.size == d3.size == 41 - 2 * w
+        assert np.abs(d1 - 2.0 * x[w:-w]).max() < 1e-10
+        assert np.abs(d2 - 2.0).max() < 1e-10
+        assert np.abs(d3).max() < 1e-8
 
 
 def test_differentiate_constant_is_zero():
-    g = Grid1D(0.0, 3.0, 25)
-    f = ComplexField(g, 0.0, np.full(25, 2.5 + 1.0j))
-    for s in (residual.Stencil(1, 2), residual.Stencil(2, 4), residual.Stencil(3, 2)):
-        d = residual.differentiate(f, s)
-        assert np.abs(d.values).max() < 1e-10
+    for order in (2, 4):
+        for d in residual.interior_derivatives(np.full(25, 2.5 + 1.0j), 3.0 / 24, order):
+            assert np.abs(d).max() < 1e-10
 
 
 @pytest.mark.parametrize("order,band", [(2, (3.5, 4.5)), (4, (14.0, 18.0))])
 def test_differentiate_error_ratio(order, band):
     errs = []
+    w = (order + 2) // 2
     for nx in (41, 81, 161):
         g = Grid1D(-1.0, 1.0, nx)
         x = g.points()
-        f = ComplexField(g, 0.0, np.exp(1j * x))
-        d = residual.differentiate(f, residual.Stencil(1, order))
-        errs.append(np.abs(d.values - 1j * np.exp(1j * x)).max())
+        d1, _, _ = residual.interior_derivatives(np.exp(1j * x), g.spacing, order)
+        errs.append(np.abs(d1 - 1j * np.exp(1j * x[w:-w])).max())
     for i in range(2):
         assert band[0] <= errs[i] / errs[i + 1] <= band[1]
 
 
 def test_differentiate_grid_too_small():
-    g = Grid1D(0.0, 1.0, 4)
-    f = ComplexField(g, 0.0, np.zeros(4, complex))
-    with pytest.raises(residual.GridTooSmallError):
-        residual.differentiate(f, residual.Stencil(3, 4))
+    for order, least in ((2, 5), (4, 7)):
+        residual.interior_derivatives(np.zeros(least, complex), 0.1, order)
+        with pytest.raises(residual.GridTooSmallError):
+            residual.interior_derivatives(np.zeros(least - 1, complex), 0.1, order)
 
 
 def _slices(data, p, grid, t0, dt):
@@ -85,9 +87,10 @@ def test_zero_fields_zero_residual(default_params):
     zero = ComplexField(g, 0.0, np.zeros(101, complex))
     zm = ComplexField(g, -0.1, np.zeros(101, complex))
     zp = ComplexField(g, 0.1, np.zeros(101, complex))
-    r1, r2 = residual.hirota_residual((zm, zero, zp), (zm, zero, zp), default_params, residual.Stencil(3, 2))
-    assert np.abs(r1.values).max() == 0.0
-    assert np.abs(r2.values).max() == 0.0
+    r1, r2 = residual.hirota_residual((zm, zero, zp), (zm, zero, zp), default_params, 2)
+    assert r1.shape == r2.shape == (101 - 4,)
+    assert np.abs(r1).max() == 0.0
+    assert np.abs(r2).max() == 0.0
 
 
 def test_grid_mismatch_errors(default_data, default_params):
@@ -96,12 +99,12 @@ def test_grid_mismatch_errors(default_data, default_params):
     a = ComplexField(g1, 0.0, np.zeros(101, complex))
     b = ComplexField(g2, 0.1, np.zeros(102, complex))
     with pytest.raises(residual.GridMismatchError):
-        residual.hirota_residual((a, a, b), (a, a, a), default_params, residual.Stencil(3, 2))
+        residual.hirota_residual((a, a, b), (a, a, a), default_params, 2)
     c0 = ComplexField(g1, 0.0, np.zeros(101, complex))
     c1 = ComplexField(g1, 0.1, np.zeros(101, complex))
     c2 = ComplexField(g1, 0.3, np.zeros(101, complex))
     with pytest.raises(residual.GridMismatchError):
-        residual.hirota_residual((c0, c1, c2), (c0, c1, c2), default_params, residual.Stencil(3, 2))
+        residual.hirota_residual((c0, c1, c2), (c0, c1, c2), default_params, 2)
 
 
 def test_soliton_residual_converges_third_order_sector(default_data, third_order_params):
@@ -135,7 +138,6 @@ def test_soliton_residual_plateaus_with_second_order_dispersion(default_data, de
     )
     assert rep1.estimated_order < 0.5
     assert min(rep1.sup_norms) > 1e-3
-    assert not rep1.is_convergent()
 
 
 def test_perturbed_field_fails_to_converge(default_data, third_order_params):
@@ -161,7 +163,6 @@ def test_convergence_order_exact_ladder():
 def test_convergence_order_flat_norms():
     rep = residual.convergence_order((0.1, 0.05, 0.025), (1e-3, 1e-3, 1e-3))
     assert abs(rep.estimated_order) < 1e-12
-    assert not rep.is_convergent()
 
 
 def test_convergence_order_rejects_bad_ladders():
