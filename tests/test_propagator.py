@@ -290,3 +290,120 @@ def test_second_order_dispersion_run_blows_up(default_params):
     assert info.value.step == 7 and info.value.t == pytest.approx(7e-3)
     # 2 a2 k_max^2 with k_max = 2 pi 341 / 80, the largest retained mode
     assert info.value.growth_rate == pytest.approx(2.0 * (2 * np.pi * 341 / 80.0) ** 2)
+
+
+def _reference_nonlinear_hat(v, ik, mask, p):
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.fft.ifft(v)
+        qx = np.fft.ifft(ik * v)
+        dens = (q.real**2 + q.imag**2).sum(axis=0)
+        cross = (np.conj(q) * qx).sum(axis=0)
+        ksq = p.k1 * p.k1
+        beta = 3.0 * p.epsilon * ksq
+        nl = q * (-4.0 * ksq * p.a2 * dens + beta * cross) + qx * (beta * dens)
+        return mask * np.fft.fft(nl)
+
+
+def _reference_step(state, p, dt):
+    """propagator.step as plain array expressions: the oracle its buffered,
+    cached form must match bit for bit."""
+    propagator.check_stability(state.grid, p, dt)
+    k = state.grid.wavenumbers()
+    mask = state.grid.dealias_mask()
+    growth = 2.0 * p.a2 * float(np.abs(k[mask > 0]).max()) ** 2
+    try:
+        with np.errstate(over="raise"):
+            e_half = np.exp(propagator.linear_symbol(k, p) * (0.5 * dt))
+    except FloatingPointError as exc:
+        raise propagator.BlowupError(state.t, state.steps + 1, growth) from exc
+    e_full = e_half * e_half
+    ik = 1j * k
+
+    v = np.stack((state.q1_hat, state.q2_hat))
+    a = _reference_nonlinear_hat(v, ik, mask, p)
+    b = _reference_nonlinear_hat(e_half * (v + 0.5 * dt * a), ik, mask, p)
+    c = _reference_nonlinear_hat(e_half * v + 0.5 * dt * b, ik, mask, p)
+    d = _reference_nonlinear_hat(e_full * v + dt * e_half * c, ik, mask, p)
+
+    new = e_full * v + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+    if not np.all(np.isfinite(new)):
+        raise propagator.BlowupError(state.t + dt, state.steps + 1, growth)
+    return propagator.EvolutionState(state.grid, state.t + dt, new[0], new[1], state.steps + 1)
+
+
+PAIR = SpectralData((
+    SpectralDatum(0.2 + 0.7j, 1.0, np.exp(8.4) / np.sqrt(5.0), 2 * np.exp(8.4) / np.sqrt(5.0)),
+    SpectralDatum(0.6 + 0.5j, 1.0, 0.6 * np.exp(-6.0), 0.8 * np.exp(-6.0)),
+))
+
+
+@pytest.mark.parametrize(
+    "case, n, steps",
+    [("soliton", 1024, 200), ("soliton", 1023, 50), ("soliton", 3, 200), ("pair", 2048, 50),
+     ("blowup", 1024, 20)],
+)
+def test_step_matches_reference_bit_for_bit(case, n, steps, third_order_params, default_params):
+    # compare the int64 view, so a flipped signed zero or a NaN payload fails
+    if case == "soliton":
+        p, dt = third_order_params, 1e-3
+        grid = propagator.SpectralGrid(80.0, n)
+        q10, q20 = _soliton_fields(NARROW, p, grid, 0.0)
+    elif case == "pair":
+        p, dt = third_order_params, 2e-3
+        grid = propagator.SpectralGrid(160.0, n)
+        q10, q20 = _fields_on(grid, *nsoliton.fields_batch(PAIR, p, grid.points(), 0.0))
+    else:
+        p, dt = default_params, 1e-3
+        grid = propagator.SpectralGrid(80.0, n)
+        q10, q20 = _soliton_fields(SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0), p, grid, 0.0)
+    got = want = propagator.state_from_fields(q10, q20)
+    for _ in range(steps):
+        try:
+            want = _reference_step(want, p, dt)
+        except propagator.BlowupError as ref_err:
+            with pytest.raises(propagator.BlowupError) as info:
+                propagator.step(got, p, dt)
+            assert (info.value.step, info.value.t, info.value.growth_rate) == (
+                ref_err.step, ref_err.t, ref_err.growth_rate)
+            break
+        got = propagator.step(got, p, dt)
+        assert (got.t, got.steps) == (want.t, want.steps)
+        assert np.array_equal(got.q1_hat.view(np.int64), want.q1_hat.view(np.int64))
+        assert np.array_equal(got.q2_hat.view(np.int64), want.q2_hat.view(np.int64))
+    else:
+        assert case != "blowup", "the a2 = 1 run was expected to blow up"
+
+
+def test_step_does_not_alias_input_or_results(third_order_params):
+    grid = propagator.SpectralGrid(80.0, 256)
+    state = propagator.state_from_fields(*_soliton_fields(NARROW, third_order_params, grid, 0.0))
+    before = state.q1_hat.tobytes() + state.q2_hat.tobytes()
+    first = propagator.step(state, third_order_params, 1e-3)
+    first_bytes = first.q1_hat.tobytes() + first.q2_hat.tobytes()
+    second = propagator.step(first, third_order_params, 1e-3)
+    assert state.q1_hat.tobytes() + state.q2_hat.tobytes() == before
+    assert first.q1_hat.tobytes() + first.q2_hat.tobytes() == first_bytes
+    arrays = [s.q1_hat for s in (state, first, second)] + [s.q2_hat for s in (state, first, second)]
+    for i, x in enumerate(arrays):
+        for y in arrays[i + 1:]:
+            assert not np.shares_memory(x, y)
+
+
+def test_integrating_factor_overflow_is_not_cached():
+    # eps = 0 passes the stability bound at any dt, and exp(a2 k^2 dt)
+    # overflows for k up to 2 pi 1365 / 80
+    p = SystemParams(0.0, 1.0, 1.0)
+    grid = propagator.SpectralGrid(80.0, 4096)
+    state = propagator.EvolutionState(grid, 0.5, np.zeros(4096, complex), np.zeros(4096, complex), 5)
+    for _ in range(2):
+        with pytest.raises(propagator.BlowupError) as info:
+            propagator.step(state, p, 1.0)
+        assert info.value.step == state.steps + 1 and info.value.t == state.t
+        assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+def test_cached_step_factors_are_read_only(third_order_params):
+    factors = propagator._step_factors(propagator.SpectralGrid(80.0, 64), third_order_params, 1e-3)
+    arrays = [f for f in factors if isinstance(f, np.ndarray)]
+    assert len(arrays) == 6
+    assert not any(a.flags.writeable for a in arrays)
