@@ -21,10 +21,10 @@ def main() -> int:
     )
     doc["emit_plots"] = True
     doc["times"] = [-15.0, -7.5, 0.0, 7.5, 15.0]
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as handle:
-        json.dump(doc, handle)
-        cfg_path = handle.name
-    code = cli.main(["sample", "--config", cfg_path, "--out", outdir])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "gallery_config.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = cli.main(["sample", "--config", str(cfg_path), "--out", outdir])
     if code == 0:
         print(f"gallery written to {outdir}; render with gnuplot")
     return code

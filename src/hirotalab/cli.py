@@ -141,12 +141,10 @@ def _positive(values, key: str) -> None:
 
 
 def _scatter_grid(opts: dict) -> Grid1D:
-    """Grid of the scatter command: x_min onward in steps of spacing, ending
-    at the node nearest x_max."""
+    """Grid of the scatter command: x_min..x_max in steps of spacing."""
     h = float(opts["spacing"])
     _positive([h], "spacing")
-    nx = int(round((float(opts["x_max"]) - float(opts["x_min"])) / h)) + 1
-    return Grid1D(float(opts["x_min"]), float(opts["x_min"]) + (nx - 1) * h, nx)
+    return Grid1D.with_spacing(float(opts["x_min"]), float(opts["x_max"]), h)
 
 
 # Load-time checks of the command sections: each raises what its command
@@ -170,22 +168,31 @@ def _check_tolerances(tol: dict) -> None:
             raise ValueError(f"{key} must be finite with lo <= hi, got {value!r}")
 
 
-def _check_residual(opts: dict) -> None:
+def _check_residual(opts: dict, grid: Grid1D) -> None:
     if float(opts["order"]) not in (2.0, 4.0):
         raise ValueError(f"order must be 2 or 4, got {opts['order']!r}")
     _positive(opts["spacings"], "spacings")
+    residual.check_ladder(opts["spacings"])
+    # each rung's grid must hold the widest stencil
+    for h in opts["spacings"]:
+        rung = Grid1D.with_spacing(grid.x_min, grid.x_max, float(h))
+        residual.check_nodes(rung.nx, int(opts["order"]))
     _check_finite(opts, "t_center")
 
 
 def _check_zero_curvature(opts: dict) -> None:
     _check_finite(opts, "x", "t")
-    _positive(opts["order2_spacings"], "order2_spacings")
-    _positive(opts["order4_spacings"], "order4_spacings")
+    for key in ("order2_spacings", "order4_spacings"):
+        if len(opts[key]) < 2:
+            raise ValueError(f"{key} needs at least 2 spacings to form a ratio, got {opts[key]!r}")
+        _positive(opts[key], key)
 
 
 def _check_scatter(opts: dict, spectral: SpectralData) -> None:
     grid = _scatter_grid(opts)
     _positive([opts["tail_threshold"]], "tail_threshold")
+    if len(opts["real_zetas"]) < 1:
+        raise ValueError("real_zetas needs at least one entry")
     for zeta in (*spectral.zetas(), *(float(z) for z in opts["real_zetas"])):
         rh.check_phase_step(grid.spacing, complex(zeta))
 
@@ -243,7 +250,7 @@ def parse_config(doc: dict) -> RunConfig:
     sections = {}
     for name, defaults, check in (
         ("tolerances", DEFAULT_TOLERANCES, _check_tolerances),
-        ("residual", DEFAULT_RESIDUAL, _check_residual),
+        ("residual", DEFAULT_RESIDUAL, lambda opts: _check_residual(opts, grid)),
         ("zero_curvature", DEFAULT_ZC, _check_zero_curvature),
         ("rh_check", DEFAULT_RH, _check_rh_check),
         ("scatter", DEFAULT_SCATTER, lambda opts: _check_scatter(opts, spectral)),

@@ -130,6 +130,12 @@ class Grid1D:
         if self.nx < 2:
             raise ValidationError("grid requires nx >= 2")
 
+    @classmethod
+    def with_spacing(cls, x_min: float, x_max: float, h: float) -> Grid1D:
+        """Grid from x_min in steps of h, ending at the node nearest x_max."""
+        nx = int(round((x_max - x_min) / h)) + 1
+        return cls(x_min, x_min + (nx - 1) * h, nx)
+
     @property
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.nx - 1)

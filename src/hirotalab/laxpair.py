@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import SpectralData, SystemParams
 from .nsoliton import fields_batch
+from .residual import stencil
 
 __all__ = [
     "FieldJet",
@@ -25,20 +26,6 @@ __all__ = [
 ]
 
 _SIGMA_DIAG = np.array([-1.0, 1.0, 1.0])
-
-# Central-difference stencils by order: offsets in units of h, the weights of
-# the first and of the second derivative, and their common divisor (the
-# weights are divided by div*h and div*h**2).
-_STENCILS = {
-    2: (np.array([-1.0, 0.0, 1.0]), np.array([-0.5, 0.0, 0.5]), np.array([1.0, -2.0, 1.0]), 1),
-    4: (
-        np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
-        np.array([1.0, -8.0, 0.0, 8.0, -1.0]),
-        np.array([-1.0, 16.0, -30.0, 16.0, -1.0]),
-        12,
-    ),
-}
-
 
 @dataclass(frozen=True)
 class FieldJet:
@@ -127,21 +114,15 @@ def build_V(jet: FieldJet, zeta: complex, p: SystemParams) -> np.ndarray:
     return cubic + quad + lin + b
 
 
-def _stencil(order: int):
-    if order not in _STENCILS:
-        raise ValueError("order must be 2 or 4")
-    return _STENCILS[order]
-
-
 def jet_at(
     data: SpectralData, p: SystemParams, x: float, t: float, h: float, order: int = 2
 ) -> FieldJet:
     """Jet of the analytic solution at (x, t) by central differences in x."""
-    offs, d1, d2, div = _stencil(order)
-    q1, q2 = fields_batch(data, p, x + h * offs, t)
-    d1 = d1 / (div * h)
-    d2 = d2 / (div * h**2)
-    mid = len(offs) // 2
+    (w1, div1), (w2, div2) = stencil(order, 1), stencil(order, 2)
+    mid = len(w1) // 2
+    q1, q2 = fields_batch(data, p, x + h * np.arange(-mid, mid + 1), t)
+    d1 = np.array(w1) / (div1 * h)
+    d2 = np.array(w2) / (div2 * h**2)
     return FieldJet(
         q1=complex(q1[mid]),
         q2=complex(q2[mid]),
@@ -170,16 +151,16 @@ def zero_curvature_residual(
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    offs, d1, _, div = _stencil(order)
-    side = offs != 0.0
-    wts = d1[side] / (div * h)
-    jets_t = [jet_at(data, p, x, t + o * h, h, order) for o in offs[side].tolist()]
-    jets_x = [jet_at(data, p, x + o * h, t, h, order) for o in offs[side].tolist()]
+    weights, divisor = stencil(order, 1)
+    mid = len(weights) // 2
+    side = [(o - mid, c / (divisor * h)) for o, c in enumerate(weights) if c]
+    jets_t = [jet_at(data, p, x, t + o * h, h, order) for o, _ in side]
+    jets_x = [jet_at(data, p, x + o * h, t, h, order) for o, _ in side]
     jet0 = jet_at(data, p, x, t, h, order)
 
     def residual(z: complex) -> np.ndarray:
-        u_t = sum(w * build_U(jet, z, p) for w, jet in zip(wts, jets_t))
-        v_x = sum(w * build_V(jet, z, p) for w, jet in zip(wts, jets_x))
+        u_t = sum(c * build_U(jet, z, p) for (_, c), jet in zip(side, jets_t))
+        v_x = sum(c * build_V(jet, z, p) for (_, c), jet in zip(side, jets_x))
         u0, v0 = build_U(jet0, z, p), build_V(jet0, z, p)
         return u_t - v_x + u0 @ v0 - v0 @ u0
 

@@ -1,15 +1,16 @@
 """Finite-difference derivatives and direct substitution into the coupled system.
 
-The time derivative always comes from three analytic time slices (memory
-light; the solution is cheap anywhere); spatial derivatives use centered
-stencils of order 2 or 4.  Every derivative, and so the residual, is formed
-only on the interior nodes where the widest (third-derivative) stencil
-fits, which is where the sup norms are taken.
+Every finite difference in the package takes its weights from STENCILS, the
+exact integer central stencils of orders 2 and 4 for derivatives 1-3
+(Fornberg, Math. Comp. 51 (1988) 699-706); the time derivative applies the
+order's first-derivative stencil to analytic time slices.  Spatial
+derivatives, and so the residual, are formed only on the interior nodes
+where the widest stencil fits, which is where the sup norms are taken.
+Both coupled equations are one expression on (q1, q2) stacked as (2, n).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +22,32 @@ __all__ = [
     "GridTooSmallError",
     "GridMismatchError",
     "InsufficientLadderError",
-    "fd_weights",
+    "STENCILS",
+    "stencil",
+    "check_nodes",
     "interior_derivatives",
     "hirota_residual",
     "ResidualReport",
+    "check_ladder",
     "convergence_order",
     "soliton_residual_ladder",
 ]
+
+# STENCILS[order][derivative] = (weights, divisor): with w = len(weights) // 2,
+#   sum_k weights[k] f(x + (k - w) h) / (divisor h^derivative)
+# is the derivative of f at x up to O(h^order).
+STENCILS = {
+    2: {
+        1: ((-1, 0, 1), 2),
+        2: ((1, -2, 1), 1),
+        3: ((-1, 2, 0, -2, 1), 2),
+    },
+    4: {
+        1: ((1, -8, 0, 8, -1), 12),
+        2: ((-1, 16, -30, 16, -1), 12),
+        3: ((1, -8, 13, 0, -13, 8, -1), 8),
+    },
+}
 
 
 class GridTooSmallError(ValueError):
@@ -42,55 +62,55 @@ class InsufficientLadderError(ValueError):
     """Convergence estimation needs at least three geometrically spaced h."""
 
 
-def fd_weights(offsets, derivative: int) -> np.ndarray:
-    """Weights w with sum_i w_i f(x + o_i h) = f^(der)(x) h^der + O(h^...).
+def stencil(order: int, derivative: int) -> tuple[tuple[int, ...], int]:
+    """STENCILS[order][derivative]; ValueError for an order not in the table."""
+    if order not in STENCILS:
+        raise ValueError("order must be 2 or 4")
+    return STENCILS[order][derivative]
 
-    Solves the Vandermonde moment system, so the weights reproduce x^p
-    exactly for p < len(offsets).  Offsets are in units of the spacing.
-    """
-    x = np.asarray(offsets, dtype=float)
-    n = x.size
-    if derivative >= n:
-        raise GridTooSmallError(f"{n} nodes cannot resolve derivative {derivative}")
-    moments = np.vander(x, n, increasing=True).T
-    rhs = np.zeros(n)
-    rhs[derivative] = math.factorial(derivative)
-    return np.linalg.solve(moments, rhs)
+
+def check_nodes(nx: int, order: int) -> None:
+    """Raise GridTooSmallError unless nx nodes hold the order's widest stencil."""
+    need = len(stencil(order, 3)[0])
+    if nx < need:
+        raise GridTooSmallError(f"need at least {need} nodes for order {order}, got {nx}")
+
+
+def _combine(weights, divisor: int, terms):
+    """sum_k (weights[k] / divisor) terms[k], accumulated in stencil order."""
+    return sum(c / divisor * term for c, term in zip(weights, terms))
 
 
 def interior_derivatives(v, h: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First, second and third derivatives of the samples v at spacing h.
 
-    All three are given on the nodes v[w:n-w], w = (order + 2) // 2 being the
-    half-width of the third-derivative stencil of the given order (2 or 4).
+    They are taken along the last axis, on the nodes v[..., w:n-w], w being
+    the half-width of the third-derivative stencil of the order (2 or 4).
     """
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    n = len(v)
-    w = (order + 2) // 2
-    if n < 2 * w + 1:
-        raise GridTooSmallError(f"need at least {2 * w + 1} nodes for order {order}, got {n}")
+    v = np.asarray(v)
+    n = v.shape[-1]
+    check_nodes(n, order)
+    w = len(stencil(order, 3)[0]) // 2
     out = []
     for derivative in (1, 2, 3):
-        half = (derivative + order - 1) // 2
-        offsets = range(-half, half + 1)
-        acc = np.zeros(n - 2 * w, dtype=complex)
-        for c, off in zip(fd_weights(offsets, derivative), offsets):
-            acc += c * v[w + off : n - w + off]
-        acc /= h**derivative
-        out.append(acc)
+        weights, divisor = stencil(order, derivative)
+        half = len(weights) // 2
+        windows = [v[..., w + off : n - w + off] for off in range(-half, half + 1)]
+        out.append(_combine(weights, divisor, windows) / h**derivative)
     return tuple(out)
 
 
-def _check_slices(slices) -> float:
-    a, b, c = slices
-    if not (a.grid == b.grid == c.grid):
-        raise GridMismatchError("time slices must share one grid")
-    dt1 = b.t - a.t
-    dt2 = c.t - b.t
-    if dt1 <= 0 or abs(dt1 - dt2) > 1e-12 * max(1.0, abs(dt1)):
-        raise GridMismatchError("time slices must be equally spaced and increasing")
-    return dt1
+def _time_step(q1_slices, q2_slices) -> float:
+    """Spacing of the times shared by the q1 and q2 slices, all on one grid."""
+    if any(f.grid != q1_slices[0].grid for f in (*q1_slices, *q2_slices)):
+        raise GridMismatchError("time slices of q1 and q2 must share one grid")
+    times = [f.t for f in q1_slices]
+    dt = times[1] - times[0]
+    if times != [f.t for f in q2_slices] or dt <= 0 or any(
+        abs(b - a - dt) > 1e-12 * max(1.0, dt) for a, b in zip(times, times[1:])
+    ):
+        raise GridMismatchError("q1 and q2 slices must share equally spaced, increasing times")
+    return dt
 
 
 def hirota_residual(
@@ -98,46 +118,35 @@ def hirota_residual(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of both coupled equations on the center slice.
 
-    q1_slices and q2_slices are (earlier, center, later) fields with equal
-    time spacing; the time derivative is the centered difference of the
-    outer slices.  The residuals are given on the interior nodes of
-    interior_derivatives.
+    q1_slices and q2_slices are the 2w+1 fields at equally spaced times that
+    the order's first-derivative stencil needs (3 at order 2, 5 at order 4);
+    the time derivative is that stencil applied to them.  The residuals are
+    given on the interior nodes of interior_derivatives.
     """
-    dt = _check_slices(q1_slices)
-    if abs(dt - _check_slices(q2_slices)) > 1e-12:
-        raise GridMismatchError("q1 and q2 slices must share the time spacing")
-    q1m, q10, q1p = q1_slices
-    q2m, q20, q2p = q2_slices
-    if q10.grid != q20.grid:
-        raise GridMismatchError("q1 and q2 must share one grid")
+    weights, divisor = stencil(order, 1)
+    if len(q1_slices) != len(weights):
+        raise ValueError(f"order {order} needs {len(weights)} time slices, got {len(q1_slices)}")
+    dt = _time_step(q1_slices, q2_slices)
+    slices = [np.stack((a.values, b.values)) for a, b in zip(q1_slices, q2_slices)]
+    q = slices[len(slices) // 2]
+    qx, qxx, qxxx = interior_derivatives(q, q1_slices[0].grid.spacing, order)
 
-    h = q10.grid.spacing
-    q1x, q1xx, q1xxx = interior_derivatives(q10.values, h, order)
-    q2x, q2xx, q2xxx = interior_derivatives(q20.values, h, order)
-
-    # the derivatives cover the middle q1x.size nodes
-    w = (q10.grid.nx - q1x.size) // 2
-    inner = slice(w, w + q1x.size)
-    v1, v2 = q10.values[inner], q20.values[inner]
-    dens = np.abs(v1) ** 2 + np.abs(v2) ** 2
-    cross = np.conj(v1) * q1x + np.conj(v2) * q2x
-    q1t = (q1p.values[inner] - q1m.values[inner]) / (2.0 * dt)
-    q2t = (q2p.values[inner] - q2m.values[inner]) / (2.0 * dt)
+    # the derivatives cover all but w nodes at each end
+    w = (q.shape[-1] - qx.shape[-1]) // 2
+    inner = slice(w, q.shape[-1] - w)
+    v = q[:, inner]
+    qt = _combine(weights, divisor, [s[:, inner] for s in slices]) / dt
+    dens = np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2
+    cross = np.conj(v[0]) * qx[0] + np.conj(v[1]) * qx[1]
     ksq = p.k1 * p.k1
 
-    r1 = (
-        q1t
-        + 2.0 * p.a2 * q1xx
-        + 4.0 * ksq * p.a2 * dens * v1
-        - p.epsilon * (q1xxx + 3.0 * ksq * dens * q1x + 3.0 * ksq * v1 * cross)
+    r = (
+        qt
+        + 2.0 * p.a2 * qxx
+        + 4.0 * ksq * p.a2 * dens * v
+        - p.epsilon * (qxxx + 3.0 * ksq * dens * qx + 3.0 * ksq * v * cross)
     )
-    r2 = (
-        q2t
-        + 2.0 * p.a2 * q2xx
-        + 4.0 * ksq * p.a2 * dens * v2
-        - p.epsilon * (q2xxx + 3.0 * ksq * dens * q2x + 3.0 * ksq * v2 * cross)
-    )
-    return r1, r2
+    return r[0], r[1]
 
 
 @dataclass(frozen=True)
@@ -149,17 +158,25 @@ class ResidualReport:
     estimated_order: float
 
 
-def convergence_order(spacings, sup_norms) -> ResidualReport:
-    """Least-squares slope of log(sup norm) against log(h)."""
-    hs = tuple(float(h) for h in spacings)
-    ns = tuple(float(v) for v in sup_norms)
-    if len(hs) < 3 or len(hs) != len(ns):
-        raise InsufficientLadderError("need at least three matched (h, norm) pairs")
+def check_ladder(spacings) -> None:
+    """Raise InsufficientLadderError unless spacings are >= 3 h falling by one ratio."""
+    hs = [float(h) for h in spacings]
+    if len(hs) < 3:
+        raise InsufficientLadderError(f"need at least three spacings, got {len(hs)}")
     ratios = [hs[i] / hs[i + 1] for i in range(len(hs) - 1)]
     if any(r <= 1.0 for r in ratios) or any(
         abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios
     ):
         raise InsufficientLadderError("spacings must form a decreasing geometric ladder")
+
+
+def convergence_order(spacings, sup_norms) -> ResidualReport:
+    """Least-squares slope of log(sup norm) against log(h)."""
+    hs = tuple(float(h) for h in spacings)
+    ns = tuple(float(v) for v in sup_norms)
+    if len(hs) != len(ns):
+        raise InsufficientLadderError("need one sup norm per spacing")
+    check_ladder(hs)
     if any(v <= 0.0 for v in ns):
         slope = 0.0 if max(ns) == 0.0 else float("nan")
     else:
@@ -179,22 +196,23 @@ def soliton_residual_ladder(
 ) -> tuple[ResidualReport, ResidualReport]:
     """Residual sup norms of the analytic solution over an h ladder.
 
-    Time slices are analytic evaluations spaced by dt = h.  An optional
+    The time slices are analytic evaluations at t_center + o h for the
+    offsets o of the order's first-derivative stencil (dt = h).  An optional
     perturbation(x) multiplies both center-time fields, as a negative
     control that must destroy convergence.
     """
+    half = len(stencil(order, 1)[0]) // 2
     norms1, norms2 = [], []
     for h in spacings:
-        nx = int(round((x_max - x_min) / h)) + 1
-        grid = Grid1D(x_min, x_min + (nx - 1) * h, nx)
-        times = [t_center - h, t_center, t_center + h]
+        grid = Grid1D.with_spacing(x_min, x_max, h)
+        times = [t_center + o * h for o in range(-half, half + 1)]
         fields = nsoliton.sample(data, p, grid, times)
         q1s = [f[0] for f in fields]
         q2s = [f[1] for f in fields]
         if perturbation is not None:
             factor = 1.0 + perturbation(grid.points())
-            q1s[1] = ComplexField(grid, q1s[1].t, q1s[1].values * factor)
-            q2s[1] = ComplexField(grid, q2s[1].t, q2s[1].values * factor)
+            q1s[half] = ComplexField(grid, q1s[half].t, q1s[half].values * factor)
+            q2s[half] = ComplexField(grid, q2s[half].t, q2s[half].values * factor)
         r1, r2 = hirota_residual(tuple(q1s), tuple(q2s), p, order)
         norms1.append(float(np.abs(r1).max()))
         norms2.append(float(np.abs(r2).max()))

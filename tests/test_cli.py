@@ -174,18 +174,23 @@ def test_scatter_nan_fails_real_axis_rows(tmp_path, monkeypatch):
 
 
 def test_residual_verdicts_differ_by_sector(tmp_path):
-    fast = {"order": 2, "spacings": [0.1, 0.05, 0.025], "t_center": 0.5}
-    doc = _third_order_doc()
-    doc["residual"] = fast
-    path = _write_config(tmp_path, doc)
-    assert cli.main(["residual", "--config", path, "--out", str(tmp_path / "r0"), "--quiet"]) == 0
+    default = json.loads((THIRD_ORDER.parent / "default_config.json").read_text())
+    for order, spacings in ((2, [0.1, 0.05, 0.025]), (4, [0.2, 0.1, 0.05])):
+        fast = {"order": order, "spacings": spacings, "t_center": 0.5}
+        doc = _third_order_doc()
+        doc["residual"] = fast
+        path = _write_config(tmp_path, doc, f"third{order}.json")
+        out = tmp_path / f"r0_{order}"
+        assert cli.main(["residual", "--config", path, "--out", str(out), "--quiet"]) == 0
 
-    code = cli.main(["residual", "--out", str(tmp_path / "r1"), "--quiet"])
-    assert code == cli.EXIT_VERIFICATION
-    rows = (tmp_path / "r1" / "residual_report.csv").read_text().strip().split("\n")[1:]
-    assert all(r.endswith(",false") for r in rows)
-    ladder = (tmp_path / "r1" / "residual_ladder.csv").read_text().strip().split("\n")
-    assert ladder[0] == "h,sup_norm_q1,sup_norm_q2" and len(ladder) == 4
+        path = _write_config(tmp_path, dict(default, residual=fast), f"default{order}.json")
+        out = tmp_path / f"r1_{order}"
+        code = cli.main(["residual", "--config", path, "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_VERIFICATION
+        rows = (out / "residual_report.csv").read_text().strip().split("\n")[1:]
+        assert all(r.endswith(",false") for r in rows)
+        ladder = (out / "residual_ladder.csv").read_text().strip().split("\n")
+        assert ladder[0] == "h,sup_norm_q1,sup_norm_q2" and len(ladder) == 4
 
 
 def test_zero_curvature_verdicts_differ_by_sector(tmp_path):
@@ -313,7 +318,7 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         ("scatter", {"x_max": -60.0}),
         ("scatter", {"tail_threshold": 0.0}),
         ("scatter", {"real_zetas": [0.5, 11.0]}),
-        ("scatter", {"spacing": 0.2, "real_zetas": []}),
+        ("scatter", {"spacing": 0.2, "real_zetas": [0.3]}),
         ("rh_check", {"n_symmetry": -3}),
         ("rh_check", {"n_product": 0}),
         ("rh_check", {"n_symmetry": 2.5}),
@@ -334,6 +339,13 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         ("residual", {"spacing": [0.2, 0.1, 0.05]}),
         ("grid", {"nx": 400.7}),
         ("emit_plots", "false"),
+        ("residual", {"spacings": [0.1, 0.05]}),
+        ("residual", {"spacings": [0.1, 0.07, 0.025]}),
+        ("residual", {"spacings": [30, 15, 7.5]}),
+        ("residual", {"order": 4, "spacings": [8, 4, 2]}),
+        ("zero_curvature", {"order2_spacings": [0.01]}),
+        ("zero_curvature", {"order4_spacings": []}),
+        ("scatter", {"real_zetas": []}),
     ],
     ids=[
         "residual_order_3",
@@ -367,6 +379,13 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         "residual_unknown_key",
         "grid_fractional_nx",
         "emit_plots_string",
+        "residual_two_spacings",
+        "residual_non_geometric_ladder",
+        "residual_rung_below_order2_stencil",
+        "residual_rung_below_order4_stencil",
+        "zc_single_order2_spacing",
+        "zc_empty_order4_spacings",
+        "scatter_no_real_zetas",
     ],
 )
 def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change):

@@ -1,42 +1,45 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hirotalab.core import ComplexField, Grid1D, SpectralData, SpectralDatum, SystemParams
 from hirotalab import nsoliton, residual
 
 
+def _entries():
+    """(derivative, weights, divisor) of every stencil in the table."""
+    for entries in residual.STENCILS.values():
+        for derivative, (weights, divisor) in entries.items():
+            yield derivative, weights, divisor
+
+
 def test_weights_reproduce_polynomials():
-    w = residual.fd_weights(np.arange(-1, 2), 2)
-    assert np.allclose(w, [1.0, -2.0, 1.0])
-    w = residual.fd_weights(np.arange(-2, 3), 3)
-    assert np.allclose(w, [-0.5, 1.0, 0.0, -1.0, 0.5])
+    # at order 2 the weights over their divisors are the values of the
+    # Vandermonde moment solve that the table replaced, exactly
+    for derivative, solved in ((1, [-0.5, 0.0, 0.5]), (2, [1.0, -2.0, 1.0]), (3, [-0.5, 1.0, 0.0, -1.0, 0.5])):
+        weights, divisor = residual.STENCILS[2][derivative]
+        assert [c / divisor for c in weights] == solved
+    assert residual.STENCILS[4][3] == ((1, -8, 13, 0, -13, 8, -1), 8)
+    assert {order: sorted(entries) for order, entries in residual.STENCILS.items()} == {
+        2: [1, 2, 3],
+        4: [1, 2, 3],
+    }
 
 
-@given(
-    derivative=st.integers(min_value=1, max_value=3),
-    extra=st.integers(min_value=1, max_value=4),
-    power=st.integers(min_value=0, max_value=7),
-)
-@settings(max_examples=60, deadline=None)
-def test_weights_polynomial_exactness(derivative, extra, power):
-    n = derivative + extra
-    if power >= n:
-        return
-    offsets = np.arange(n) - n // 2
-    w = residual.fd_weights(offsets, derivative)
-    # derivative of x^power at 0, nodes at the integer offsets
-    val = float(w @ (offsets.astype(float) ** power))
-    expected = float(np.prod(range(1, derivative + 1))) if power == derivative else 0.0
-    assert val == pytest.approx(expected, abs=1e-8)
+def test_weights_polynomial_exactness():
+    # in integer arithmetic: sum_k w_k o_k^p = divisor * (d/dx)^d x^p at 0
+    for derivative, weights, divisor in _entries():
+        assert len(weights) % 2 == 1
+        offsets = range(-(len(weights) // 2), len(weights) // 2 + 1)
+        for power in range(len(weights)):
+            moment = sum(c * o**power for c, o in zip(weights, offsets))
+            assert moment == (divisor * math.factorial(derivative) if power == derivative else 0)
 
 
 def test_weights_sum_to_zero():
-    for d in (1, 2, 3):
-        for npts in (d + 2, d + 4):
-            w = residual.fd_weights(np.arange(npts) - npts // 2, d)
-            assert abs(w.sum()) < 1e-9
+    for _, weights, _ in _entries():
+        assert sum(weights) == 0
 
 
 def test_differentiate_quadratic_exactly():
@@ -49,6 +52,14 @@ def test_differentiate_quadratic_exactly():
         assert np.abs(d1 - 2.0 * x[w:-w]).max() < 1e-10
         assert np.abs(d2 - 2.0).max() < 1e-10
         assert np.abs(d3).max() < 1e-8
+        # stacked rows are differentiated along the last axis, each as alone
+        rows = np.stack([x**2, x**3]).astype(complex)
+        for stacked, d_first, d_second in zip(
+            residual.interior_derivatives(rows, g.spacing, order),
+            residual.interior_derivatives(rows[0], g.spacing, order),
+            residual.interior_derivatives(rows[1], g.spacing, order),
+        ):
+            assert np.array_equal(stacked, np.stack([d_first, d_second]))
 
 
 def test_differentiate_constant_is_zero():
@@ -105,6 +116,26 @@ def test_grid_mismatch_errors(default_data, default_params):
     c2 = ComplexField(g1, 0.3, np.zeros(101, complex))
     with pytest.raises(residual.GridMismatchError):
         residual.hirota_residual((c0, c1, c2), (c0, c1, c2), default_params, 2)
+
+
+def test_slice_count_must_match_order(default_params):
+    g = Grid1D(-5.0, 5.0, 101)
+    zeros = tuple(ComplexField(g, 0.1 * k, np.zeros(101, complex)) for k in range(5))
+    r1, r2 = residual.hirota_residual(zeros, zeros, default_params, 4)
+    assert r1.shape == r2.shape == (101 - 6,)
+    with pytest.raises(ValueError, match="5 time slices"):
+        residual.hirota_residual(zeros[1:4], zeros[1:4], default_params, 4)
+    with pytest.raises(ValueError, match="3 time slices"):
+        residual.hirota_residual(zeros, zeros, default_params, 2)
+
+
+def test_order4_residual_converges_at_fourth_order(default_data, third_order_params):
+    # the time derivative uses the order-4 stencil too, so order 4 holds in t
+    rep1, rep2 = residual.soliton_residual_ladder(
+        default_data, third_order_params, -20.0, 20.0, (0.2, 0.1, 0.05), 0.5, 4
+    )
+    assert rep1.estimated_order >= 3.8
+    assert rep2.estimated_order >= 3.8
 
 
 def test_soliton_residual_converges_third_order_sector(default_data, third_order_params):
@@ -170,3 +201,9 @@ def test_convergence_order_rejects_bad_ladders():
         residual.convergence_order((0.1, 0.05), (1.0, 0.5))
     with pytest.raises(residual.InsufficientLadderError):
         residual.convergence_order((0.1, 0.05, 0.03), (1.0, 0.5, 0.2))
+    with pytest.raises(residual.InsufficientLadderError):
+        residual.convergence_order((0.1, 0.05, 0.025), (1.0, 0.5))
+    for spacings in ((0.1, 0.05), (0.1, 0.07, 0.025), (0.025, 0.05, 0.1)):
+        with pytest.raises(residual.InsufficientLadderError):
+            residual.check_ladder(spacings)
+    residual.check_ladder((0.2, 0.1, 0.05, 0.025))
