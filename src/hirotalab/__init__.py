@@ -16,7 +16,6 @@ from .core import (
     ValidationError,
     phase,
     trapezoid_mass,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -30,6 +29,5 @@ __all__ = [
     "ValidationError",
     "phase",
     "trapezoid_mass",
-    "validate",
     "__version__",
 ]

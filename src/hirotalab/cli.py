@@ -36,7 +36,6 @@ from .core import (
     SystemParams,
     ValidationError,
     trapezoid_mass,
-    validate,
 )
 from . import laxpair, nsoliton, propagator, residual, rh
 
@@ -209,18 +208,24 @@ def _check_rh_check(opts: dict) -> None:
     _check_finite(opts, "x", "t")
 
 
-def _check_propagate(opts: dict) -> None:
+def _check_propagate(opts: dict, params: SystemParams) -> None:
     _check_integer(opts, "n", 2)
-    propagator.SpectralGrid(float(opts["length"]), int(opts["n"]))
+    grid = propagator.SpectralGrid(float(opts["length"]), int(opts["n"]))
     propagator.step_schedule(float(opts["t_final"]), float(opts["dt"]), _snapshot_times(opts))
+    propagator.check_stability(grid, params, float(opts["dt"]))
+    _positive([opts["edge_threshold"]], "edge_threshold")
 
 
 def parse_config(doc: dict) -> RunConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+    section = "params"
     try:
         pnode = doc["params"]
         params = SystemParams(
             epsilon=float(pnode["epsilon"]), k1=float(pnode["k1"]), a2=float(pnode["a2"])
         )
+        section = "spectral"
         data = []
         for i, snode in enumerate(doc["spectral"]):
             data.append(
@@ -232,21 +237,27 @@ def parse_config(doc: dict) -> RunConfig:
                 )
             )
         spectral = SpectralData(tuple(data))
+        section = "grid"
         gnode = doc["grid"]
         try:
             _check_integer(gnode, "nx", 2)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"grid: {exc}") from exc
         grid = Grid1D(float(gnode["x_min"]), float(gnode["x_max"]), int(gnode["nx"]))
+        section = "times"
         times = tuple(float(t) for t in doc.get("times", []))
     except KeyError as exc:
         raise ConfigError(f"missing config field {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
     if not all(np.isfinite(times)):
         raise ConfigError(f"times: every time must be finite, got {list(times)!r}")
     emit_plots = doc.get("emit_plots", False)
     if not isinstance(emit_plots, bool):
         raise ConfigError(f"emit_plots: must be true or false, got {emit_plots!r}")
-    validate(spectral, params)
+    output_dir = doc.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: must be a string, got {output_dir!r}")
     sections = {}
     for name, defaults, check in (
         ("tolerances", DEFAULT_TOLERANCES, _check_tolerances),
@@ -254,7 +265,7 @@ def parse_config(doc: dict) -> RunConfig:
         ("zero_curvature", DEFAULT_ZC, _check_zero_curvature),
         ("rh_check", DEFAULT_RH, _check_rh_check),
         ("scatter", DEFAULT_SCATTER, lambda opts: _check_scatter(opts, spectral)),
-        ("propagate", DEFAULT_PROPAGATE, _check_propagate),
+        ("propagate", DEFAULT_PROPAGATE, lambda opts: _check_propagate(opts, params)),
     ):
         try:
             sections[name] = _merged(defaults, doc.get(name))
@@ -266,7 +277,7 @@ def parse_config(doc: dict) -> RunConfig:
         spectral=spectral,
         grid=grid,
         times=times,
-        output_dir=str(doc.get("output_dir", "out")),
+        output_dir=output_dir,
         emit_plots=emit_plots,
         **sections,
     )

@@ -1,4 +1,4 @@
-"""Domain types, validation, and the shared phase exponent.
+"""Domain types that check their own invariants, and the shared phase exponent.
 
 Everything here is immutable after construction and every operation is a
 pure function, so all of it is safe to evaluate concurrently on shared data.
@@ -23,7 +23,6 @@ __all__ = [
     "DuplicateZeroError",
     "ZeroEigenvectorError",
     "phase",
-    "validate",
     "trapezoid_mass",
 ]
 
@@ -71,12 +70,21 @@ class SystemParams:
     """The three real constants of the coupled system.
 
     epsilon scales the third-order dispersion terms, a2 the second-order
-    ones, and k1 the nonlinearity (k1 != 0).
+    ones, and k1 the nonlinearity.  Construction requires all three finite
+    and real (ValidationError) and k1 != 0 (ZeroK1Error).
     """
 
     epsilon: float
     k1: float
     a2: float
+
+    def __post_init__(self) -> None:
+        for name in ("epsilon", "k1", "a2"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+                raise ValidationError(f"parameter {name} must be a finite real, got {v!r}")
+        if self.k1 == 0.0:
+            raise ZeroK1Error()
 
 
 @dataclass(frozen=True)
@@ -94,12 +102,28 @@ class SpectralDatum:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Ordered collection of spectral data; all matrix indexing follows this order."""
+    """Ordered collection of spectral data; all matrix indexing follows this order.
+
+    Construction checks each datum in turn (finite entries, Im zeta > 0, a
+    nonzero vector), then that the zetas are distinct.
+    """
 
     data: tuple[SpectralDatum, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", tuple(self.data))
+        for i, d in enumerate(self.data):
+            entries = [complex(e) for e in (d.zeta, d.alpha, d.beta, d.gamma)]
+            if not all(math.isfinite(e.real) and math.isfinite(e.imag) for e in entries):
+                raise ValidationError(f"spectral datum {i} contains a non-finite entry")
+            if not entries[0].imag > 0.0:
+                raise NonUpperHalfPlaneZeroError(i, entries[0])
+            if d.alpha == 0 and d.beta == 0 and d.gamma == 0:
+                raise ZeroEigenvectorError(i)
+        zs = self.zetas().tolist()
+        for i, z in enumerate(zs):
+            if z in zs[i + 1 :]:
+                raise DuplicateZeroError(i, zs.index(z, i + 1))
 
     def __len__(self) -> int:
         return len(self.data)
@@ -172,33 +196,6 @@ def phase(d: SpectralDatum, p: SystemParams, x, t):
     """
     z = d.zeta
     return 0.5j * z * np.asarray(x) - (0.5j * z**3 * p.epsilon + z**2 * p.a2) * np.asarray(t)
-
-
-def validate(data: SpectralData, p: SystemParams) -> None:
-    """Check every domain invariant; raise a named error for the first violation.
-
-    Raises ZeroK1Error, NonUpperHalfPlaneZeroError(index),
-    DuplicateZeroError(i, j), or ZeroEigenvectorError(index).
-    """
-    for name in ("epsilon", "k1", "a2"):
-        v = getattr(p, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise ValidationError(f"parameter {name} must be a finite real, got {v!r}")
-    if p.k1 == 0.0:
-        raise ZeroK1Error()
-    for i, d in enumerate(data):
-        entries = [d.zeta, d.alpha, d.beta, d.gamma]
-        if not all(math.isfinite(complex(e).real) and math.isfinite(complex(e).imag) for e in entries):
-            raise ValidationError(f"spectral datum {i} contains a non-finite entry")
-        if not complex(d.zeta).imag > 0.0:
-            raise NonUpperHalfPlaneZeroError(i, complex(d.zeta))
-        if d.alpha == 0 and d.beta == 0 and d.gamma == 0:
-            raise ZeroEigenvectorError(i)
-    zs = [complex(d.zeta) for d in data]
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            if zs[i] == zs[j]:
-                raise DuplicateZeroError(i, j)
 
 
 def trapezoid_mass(q1: ComplexField, q2: ComplexField) -> float:

@@ -19,7 +19,6 @@ from .core import (
     SpectralDatum,
     SystemParams,
     phase,
-    validate,
 )
 
 __all__ = [
@@ -118,7 +117,6 @@ def fields_batch(data: SpectralData, p: SystemParams, x: np.ndarray, t: float):
 
 def evaluate(data: SpectralData, p: SystemParams, x: float, t: float) -> tuple[complex, complex]:
     """Pointwise N-soliton fields (q1, q2) at (x, t)."""
-    validate(data, p)
     q1, q2 = fields_batch(data, p, np.array([float(x)]), float(t))
     return complex(q1[0]), complex(q2[0])
 
@@ -150,7 +148,6 @@ def sample(
     data: SpectralData, p: SystemParams, grid: Grid1D, times
 ) -> list[tuple[ComplexField, ComplexField]]:
     """Field pairs on the grid, one per requested time, via the batched solve."""
-    validate(data, p)
     xs = grid.points()
     out = []
     for t in times:

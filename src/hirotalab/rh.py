@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexField, SpectralData, SystemParams, phase, validate
+from .core import ComplexField, SpectralData, SystemParams, phase
 
 __all__ = [
     "PoleHitError",
@@ -103,7 +103,6 @@ def _scaled_vectors(data: SpectralData, p: SystemParams, x: float, t: float):
 
 def rh_plus(zeta: complex, data: SpectralData, p: SystemParams, x: float, t: float) -> np.ndarray:
     """Upper-half-plane factor: identity minus the pole sum over zeta_j*."""
-    validate(data, p)
     if len(data) == 0:
         return np.eye(3, dtype=complex)
     v, vhat, m_scaled, zetas = _scaled_vectors(data, p, x, t)
@@ -118,7 +117,6 @@ def rh_plus(zeta: complex, data: SpectralData, p: SystemParams, x: float, t: flo
 
 def rh_minus(zeta: complex, data: SpectralData, p: SystemParams, x: float, t: float) -> np.ndarray:
     """Lower-half-plane factor: identity plus the pole sum over zeta_k."""
-    validate(data, p)
     if len(data) == 0:
         return np.eye(3, dtype=complex)
     v, vhat, m_scaled, zetas = _scaled_vectors(data, p, x, t)
@@ -131,7 +129,6 @@ def rh_minus(zeta: complex, data: SpectralData, p: SystemParams, x: float, t: fl
 
 def rh_plus_order1(data: SpectralData, p: SystemParams, x: float, t: float) -> np.ndarray:
     """1/zeta coefficient of the upper factor's large-zeta expansion."""
-    validate(data, p)
     if len(data) == 0:
         return np.zeros((3, 3), dtype=complex)
     v, vhat, m_scaled, _ = _scaled_vectors(data, p, x, t)
@@ -141,7 +138,6 @@ def rh_plus_order1(data: SpectralData, p: SystemParams, x: float, t: float) -> n
 
 def kernel_report(data: SpectralData, p: SystemParams, x: float, t: float) -> KernelReport:
     """Relative norms of the factor-kernel conditions at every eigenvalue."""
-    validate(data, p)
     right, left = [], []
     if len(data) == 0:
         return KernelReport((), ())

@@ -51,6 +51,38 @@ def test_missing_field_reports_name(tmp_path, capsys):
     assert "spectral" in capsys.readouterr().err
 
 
+def _set(doc, path, value):
+    """doc with the node at path (a tuple of keys) replaced by value; () replaces doc."""
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, prefix",
+    [
+        ((), [1, 2], "config must be a JSON object"),
+        (("params", "epsilon"), None, "params:"),
+        (("spectral",), 5, "spectral:"),
+        (("spectral", 0, "zeta"), {"re": None, "im": 0.5}, "spectral:"),
+        (("times",), 3, "times:"),
+        (("output_dir",), None, "output_dir:"),
+    ],
+    ids=["top_level_list", "null_epsilon", "scalar_spectral", "null_zeta_re", "scalar_times", "null_output_dir"],
+)
+def test_malformed_value_fails_at_load(tmp_path, capsys, path, value, prefix):
+    config = _write_config(tmp_path, _set(_third_order_doc(), path, value))
+    code = cli.main(["sample", "--config", config, "--out", str(tmp_path / "bad"), "--quiet"])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {prefix}") and "Traceback" not in err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_sample_writes_expected_csv(tmp_path):
     doc = _third_order_doc()
     doc["times"] = [0.0]
@@ -292,8 +324,22 @@ def test_propagate_abort_line_names_step_and_growth_rate(tmp_path, capsys):
         {"dt": -1e-3},
         {"length": 0.0},
         {"n": 1000.5},
+        {"edge_threshold": float("nan")},
+        {"edge_threshold": -1},
+        {"edge_threshold": "abc"},
+        {"dt": 0.02, "t_final": 0.04, "snapshots": [0.04]},
     ],
-    ids=["snapshot_off_dt", "t_final_off_dt", "negative_dt", "zero_length", "fractional_n"],
+    ids=[
+        "snapshot_off_dt",
+        "t_final_off_dt",
+        "negative_dt",
+        "zero_length",
+        "fractional_n",
+        "nan_edge_threshold",
+        "negative_edge_threshold",
+        "string_edge_threshold",
+        "unstable_dt",
+    ],
 )
 def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
     doc = _third_order_doc()

@@ -18,7 +18,6 @@ from hirotalab.core import (
     ZeroK1Error,
     phase,
     trapezoid_mass,
-    validate,
 )
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -80,44 +79,57 @@ def test_phase_real_part_at_t0(zeta, x):
     assert abs(2.0 * phase(d, p, x, 0.0).real + zeta.imag * x) < 1e-12 * max(1.0, abs(x))
 
 
-def test_validate_accepts_default_datum(default_data, default_params):
-    validate(default_data, default_params)
+def test_validate_accepts_default_datum(default_datum, default_params):
+    data = SpectralData([default_datum])
+    assert data.data == (default_datum,)
+    assert SystemParams(default_params.epsilon, default_params.k1, default_params.a2) == default_params
 
 
-def test_validate_rejects_lower_half_plane(default_params):
-    bad = SpectralData((SpectralDatum(0.3 - 0.2j, 1.0, 1.0, 2.0),))
+def test_validate_rejects_lower_half_plane():
     with pytest.raises(NonUpperHalfPlaneZeroError) as err:
-        validate(bad, default_params)
+        SpectralData((SpectralDatum(0.3 - 0.2j, 1.0, 1.0, 2.0),))
     assert err.value.index == 0
 
 
-def test_validate_rejects_real_axis_zero(default_params):
-    bad = SpectralData((SpectralDatum(0.3 + 0.0j, 1.0, 1.0, 2.0),))
+def test_validate_rejects_real_axis_zero():
     with pytest.raises(NonUpperHalfPlaneZeroError):
-        validate(bad, default_params)
+        SpectralData((SpectralDatum(0.3 + 0.0j, 1.0, 1.0, 2.0),))
 
 
-def test_validate_rejects_duplicates(default_datum, default_params):
+def test_validate_rejects_duplicates(default_datum):
     with pytest.raises(DuplicateZeroError) as err:
-        validate(SpectralData((default_datum, default_datum)), default_params)
+        SpectralData((default_datum, default_datum))
     assert err.value.indices == (0, 1)
 
 
-def test_validate_rejects_zero_vector(default_params):
-    bad = SpectralData((SpectralDatum(0.3 + 0.2j, 0.0, 0.0, 0.0),))
+def test_validate_rejects_zero_vector():
     with pytest.raises(ZeroEigenvectorError) as err:
-        validate(bad, default_params)
+        SpectralData((SpectralDatum(0.3 + 0.2j, 0.0, 0.0, 0.0),))
     assert err.value.index == 0
 
 
-def test_validate_rejects_zero_k1(default_data):
+def test_validate_rejects_zero_k1():
     with pytest.raises(ZeroK1Error):
-        validate(default_data, SystemParams(1.0, 0.0, 1.0))
+        SystemParams(1.0, 0.0, 1.0)
 
 
-def test_validate_rejects_nonfinite_param(default_data):
-    with pytest.raises(ValidationError):
-        validate(default_data, SystemParams(math.inf, 1.0, 1.0))
+def test_validate_rejects_nonfinite_param():
+    with pytest.raises(ValidationError, match="parameter epsilon must be a finite real"):
+        SystemParams(math.inf, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="spectral datum 0 contains a non-finite entry"):
+        SpectralData((SpectralDatum(0.3 + 0.2j, math.nan, 1.0, 2.0),))
+
+
+def test_construction_refuses_data_the_evaluators_do_not_check(default_datum):
+    # fields_batch and jet_at do not check their data: they rely on
+    # construction refusing both of these
+    with pytest.raises(NonUpperHalfPlaneZeroError) as err:
+        SpectralData((default_datum, SpectralDatum(0.3 - 0.2j, 1.0, 1.0, 2.0)))
+    assert err.value.index == 1
+    other = SpectralDatum(0.5 + 0.4j, 1.0, 0.5, 0.5)
+    with pytest.raises(DuplicateZeroError) as err:
+        SpectralData((other, default_datum, SpectralDatum(0.3 + 0.2j, 1.0, -1.0, 0.5)))
+    assert err.value.indices == (1, 2)
 
 
 def test_grid_invariants():
