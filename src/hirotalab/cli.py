@@ -239,16 +239,15 @@ def parse_config(doc: dict) -> RunConfig:
         spectral = SpectralData(tuple(data))
         section = "grid"
         gnode = doc["grid"]
-        try:
-            _check_integer(gnode, "nx", 2)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"grid: {exc}") from exc
+        _check_integer(gnode, "nx", 2)
         grid = Grid1D(float(gnode["x_min"]), float(gnode["x_max"]), int(gnode["nx"]))
         section = "times"
         times = tuple(float(t) for t in doc.get("times", []))
     except KeyError as exc:
         raise ConfigError(f"missing config field {exc}") from exc
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
     if not all(np.isfinite(times)):
         raise ConfigError(f"times: every time must be finite, got {list(times)!r}")

@@ -1,14 +1,17 @@
 """General N-soliton evaluation and the one-soliton closed form.
 
-The N-soliton fields are bilinear sums over an N x N interaction matrix.
-Direct transcription of that matrix overflows once |Re(phase)| grows past
-~350, so the evaluator always works with an exactly rescaled system: row k
-and column j of the matrix are divided by exp(|Re theta_k| + |Re theta_j|)
-and the same factors are absorbed into the numerator vectors.  Far-field
-values then underflow gracefully to zero instead of producing NaN.
+The N-soliton fields come from the reflectionless Riemann-Hilbert problem,
+whose solution normalized at infinity is a product of N elementary dressing
+factors G_N(zeta) ... G_1(zeta) (Zakharov & Shabat 1979; Shchesnovich &
+Yang 2003).  Each factor is a rank-one update, so the fields need no linear
+solve: the only divisions are by squared norms of nonzero vectors.  Every
+evolved vector is scaled in log space by its largest component, so no
+exponential overflows and far-field values decay to exact zeros.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -34,15 +37,24 @@ __all__ = [
     "peak_velocity",
 ]
 
-CONDITION_LIMIT = 1e14
+# Smallest |w_k|^2 / |v_k|^2 the dressing may leave.  Each factor G_j(zeta_k)
+# is normal with singular values 1 and |zeta_k - zeta_j| / |zeta_k - conj(zeta_j)|,
+# so the ratio plays the role of 1 / cond.  It is smallest for a nearly
+# coincident pair with parallel vectors, (|delta zeta| / (2 Im zeta))^2, and
+# 1e-14 sits where a condition number of 1e14 on the bilinear (Cauchy-like)
+# system did.
+DRESSING_LIMIT = 1e-14
+# Points per pass of the dressing.  It bounds the temporaries of one call,
+# which hold about 6 N + 6 complex values per point.
+CHUNK = 2048
 
 
 class SingularMatrixError(ArithmeticError):
-    """The interaction matrix is numerically singular at an evaluation point."""
+    """The dressing is numerically singular at an evaluation point."""
 
     def __init__(self, x: float, t: float) -> None:
         self.x, self.t = x, t
-        super().__init__(f"interaction matrix is singular at (x, t) = ({x}, {t})")
+        super().__init__(f"dressing is numerically singular at (x, t) = ({x}, {t})")
 
 
 class AlphaNotOneError(ValueError):
@@ -53,66 +65,85 @@ class ZeroBetaGammaError(ValueError):
     """beta = gamma = 0 makes the one-soliton identically zero (xi = -inf)."""
 
 
-def _phases(data: SpectralData, p: SystemParams, x, t) -> np.ndarray:
-    """Stack of phase exponents, shape (N,) + broadcast shape of (x, t)."""
-    return np.stack([np.asarray(phase(d, p, x, t)) for d in data])
+def _evolved_vector(d: SpectralDatum, p: SystemParams, x, t) -> np.ndarray:
+    """(alpha e^-theta, beta e^theta, gamma e^theta) / e^s as one (3, ...) array.
+
+    s is the log of the largest component's modulus, so every entry has
+    modulus at most 1.  A zero entry stays exactly 0: it is never formed
+    as 0 * e^(+large).
+    """
+    th = phase(d, p, x, t)
+    bg = max(abs(d.beta), abs(d.gamma))
+    log_a = math.log(abs(d.alpha)) if d.alpha else -math.inf
+    log_bg = math.log(bg) if bg else -math.inf
+    s = np.maximum(log_a - th.real, log_bg + th.real)
+    v = np.zeros((3,) + th.shape, dtype=complex)
+    if d.alpha:
+        v[0] = (d.alpha / abs(d.alpha)) * np.exp(log_a - th - s)
+    if bg:
+        grow = np.exp(log_bg + th - s)
+        v[1] = (d.beta / bg) * grow
+        v[2] = (d.gamma / bg) * grow
+    return v
 
 
-def fields_batch(data: SpectralData, p: SystemParams, x: np.ndarray, t: float):
-    """(q1, q2) arrays over the points x at time t via the rescaled solve."""
-    x = np.asarray(x, dtype=float)
-    n = len(data)
-    m = x.size
-    if n == 0:
-        zeros = np.zeros(m, dtype=complex)
-        return zeros, zeros.copy()
-    th = _phases(data, p, x, t)  # (n, m)
-    c = np.abs(th.real)  # per-index rescaling exponents
-    alpha = np.array([d.alpha for d in data])
-    beta = np.array([d.beta for d in data])
-    gamma = np.array([d.gamma for d in data])
-    zetas = data.zetas()
+def fields_batch(
+    data: SpectralData, p: SystemParams, x: np.ndarray | float, t: np.ndarray | float
+):
+    """(q1, q2) at the points (x, t), broadcast together, via the dressing product.
 
-    gram_a = np.conj(alpha)[:, None] * alpha[None, :]
-    gram_bg = np.conj(beta)[:, None] * beta[None, :] + np.conj(gamma)[:, None] * gamma[None, :]
-    denom = zetas[None, :] - np.conj(zetas)[:, None]
-    # scaled matrix, built in place: every exponential has non-positive real part
-    msc = -np.conj(th)[:, None, :] - th[None, :, :]
-    msc -= c[:, None, :]
-    msc -= c[None, :, :]
-    np.multiply(gram_a[:, :, None], np.exp(msc, out=msc), out=msc)
-    e_plus = np.conj(th)[:, None, :] + th[None, :, :]
-    e_plus -= c[:, None, :]
-    e_plus -= c[None, :, :]
-    np.multiply(gram_bg[:, :, None], np.exp(e_plus, out=e_plus), out=e_plus)
-    msc += e_plus
-    del e_plus
-    msc /= denom[:, :, None]
-    msc = np.moveaxis(msc, 2, 0)  # (m, n, n)
+    Datum k's evolved vector v_k is dressed by the earlier factors,
+    w_k = G_{k-1}(zeta_k) ... G_1(zeta_k) v_k, one rank-one update
+    w <- w - c_kj (w_j^H w / |w_j|^2) w_j per pair with
+    c_kj = (zeta_j - conj(zeta_j)) / (zeta_k - conj(zeta_j)).  Then
+    q_{1,2} = -(2 / k1) sum_k Im(zeta_k) w_k[0] conj(w_k[1,2]) / |w_k|^2.
+    Every step is pointwise, so a point's value does not depend on the
+    other points of the batch.
 
-    # ||.||_2 <= ||.||_F, so the Frobenius condition number bounds the 2-norm
-    # one.  Near the limit both carry rounding noise of a few percent, so the
-    # screen clears only points at half the limit; the rest (NaN included) go
-    # through the SVD, which decides them as the only guard did before.
-    suspect = np.flatnonzero(~(np.linalg.cond(msc, "fro") <= CONDITION_LIMIT / 2))
-    if suspect.size:
-        cond = np.linalg.cond(msc[suspect])
-        if not np.all(np.isfinite(cond)) or np.any(cond > CONDITION_LIMIT):
-            bad = suspect[int(np.argmax(np.where(np.isfinite(cond), cond, np.inf)))]
-            raise SingularMatrixError(float(x.flat[bad]), t)
+    Raises SingularMatrixError at the first point where |w_k|^2 / |v_k|^2
+    falls below DRESSING_LIMIT or an output is not finite.
+    """
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    xs, ts = x.ravel(), t.ravel()
+    q1, q2 = np.empty(xs.size, dtype=complex), np.empty(xs.size, dtype=complex)
+    for lo in range(0, xs.size, CHUNK):
+        part = slice(lo, lo + CHUNK)
+        q1[part], q2[part] = _dress(data, p, xs[part], ts[part])
+    return q1.reshape(x.shape), q2.reshape(x.shape)
 
-    u = alpha[:, None] * np.exp(-th - c)  # (n, m)
-    vb = np.conj(beta)[:, None] * np.exp(np.conj(th) - c)
-    vg = np.conj(gamma)[:, None] * np.exp(np.conj(th) - c)
-    # q = (i/k1) u^T M^{-1} v  via one solve with M^T per point
-    try:
-        w = np.linalg.solve(np.swapaxes(msc, 1, 2), np.moveaxis(u, 1, 0)[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(float(x.flat[0]), t) from exc
-    w = np.moveaxis(w, 0, 1)  # (n, m)
-    q1 = (1j / p.k1) * np.sum(w * vb, axis=0)
-    q2 = (1j / p.k1) * np.sum(w * vg, axis=0)
+
+def _dress(data: SpectralData, p: SystemParams, x: np.ndarray, t: np.ndarray):
+    """(q1, q2) at the points (x, t), all of shape (m,)."""
+    q1, q2 = np.zeros(x.size, dtype=complex), np.zeros(x.size, dtype=complex)
+    dressed = []  # (zeta_j, w_j, conj(w_j) / |w_j|^2) of the earlier data
+    for k, d in enumerate(data):
+        zk = complex(d.zeta)
+        w = _evolved_vector(d, p, x, t)
+        if dressed:
+            v_norm = _squared_norm(w)
+            for zj, wj, dual in dressed:
+                c = (zj - zj.conjugate()) / (zk - zj.conjugate())
+                w = w - (c * (dual * w).sum(axis=0)) * wj
+        norm = _squared_norm(w)
+        if dressed:
+            _check(~(norm / v_norm >= DRESSING_LIMIT), x, t)
+        weight = (2.0 * zk.imag / p.k1) * w[0] / norm
+        q1 -= weight * w[1].conj()
+        q2 -= weight * w[2].conj()
+        if k + 1 < len(data):
+            dressed.append((zk, w, w.conj() / norm))
+    _check(~(np.isfinite(q1) & np.isfinite(q2)), x, t)
     return q1, q2
+
+
+def _squared_norm(w: np.ndarray) -> np.ndarray:
+    return (w.real**2 + w.imag**2).sum(axis=0)
+
+
+def _check(bad: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SingularMatrixError(float(x[i]), float(t[i]))
 
 
 def evaluate(data: SpectralData, p: SystemParams, x: float, t: float) -> tuple[complex, complex]:
@@ -147,7 +178,7 @@ def one_soliton(d: SpectralDatum, p: SystemParams, x, t):
 def sample(
     data: SpectralData, p: SystemParams, grid: Grid1D, times
 ) -> list[tuple[ComplexField, ComplexField]]:
-    """Field pairs on the grid, one per requested time, via the batched solve."""
+    """Field pairs on the grid, one per requested time, via the batched evaluator."""
     xs = grid.points()
     out = []
     for t in times:

@@ -34,3 +34,33 @@ def make_random_data(n: int, seed: int) -> SpectralData:
         vec = rng.normal(size=3) + 1j * rng.normal(size=3)
         items.append(SpectralDatum(zeta, *map(complex, vec)))
     return SpectralData(tuple(items))
+
+
+def nsoliton_doc(seed: int) -> dict:
+    """Exact a2 = 0 config with N = 8, drawn as the benchmark's `nsoliton` workload draws it.
+
+    Eight zetas with Re in [-0.6, 0.6], Im in [0.4, 0.8] and pairwise distance
+    at least 0.15; alpha = 1 and a unit polarization scaled so that each
+    one-soliton peak sits at a centre drawn from [-8, 8].
+    """
+    rng = np.random.default_rng([seed % 2**63, sum(map(ord, "nsoliton"))])
+    zetas: list[complex] = []
+    while len(zetas) < 8:
+        z = complex(rng.uniform(-0.6, 0.6), rng.uniform(0.4, 0.8))
+        if all(abs(z - w) >= 0.15 for w in zetas):
+            zetas.append(z)
+    spectral = []
+    for z in zetas:
+        centre = rng.uniform(-8.0, 8.0)
+        pol = rng.normal(size=2) + 1j * rng.normal(size=2)
+        beta, gamma = pol / np.linalg.norm(pol) * np.exp(z.imag * centre)
+        spectral.append({
+            key: {"re": complex(v).real, "im": complex(v).imag}
+            for key, v in (("zeta", z), ("alpha", 1.0), ("beta", beta), ("gamma", gamma))
+        })
+    return {
+        "params": {"epsilon": 1.0, "k1": 1.0, "a2": 0.0},
+        "spectral": spectral,
+        "grid": {"x_min": -30.0, "x_max": 30.0, "nx": 6001},
+        "times": [-2.0, -1.0, 0.0, 1.0, 2.0],
+    }

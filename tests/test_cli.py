@@ -6,6 +6,8 @@ import pytest
 
 from hirotalab import cli, laxpair, nsoliton, rh
 
+from conftest import nsoliton_doc
+
 THIRD_ORDER = Path(__file__).resolve().parents[1] / "src/hirotalab/data/third_order_config.json"
 
 
@@ -71,8 +73,14 @@ def _set(doc, path, value):
         (("spectral", 0, "zeta"), {"re": None, "im": 0.5}, "spectral:"),
         (("times",), 3, "times:"),
         (("output_dir",), None, "output_dir:"),
+        (("params", "epsilon"), "abc", "params:"),
+        (("grid", "x_min"), "abc", "grid:"),
+        (("times",), ["abc"], "times:"),
     ],
-    ids=["top_level_list", "null_epsilon", "scalar_spectral", "null_zeta_re", "scalar_times", "null_output_dir"],
+    ids=[
+        "top_level_list", "null_epsilon", "scalar_spectral", "null_zeta_re", "scalar_times",
+        "null_output_dir", "string_epsilon", "string_x_min", "string_time",
+    ],
 )
 def test_malformed_value_fails_at_load(tmp_path, capsys, path, value, prefix):
     config = _write_config(tmp_path, _set(_third_order_doc(), path, value))
@@ -239,12 +247,21 @@ def test_zero_curvature_builds_jets_once_per_spacing(tmp_path, monkeypatch):
     monkeypatch.setattr(laxpair, "jet_at", lambda *args: calls.append(args) or jet_at(*args))
     out = tmp_path / "zc"
     assert cli.main(["zero-curvature", "--config", str(THIRD_ORDER), "--out", str(out), "--quiet"]) == 0
-    # (2 * 2 + 1) jets per order-2 spacing and (2 * 4 + 1) per order-4 spacing
-    assert len(calls) == 3 * 5 + 3 * 9
+    # one batched call per spacing: (2 * 2 + 1) centres at order 2, (2 * 4 + 1) at order 4
+    assert [np.size(args[2]) for args in calls] == [5] * 3 + [9] * 3
     names = [r.split(",")[0] for r in (out / "zero_curvature_report.csv").read_text().split("\n")[1:-1]]
     assert names == [
         f"zc_o{order}_z{iz}_ratio{j}" for order in (2, 4) for iz in range(10) for j in range(2)
     ]
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13, 9701])
+def test_exact_eight_soliton_data_pass_residual_and_zero_curvature(tmp_path, seed):
+    # exact a2 = 0 data: a FAIL here is the evaluator's error, not the data's
+    path = _write_config(tmp_path, nsoliton_doc(seed))
+    for command in ("residual", "zero-curvature"):
+        out = str(tmp_path / command)
+        assert cli.main([command, "--config", path, "--out", out, "--quiet"]) == cli.EXIT_OK
 
 
 def test_scatter_smaller_domain(tmp_path):

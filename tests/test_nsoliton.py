@@ -1,13 +1,17 @@
+import warnings
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams, trapezoid_mass
-from hirotalab import nsoliton
+from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams, phase, trapezoid_mass
+from hirotalab import cli, nsoliton
 
 from conftest import make_random_data
 
+DATA_DIR = resources.files("hirotalab.data")
 moderate = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
 
@@ -40,15 +44,39 @@ def test_evaluate_graceful_far_field(default_data, default_params):
         assert q1 == 0.0 and q2 == 0.0
 
 
-def test_singular_matrix_guard(default_data, default_params, monkeypatch):
-    monkeypatch.setattr(nsoliton, "CONDITION_LIMIT", 0.5)
-    with pytest.raises(nsoliton.SingularMatrixError):
-        nsoliton.evaluate(default_data, default_params, 0.0, 0.0)
+def test_singular_matrix_guard(default_params):
+    # equal vectors on zetas one ulp apart leave |w_2|^2 / |v_2|^2 near 1e-32;
+    # 1e-6 apart it is at least (1e-6 / 1.34)^2 = 5.6e-13
+    base = SpectralDatum(0.94 + 0.67j, 1.0, 1.0, 2.0)
+    for gap, raises in ((np.spacing(0.67), True), (1e-6, False)):
+        data = SpectralData((base, SpectralDatum(complex(0.94, 0.67 + gap), 1.0, 1.0, 2.0)))
+        if raises:
+            with pytest.raises(nsoliton.SingularMatrixError) as info:
+                nsoliton.fields_batch(data, default_params, np.array([-3.0, 0.5]), 0.25)
+            assert (info.value.x, info.value.t) == (-3.0, 0.25)
+        else:
+            q1, q2 = nsoliton.fields_batch(data, default_params, np.array([-3.0, 0.5]), 0.25)
+            assert np.all(np.isfinite(q1)) and np.all(np.isfinite(q2))
 
 
-def _reference_matrix(data, p, x, t):
-    """The rescaled interaction matrix as plain expressions, shape (m, n, n)."""
-    th = nsoliton._phases(data, p, x, t)
+@pytest.mark.parametrize(
+    "vectors",
+    [[(0.0, 1.0, 2.0)], [(0.0, 1.0, 2.0), (0.0, 0.5j, -1.0)], [(1.0, 0.0, 0.0)], [(1.0, 0.0, 0.0), (2j, 0.0, 0.0)]],
+    ids=["alpha_zero", "alpha_zero_pair", "beta_gamma_zero", "beta_gamma_zero_pair"],
+)
+def test_zero_components_give_exact_far_field_zeros(default_params, vectors):
+    zetas = (0.3 + 0.2j, -0.2 + 0.35j)
+    data = SpectralData(tuple(SpectralDatum(z, *v) for z, v in zip(zetas, vectors)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q1, q2 = nsoliton.fields_batch(data, default_params, np.array([-4000.0, 0.0, 4000.0]), 1.0)
+    assert np.all(q1 == 0.0) and np.all(q2 == 0.0)
+
+
+def _reference_fields_batch(data, p, x, t):
+    """The fields by the rescaled Cauchy-like solve, q = (i/k1) u^T M^{-1} v."""
+    x = np.asarray(x, dtype=float)
+    th = np.stack([phase(d, p, x, t) for d in data])
     c = np.abs(th.real)
     alpha = np.array([d.alpha for d in data])
     beta = np.array([d.beta for d in data])
@@ -60,22 +88,7 @@ def _reference_matrix(data, p, x, t):
     gram_bg = np.conj(beta)[:, None] * beta[None, :] + np.conj(gamma)[:, None] * gamma[None, :]
     denom = zetas[None, :] - np.conj(zetas)[:, None]
     msc = (gram_a[:, :, None] * e_minus + gram_bg[:, :, None] * e_plus) / denom[:, :, None]
-    return np.moveaxis(msc, 2, 0)
-
-
-def _reference_fields_batch(data, p, x, t):
-    """fields_batch with the 2-norm condition number taken at every point."""
-    x = np.asarray(x, dtype=float)
-    msc = _reference_matrix(data, p, x, t)
-    cond = np.linalg.cond(msc)
-    if not np.all(np.isfinite(cond)) or np.any(cond > nsoliton.CONDITION_LIMIT):
-        bad = int(np.argmax(np.where(np.isfinite(cond), cond, np.inf)))
-        raise nsoliton.SingularMatrixError(float(x.flat[bad]), t)
-    th = nsoliton._phases(data, p, x, t)
-    c = np.abs(th.real)
-    alpha = np.array([d.alpha for d in data])
-    beta = np.array([d.beta for d in data])
-    gamma = np.array([d.gamma for d in data])
+    msc = np.moveaxis(msc, 2, 0)
     u = alpha[:, None] * np.exp(-th - c)
     vb = np.conj(beta)[:, None] * np.exp(np.conj(th) - c)
     vg = np.conj(gamma)[:, None] * np.exp(np.conj(th) - c)
@@ -84,70 +97,44 @@ def _reference_fields_batch(data, p, x, t):
     return (1j / p.k1) * np.sum(w * vb, axis=0), (1j / p.k1) * np.sum(w * vg, axis=0)
 
 
-def _same_outcome(data, p, x, t) -> bool:
-    """Both evaluators give bit-identical fields or raise at the same x."""
-    try:
-        want = _reference_fields_batch(data, p, x, t)
-    except nsoliton.SingularMatrixError as exc:
-        with pytest.raises(nsoliton.SingularMatrixError) as info:
-            nsoliton.fields_batch(data, p, x, t)
-        assert info.value.x == exc.x
-        return True
-    got = nsoliton.fields_batch(data, p, x, t)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    return False
+TWO_SOLITON = SpectralData((
+    SpectralDatum(0.3 + 0.45j, 1.0, 0.8, 0.6),
+    SpectralDatum(-0.25 + 0.6j, 1.0, 0.5 + 0.3j, 1.1),
+))
 
 
-def test_fields_batch_matches_reference_bit_for_bit(monkeypatch):
-    xs = np.linspace(-60.0, 60.0, 201)
-    p = SystemParams(1.0, 1.0, 0.0)
-    raised = calls = 0
-    for limit in (1e14, 1e10, 1e6, 1e3):
-        monkeypatch.setattr(nsoliton, "CONDITION_LIMIT", limit)
-        for seed in range(30):
-            for n in range(1, 11):
-                raised += _same_outcome(make_random_data(n, seed), p, xs, 0.5)
-                calls += 1
-    assert 0 < raised < calls
+def test_fields_batch_matches_cauchy_solve():
+    # well-conditioned data, where the bilinear solve is accurate too
+    cases = [(TWO_SOLITON, SystemParams(1.0, 1.0, 0.0))]
+    for name in ("default_config.json", "third_order_config.json"):
+        cfg = cli.load_config(str(DATA_DIR / name))
+        cases.append((cfg.spectral, cfg.params))
+    xs = np.linspace(-60.0, 60.0, 401)
+    for data, p in cases:
+        for t in (-2.0, 0.0, 0.5, 3.0):
+            got, want = nsoliton.fields_batch(data, p, xs, t), _reference_fields_batch(data, p, xs, t)
+            assert np.abs(got[0] - want[0]).max() < 1e-13
+            assert np.abs(got[1] - want[1]).max() < 1e-13
 
 
-def test_condition_guard_runs_svd_on_points_the_bound_keeps(monkeypatch):
-    # a limit between the batch's largest 2-norm and Frobenius condition
-    # numbers: the Frobenius screen keeps some points and the SVD clears them
-    data = make_random_data(6, 4)
-    p = SystemParams(1.0, 1.0, 0.0)
-    xs = np.linspace(-60.0, 60.0, 201)
-    msc = _reference_matrix(data, p, xs, 0.5)
-    top2, topf = np.linalg.cond(msc).max(), np.linalg.cond(msc, "fro").max()
-    limit = np.sqrt(top2 * topf)
-    assert top2 < limit < topf
-    monkeypatch.setattr(nsoliton, "CONDITION_LIMIT", limit)
-    svd_batches = []
-    cond = np.linalg.cond
-
-    def spy(a, order=None):
-        if order is None:
-            svd_batches.append(len(a))
-        return cond(a, order)
-
-    monkeypatch.setattr(np.linalg, "cond", spy)
-    assert not _same_outcome(data, p, xs, 0.5)
-    assert len(svd_batches) == 2  # one from the reference, one from the screen
-    assert 0 < svd_batches[1] < len(xs)
+def test_fields_batch_is_pointwise(default_params):
+    # a batch of more than two passes equals calls on uneven pieces of it
+    xs = np.linspace(-40.0, 40.0, 2 * nsoliton.CHUNK + 3)
+    whole = nsoliton.fields_batch(TWO_SOLITON, default_params, xs, 0.5)
+    cuts = [0, 1000, nsoliton.CHUNK + 7, xs.size]
+    pieces = [nsoliton.fields_batch(TWO_SOLITON, default_params, xs[a:b], 0.5) for a, b in zip(cuts, cuts[1:])]
+    for i in range(2):
+        assert np.array_equal(whole[i], np.concatenate([piece[i] for piece in pieces]))
 
 
-def test_condition_guard_matches_reference_at_the_limit():
-    # nearly coincident eigenvalues: the condition number crosses 1e14 near
-    # x = 23.1, where both estimates carry rounding noise of a few percent
-    p = SystemParams(1.0, 1.0, 0.0)
-    data = SpectralData(
-        (
-            SpectralDatum(0.94 + 0.67j, 1.0, 1.0, 1.0),
-            SpectralDatum(complex(0.94, 0.67 + 9e-8), 1.0, 1.0, 2.0),
-        )
-    )
-    outcomes = [_same_outcome(data, p, np.array([x]), 0.0) for x in np.linspace(22.5, 23.5, 401)]
-    assert any(outcomes) and not all(outcomes)
+def test_fields_batch_broadcasts_t_against_x(default_params):
+    xs = np.linspace(-5.0, 5.0, 7)
+    ts = np.array([-1.0, 0.0, 2.5])[:, None]
+    q1, q2 = nsoliton.fields_batch(TWO_SOLITON, default_params, xs, ts)
+    assert q1.shape == q2.shape == (3, 7)
+    for row, t in enumerate(ts[:, 0]):
+        r1, r2 = nsoliton.fields_batch(TWO_SOLITON, default_params, xs, t)
+        assert np.array_equal(q1[row], r1) and np.array_equal(q2[row], r2)
 
 
 def test_one_soliton_normalization_errors(default_params):
