@@ -9,13 +9,17 @@ nonlinear evaluation runs one inverse transform over a (4, n) buffer that
 stacks the two spectra v on their derivatives ik v, and one forward
 transform of the (2, n) nonlinear term.
 
-step() caches per (grid, params, dt) the read-only arrays ik, the dealias
-mask, the integrating factors e_half and e_full, and the products dt e_half
-and 2 e_half, plus the two scalar coefficients of the nonlinear term.  All
-per-step work goes into scratch buffers that each call allocates for itself,
-so concurrent calls share no mutable state.  Every buffered operation keeps
-the operands, order and grouping of the plain array expression written in
-the docstrings, so the stepped spectra are bit for bit that expression's.
+One kernel, _advance, steps the stacked spectra in place on a workspace
+that its caller passes in.  evolve() checks the stability bound and looks
+up the step factors once, allocates one workspace and runs the kernel once
+per step; step() does the same for a single step on a copy of its input.
+The factors, cached per (grid, params, dt) and read-only, are ik, the
+dealias mask (stored as complex), the integrating factors e_half and
+e_full, the products dt e_half and 2 e_half, and the two scalar
+coefficients of the nonlinear term.  Nothing mutable outlives a call, so
+concurrent calls share no state.  Every buffered operation keeps the
+operands, order and grouping of the plain array expression written in the
+docstrings, so the stepped spectra are bit for bit that expression's.
 
 The forward transform is numpy's unnormalized ``np.fft.fft`` and the
 inverse is the normalized ``np.fft.ifft``.  ``np.fft`` is reached at call
@@ -139,18 +143,28 @@ def state_from_fields(q1: ComplexField, q2: ComplexField) -> EvolutionState:
     (spacing * nx == domain length).  Mode m of the domain lands in bin m
     with weight nx: the forward transform is unnormalized.
     """
-    if q1.grid != q2.grid or q1.t != q2.t:
-        raise ValueError("fields must share grid and time")
-    g = q1.grid
-    sgrid = SpectralGrid(length=g.spacing * g.nx, n=g.nx)
-    hat = np.fft.fft(np.stack((q1.values, q2.values)))
+    sgrid, hat = _spectra(q1, q2)
     return EvolutionState(sgrid, q1.t, hat[0], hat[1])
 
 
 def fields_from_state(state: EvolutionState, grid: Grid1D) -> tuple[ComplexField, ComplexField]:
     """Normalized inverse of state_from_fields, sampled on grid."""
-    q = np.fft.ifft(np.stack((state.q1_hat, state.q2_hat)))
-    return ComplexField(grid, state.t, q[0]), ComplexField(grid, state.t, q[1])
+    return _fields(np.stack((state.q1_hat, state.q2_hat)), state.t, grid)
+
+
+def _spectra(q1: ComplexField, q2: ComplexField) -> tuple[SpectralGrid, np.ndarray]:
+    """The spectral grid of two fields and their stacked (2, n) spectra."""
+    if q1.grid != q2.grid or q1.t != q2.t:
+        raise ValueError("fields must share grid and time")
+    g = q1.grid
+    hat = np.fft.fft(np.stack((q1.values, q2.values)))
+    return SpectralGrid(length=g.spacing * g.nx, n=g.nx), hat
+
+
+def _fields(hat: np.ndarray, t: float, grid: Grid1D) -> tuple[ComplexField, ComplexField]:
+    """Both fields at time t from stacked (2, n) spectra, in new arrays."""
+    q = np.fft.ifft(hat)
+    return ComplexField(grid, t, q[0]), ComplexField(grid, t, q[1])
 
 
 def check_stability(grid: SpectralGrid, p: SystemParams, dt: float) -> None:
@@ -182,23 +196,49 @@ def _growth_rate(grid: SpectralGrid, p: SystemParams) -> float:
 def _step_factors(grid: SpectralGrid, p: SystemParams, dt: float) -> tuple:
     """Everything a step of size dt needs that does not depend on the state.
 
-    Returns the arrays 1j k, the dealias mask, e_half = exp(symbol dt/2),
-    e_full = e_half^2, dt e_half and 2 e_half, then the scalars 3 eps k1^2
-    and -4 k1^2 a2 of the nonlinear term.  The scaled arrays and scalars are
-    grouped as step() used to form them inline, so caching them moves no bit.
+    Returns the arrays 1j k, the dealias mask as complex, e_half =
+    exp(symbol dt/2), e_full = e_half^2, dt e_half and 2 e_half, then the
+    scalars 3 eps k1^2 and -4 k1^2 a2 of the nonlinear term.  The scaled
+    arrays and scalars are grouped as the step expression groups them, and
+    numpy multiplies a real mask by a complex array through the same complex
+    cast, so caching them moves no bit.
 
     Raises FloatingPointError when exp overflows; lru_cache stores no result
-    then, so every later step with the same arguments raises again.  Every
+    then, so every later call with the same arguments raises again.  Every
     caller shares the cached arrays, so they are made read-only.
     """
     k = grid.wavenumbers()
     with np.errstate(over="raise"):
         e_half = np.exp(linear_symbol(k, p) * (0.5 * dt))
-    arrays = (1j * k, grid.dealias_mask(), e_half, e_half * e_half, dt * e_half, 2.0 * e_half)
+    mask = grid.dealias_mask().astype(complex)
+    arrays = (1j * k, mask, e_half, e_half * e_half, dt * e_half, 2.0 * e_half)
     for a in arrays:
         a.flags.writeable = False
     ksq = p.k1 * p.k1
     return arrays + (3.0 * p.epsilon * ksq, -4.0 * ksq * p.a2)
+
+
+def _factors(grid: SpectralGrid, p: SystemParams, dt: float, t: float, steps: int) -> tuple:
+    """Check the stability bound, then return _step_factors for a step from
+    (t, steps); an overflowing integrating factor fails that step."""
+    check_stability(grid, p, dt)
+    try:
+        return _step_factors(grid, p, dt)
+    except FloatingPointError as exc:
+        raise BlowupError(t, steps + 1, _growth_rate(grid, p)) from exc
+
+
+def _workspace(n: int) -> tuple:
+    """Scratch for _advance at n points: views into one complex and one real
+    block, and a bool buffer for the finiteness check.
+
+    In order: the (4, n) buffer w, e_full v, the four stage slopes a, b, c,
+    d, the scratch tuple of _nonlinear_hat, and the bools.
+    """
+    cplx = np.empty((17, n), complex)
+    real = np.empty((5, n))
+    scratch = (real[0:2], real[2:4], cplx[14:16], real[4], cplx[16])
+    return (cplx[0:4], cplx[4:6], *cplx[6:14].reshape(4, 2, n), scratch, np.empty((2, n), bool))
 
 
 def _nonlinear_hat(
@@ -214,111 +254,104 @@ def _nonlinear_hat(
 
     w is a (4, n) buffer whose rows 0-1 hold the two spectra v on entry; rows
     2-3 receive ik v, and one in-place inverse transform turns the rows into
-    q and q_x.  scratch holds the caller's two (2, n) real, (2, n) complex,
-    (n,) real and (n,) complex work arrays.  Every operation keeps the
+    q and q_x.  scratch holds two (2, n) real, one (2, n) complex, one (n,)
+    real and one (n,) complex work array.  Every operation keeps the
     operands, order and grouping of the expression
 
         mask * fft(q * (alpha |q|^2 + beta conj(q).q_x) + q_x * (beta |q|^2))
 
     with alpha = -4 k1^2 a2 and beta = 3 eps k1^2, summing over the two
-    fields, so the result is bit for bit that expression's.
+    fields, so the result is bit for bit that expression's.  The field sums
+    are np.add.reduce, as np.sum is: adding the two rows directly would keep
+    a -0 that the reduction turns into +0.  beta |q|^2 is computed in real
+    arithmetic and stored as complex, as numpy would cast it anyway, in the
+    buffer of the cross term once that is used up.
     """
     re2, im2, prod, dens, cross = scratch
     q, qx = w[:2], w[2:]
-    # Overflow here only happens on a diverging run; the isfinite guard in
-    # step() turns it into BlowupError, so suppress the warnings.  The field
-    # sums stay np.sum reductions: adding the two rows directly would keep a
-    # -0 that the reduction turns into +0.
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(ik, q, out=qx)
-        np.fft.ifft(w, out=w)
-        np.square(q.real, out=re2)
-        np.square(q.imag, out=im2)
-        np.add(re2, im2, out=re2)
-        np.sum(re2, axis=0, out=dens)
-        np.conjugate(q, out=prod)
-        np.multiply(prod, qx, out=prod)
-        np.sum(prod, axis=0, out=cross)
-        np.multiply(alpha, dens, out=re2[0])
-        np.multiply(beta, cross, out=cross)
-        np.add(re2[0], cross, out=cross)
-        np.multiply(q, cross, out=prod)
-        np.multiply(beta, dens, out=dens)
-        np.multiply(qx, dens, out=qx)
-        np.add(prod, qx, out=prod)
-        np.fft.fft(prod, out=out)
-        np.multiply(mask, out, out=out)
+    np.multiply(ik, q, out=qx)
+    np.fft.ifft(w, out=w)
+    np.square(q.real, out=re2)
+    np.square(q.imag, out=im2)
+    np.add(re2, im2, out=re2)
+    np.add.reduce(re2, axis=0, out=dens)
+    np.conjugate(q, out=prod)
+    np.multiply(prod, qx, out=prod)
+    np.add.reduce(prod, axis=0, out=cross)
+    np.multiply(alpha, dens, out=re2[0])
+    np.multiply(beta, cross, out=cross)
+    np.add(re2[0], cross, out=cross)
+    np.multiply(q, cross, out=prod)
+    np.multiply(beta, dens, out=cross)
+    np.multiply(qx, cross, out=qx)
+    np.add(prod, qx, out=prod)
+    np.fft.fft(prod, out=out)
+    np.multiply(mask, out, out=out)
 
 
-def step(state: EvolutionState, p: SystemParams, dt: float) -> EvolutionState:
-    """One integrating-factor RK4 step of both fields.
+def _advance(v: np.ndarray, ws: tuple, factors: tuple, dt: float) -> bool:
+    """Advance the stacked (2, n) spectra v by one step of size dt, in place.
 
-    With v the stacked (2, n) spectra and N the nonlinear term, the step is
+    ws is a _workspace(n) and factors the _step_factors of the step.  With N
+    the nonlinear term, the step is
 
         a = N(v),  b = N(e_half (v + dt/2 a)),  c = N(e_half v + dt/2 b),
         d = N(e_full v + (dt e_half) c),
-        new = e_full v + dt/6 (e_full a + (2 e_half)(b + c) + d).
+        v <- e_full v + dt/6 (e_full a + (2 e_half)(b + c) + d),
 
-    The integrating factors, derivative multiplier, dealias mask and the
-    scaled factors dt e_half and 2 e_half are cached per (grid, params, dt)
-    and read-only.  Each call allocates its own scratch buffers and the
-    stages write into them through out=, so calls share no mutable state.
-    Each N runs one inverse transform over a (4, n) buffer holding a stage
-    value and its ik multiple; e_half v and e_full v are formed once.  The
-    stability bound, the overflow check on the integrating factor and the
-    finiteness check on the result run on every call.
+    each operation written into ws with the operands, order and grouping of
+    that expression; e_half v is formed in d before d is computed.
+    Returns whether every value of the new v is finite.  Overflow only
+    happens on a diverging run, which the caller turns into BlowupError, so
+    its warnings are suppressed.
     """
-    check_stability(state.grid, p, dt)
-    try:
-        ik, mask, e_half, e_full, dt_e_half, two_e_half, beta, alpha = _step_factors(
-            state.grid, p, dt
-        )
-    except FloatingPointError as exc:
-        raise BlowupError(state.t, state.steps + 1, _growth_rate(state.grid, p)) from exc
-
-    n = state.grid.n
-    v = np.stack((state.q1_hat, state.q2_hat))
-    e_half_v = e_half * v
-    e_full_v = e_full * v
-    w = np.empty((4, n), complex)
+    ik, mask, e_half, e_full, dt_e_half, two_e_half, beta, alpha = factors
+    w, e_full_v, a, b, c, d, scratch, finite = ws
     stage = w[:2]
-    scratch = (
-        np.empty((2, n)),
-        np.empty((2, n)),
-        np.empty((2, n), complex),
-        np.empty(n),
-        np.empty(n, complex),
-    )
-    a, b, c, d = np.empty((4, 2, n), complex)
     args = (scratch, ik, mask, beta, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(e_full, v, out=e_full_v)
+        np.copyto(stage, v)
+        _nonlinear_hat(w, a, *args)
+        np.multiply(0.5 * dt, a, out=stage)
+        np.add(v, stage, out=stage)
+        np.multiply(e_half, stage, out=stage)
+        _nonlinear_hat(w, b, *args)
+        np.multiply(0.5 * dt, b, out=stage)
+        np.multiply(e_half, v, out=d)
+        np.add(d, stage, out=stage)
+        _nonlinear_hat(w, c, *args)
+        np.multiply(dt_e_half, c, out=stage)
+        np.add(e_full_v, stage, out=stage)
+        _nonlinear_hat(w, d, *args)
 
-    np.copyto(stage, v)
-    _nonlinear_hat(w, a, *args)
-    np.multiply(0.5 * dt, a, out=stage)
-    np.add(v, stage, out=stage)
-    np.multiply(e_half, stage, out=stage)
-    _nonlinear_hat(w, b, *args)
-    np.multiply(0.5 * dt, b, out=stage)
-    np.add(e_half_v, stage, out=stage)
-    _nonlinear_hat(w, c, *args)
-    np.multiply(dt_e_half, c, out=stage)
-    np.add(e_full_v, stage, out=stage)
-    _nonlinear_hat(w, d, *args)
+        np.multiply(e_full, a, out=a)
+        np.add(b, c, out=b)
+        np.multiply(two_e_half, b, out=b)
+        np.add(a, b, out=a)
+        np.add(a, d, out=a)
+        np.multiply(dt / 6.0, a, out=a)
+        np.add(e_full_v, a, out=v)
+    return bool(np.isfinite(v, out=finite).all())
 
-    np.multiply(e_full, a, out=a)
-    np.add(b, c, out=b)
-    np.multiply(two_e_half, b, out=b)
-    np.add(a, b, out=a)
-    np.add(a, d, out=a)
-    np.multiply(dt / 6.0, a, out=a)
-    # The result is allocated after the scratch buffers, so that freeing
-    # them leaves a hole below it that the next step reuses.  Freed at the
-    # top of the heap instead, glibc returns them to the system and the next
-    # step faults them back in: 73 page faults per step at n = 2048, not 1.
-    new = np.add(e_full_v, a)
-    if not np.all(np.isfinite(new)):
+
+def step(state: EvolutionState, p: SystemParams, dt: float) -> EvolutionState:
+    """One integrating-factor RK4 step of both fields (see _advance).
+
+    Checks the stability bound and the integrating factor, which is cached
+    read-only per (grid, params, dt) with the other step factors, then
+    advances a copy of the stacked spectra on a workspace of its own, so
+    calls share no mutable state and the input is left untouched.  The
+    result is allocated after the workspace: freed at the top of the heap
+    instead, glibc returns the workspace to the system and the next call
+    faults it back in.  Raises BlowupError when the result is not finite.
+    """
+    factors = _factors(state.grid, p, dt, state.t, state.steps)
+    ws = _workspace(state.grid.n)
+    v = np.stack((state.q1_hat, state.q2_hat))
+    if not _advance(v, ws, factors, dt):
         raise BlowupError(state.t + dt, state.steps + 1, _growth_rate(state.grid, p))
-    return EvolutionState(state.grid, state.t + dt, new[0], new[1], state.steps + 1)
+    return EvolutionState(state.grid, state.t + dt, v[0], v[1], state.steps + 1)
 
 
 def step_schedule(t_final: float, dt: float, snapshots) -> tuple[int, list[int]]:
@@ -353,7 +386,12 @@ def evolve(
     """Repeated stepping from t = 0 with snapshot capture.
 
     Snapshot times must lie in [0, t_final] and be integer multiples of dt.
-    t_final = 0 returns the inputs unchanged.
+    t_final = 0 returns the inputs unchanged.  Every step shares (grid, p,
+    dt), so the stability bound and the integrating factor are checked once;
+    the spectra are then advanced in place on one workspace for the whole
+    call, with the same bits step() would give.  Each snapshot is a fresh
+    inverse transform, sharing no memory with the workspace.  Raises
+    BlowupError at the first step whose result is not finite.
     """
     edge = max(
         abs(q1_0.values[0]), abs(q1_0.values[-1]), abs(q2_0.values[0]), abs(q2_0.values[-1])
@@ -365,14 +403,19 @@ def evolve(
         return [(q1_0, q2_0) for _ in snaps] or [(q1_0, q2_0)]
     n_steps, snap_steps = step_schedule(t_final, dt, snaps)
 
-    state = state_from_fields(q1_0, q2_0)
+    sgrid, v = _spectra(q1_0, q2_0)
+    t = q1_0.t
+    factors = _factors(sgrid, p, dt, t, 0)
+    ws = _workspace(sgrid.n)
     grid = q1_0.grid
     out = []
     if 0 in snap_steps:
         out.extend([(q1_0, q2_0)] * snap_steps.count(0))
     for i in range(1, n_steps + 1):
-        state = step(state, p, dt)
+        if not _advance(v, ws, factors, dt):
+            raise BlowupError(t + dt, i, _growth_rate(sgrid, p))
+        t = t + dt
         if i in snap_steps:
-            pair = fields_from_state(state, grid)
+            pair = _fields(v, t, grid)
             out.extend([pair] * snap_steps.count(i))
     return out

@@ -2,12 +2,15 @@
 and direct scattering.
 
 The sectionally analytic factors are assembled from the evolved eigenvector
-outer products, deliberately not reusing the bilinear-sum code path of the
-soliton evaluator: the two routes share only the phase exponent, which makes
-their agreement (reconstruct vs. evaluate) a meaningful cross-check.
+outer products by solving the bilinear (Cauchy) system, deliberately not
+reusing the dressing product of the soliton evaluator: the two routes share
+only the phase exponent, which makes their agreement (reconstruct vs. the
+evaluator) a meaningful cross-check.
 
-The same row/column rescaling trick as in the evaluator keeps every
-exponential bounded, exactly.
+A joint row/column rescaling of the interaction matrix keeps every
+exponential at non-positive real exponent and leaves the factors unchanged;
+the evaluator bounds its exponentials its own way, by dividing each evolved
+vector by its largest component.
 """
 
 from __future__ import annotations

@@ -178,6 +178,27 @@ def test_rh_check_passes_on_both_bundled_configs(tmp_path):
     assert cli.main(["rh-check", "--config", str(THIRD_ORDER), "--out", str(out), "--quiet"]) == 0
 
 
+def test_rh_check_evaluates_reconstruct_points_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    batch = nsoliton.fields_batch
+
+    def counted(data, p, x, t):
+        calls.append(np.shape(x))
+        return batch(data, p, x, t)
+
+    def report(name):
+        out = tmp_path / name
+        assert cli.main(["rh-check", "--config", str(THIRD_ORDER), "--out", str(out), "--quiet"]) == 0
+        return (out / "rh_report.csv").read_bytes()
+
+    reference = report("reference")
+    monkeypatch.setattr(nsoliton, "fields_batch", counted)
+    # the nine reconstruct points go to the evaluator in one batch, and the
+    # report is the same as without the counting wrapper
+    assert report("counted") == reference
+    assert calls == [(9,)]
+
+
 @pytest.mark.parametrize(
     "target, value, failing",
     [

@@ -407,3 +407,80 @@ def test_cached_step_factors_are_read_only(third_order_params):
     arrays = [f for f in factors if isinstance(f, np.ndarray)]
     assert len(arrays) == 6
     assert not any(a.flags.writeable for a in arrays)
+
+
+def _case_fields(case, n, third_order_params, default_params):
+    """(p, dt, q10, q20) of a bit-for-bit case."""
+    if case == "soliton":
+        grid = propagator.SpectralGrid(80.0, n)
+        return (third_order_params, 1e-3, *_soliton_fields(NARROW, third_order_params, grid, 0.0))
+    if case == "pair":
+        grid = propagator.SpectralGrid(160.0, n)
+        fields = nsoliton.fields_batch(PAIR, third_order_params, grid.points(), 0.0)
+        return (third_order_params, 2e-3, *_fields_on(grid, *fields))
+    grid = propagator.SpectralGrid(80.0, n)
+    wide = SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0)
+    return (default_params, 1e-3, *_soliton_fields(wide, default_params, grid, 0.0))
+
+
+def _bits(pair):
+    return tuple(f.values.view(np.int64).tobytes() for f in pair)
+
+
+@pytest.mark.parametrize(
+    "case, n, steps",
+    [("soliton", 1024, 200), ("soliton", 1023, 50), ("soliton", 3, 200), ("pair", 2048, 50),
+     ("blowup", 1024, 20)],
+)
+def test_evolve_matches_repeated_steps_bit_for_bit(case, n, steps, third_order_params, default_params):
+    # evolve advances one workspace in place; step() runs the same kernel on
+    # a workspace of its own per call, so a snapshot at every step must give
+    # the bytes of stepping and transforming back one step at a time
+    p, dt, q10, q20 = _case_fields(case, n, third_order_params, default_params)
+    times = [i * dt for i in range(steps + 1)]
+
+    def run():
+        # the edge guard is not under test: n = 3 samples no decaying tail
+        return propagator.evolve(q10, q20, p, times[-1], dt, times, edge_threshold=1.0)
+
+    state = propagator.state_from_fields(q10, q20)
+    want = [(q10, q20)]
+    try:
+        for _ in range(steps):
+            state = propagator.step(state, p, dt)
+            want.append(propagator.fields_from_state(state, q10.grid))
+    except propagator.BlowupError as step_err:
+        with pytest.raises(propagator.BlowupError) as info:
+            run()
+        assert (info.value.t, info.value.step, info.value.growth_rate) == (
+            step_err.t, step_err.step, step_err.growth_rate)
+        assert case == "blowup" and step_err.step == 7
+        return
+    assert case != "blowup", "the a2 = 1 run was expected to blow up"
+    got = run()
+    assert len(got) == len(want)
+    for (g1, g2), (w1, w2) in zip(got, want):
+        assert (g1.t, g2.t) == (w1.t, w2.t)
+        assert _bits((g1, g2)) == _bits((w1, w2))
+
+
+def test_evolve_snapshots_share_no_memory(third_order_params):
+    grid = propagator.SpectralGrid(80.0, 256)
+    q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
+    before = _bits((q10, q20))
+    snaps = propagator.evolve(q10, q20, third_order_params, 0.01, 1e-3, [0.005, 0.008, 0.01])
+    assert _bits((q10, q20)) == before
+    arrays = [q10.values, q20.values] + [f.values for pair in snaps for f in pair]
+    for i, x in enumerate(arrays):
+        for y in arrays[i + 1:]:
+            assert not np.shares_memory(x, y)
+
+
+def test_evolve_keeps_no_state_between_calls(third_order_params):
+    grid = propagator.SpectralGrid(80.0, 512)
+    q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
+    args = (q10, q20, third_order_params, 0.05, 1e-3, [0.02, 0.05])
+    first = [_bits(pair) for pair in propagator.evolve(*args)]
+    other = _soliton_fields(NARROW, third_order_params, propagator.SpectralGrid(40.0, 128), 0.0)
+    propagator.step(propagator.state_from_fields(*other), third_order_params, 2e-3)
+    assert [_bits(pair) for pair in propagator.evolve(*args)] == first
