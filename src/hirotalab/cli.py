@@ -479,34 +479,30 @@ def cmd_rh_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     kr = rh.kernel_report(data, params, x, t)
     report.check_le("kernel_max", kr.max_norm, float(tol["kernel"]))
 
-    def far_from_poles(z: complex) -> bool:
-        zs = data.zetas()
-        return (
-            np.abs(z - zs).min() > 1e-3 and np.abs(z - np.conj(zs)).min() > 1e-3
-            if len(data)
-            else True
-        )
+    poles = np.concatenate([data.zetas(), np.conj(data.zetas())])
 
-    sym = []
-    while len(sym) < int(opts["n_symmetry"]):
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, -0.05))
-        if not far_from_poles(z):
-            continue
-        lhs = np.conj(rh.rh_plus(np.conj(z), data, params, x, t).T)
-        rhs = rh.rh_minus(z, data, params, x, t)
-        sym.append(np.abs(lhs - rhs).max())
+    def samples(n: int, draw) -> np.ndarray:
+        # draw(i) proposes the i-th sample; one within 1e-3 of a pole is redrawn
+        zs = []
+        while len(zs) < n:
+            z = draw(len(zs))
+            if np.abs(z - poles).min(initial=np.inf) > 1e-3:
+                zs.append(z)
+        return np.array(zs)
+
+    n_sym = int(opts["n_symmetry"])
+    zs = samples(n_sym, lambda i: complex(rng.uniform(-2, 2), rng.uniform(-2, -0.05)))
+    lhs = np.conj(rh.rh_plus(np.conj(zs), data, params, x, t)).swapaxes(-1, -2)
+    sym = np.abs(lhs - rh.rh_minus(zs, data, params, x, t)).max(axis=(-2, -1))
     report.check_le("symmetry_max", _worst(sym), float(tol["symmetry"]))
 
-    prod = []
-    while len(prod) < int(opts["n_product"]):
-        if len(prod) < int(opts["n_product"]) // 2:
-            z = complex(rng.uniform(-2, 2), 0.0)
-        else:
-            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if not far_from_poles(z):
-            continue
-        m = rh.rh_minus(z, data, params, x, t) @ rh.rh_plus(z, data, params, x, t)
-        prod.append(np.abs(m - np.eye(3)).max())
+    n_prod = int(opts["n_product"])
+    zs = samples(
+        n_prod,
+        lambda i: complex(rng.uniform(-2, 2), 0.0 if i < n_prod // 2 else rng.uniform(-2, 2)),
+    )
+    m = rh.rh_minus(zs, data, params, x, t) @ rh.rh_plus(zs, data, params, x, t)
+    prod = np.abs(m - np.eye(3)).max(axis=(-2, -1))
     report.check_le("product_max", _worst(prod), float(tol["product"]))
 
     rec = []

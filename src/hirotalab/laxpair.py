@@ -2,12 +2,13 @@
 
 Jets of candidate solutions come from finite differences of the analytic
 evaluator, never from symbolic differentiation, so the convergence-order
-test absorbs the differencing error.
+test absorbs the differencing error.  The matrices take batched jets and
+arrays of zeta, so one spacing of the check is one pass at one (x, t): one
+evaluator call for every stencil centre, then every U and V at once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,47 +43,57 @@ class FieldJet:
     q2xx: complex
 
 
-def build_U(jet: FieldJet, zeta: complex, p: SystemParams) -> np.ndarray:
-    """Space part (i/2) zeta sigma - k1 Q with the antisymmetric potential Q."""
+def _matrix(shape: tuple, rows) -> np.ndarray:
+    """Complex shape + (3, 3) stack from three rows of entries of that shape or scalars."""
+    out = np.empty(shape + (3, 3), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
+
+
+def build_U(jet: FieldJet, zeta: np.typing.ArrayLike, p: SystemParams) -> np.ndarray:
+    """Space part (i/2) zeta sigma - k1 Q with the antisymmetric potential Q.
+
+    The jet's entries and zeta may be arrays; they broadcast together and the
+    result has their broadcast shape followed by (3, 3).
+    """
     q1, q2 = jet.q1, jet.q2
-    mat = np.array(
-        [
-            [0.0, q1, q2],
-            [-np.conj(q1), 0.0, 0.0],
-            [-np.conj(q2), 0.0, 0.0],
-        ],
-        dtype=complex,
-    )
+    mat = _matrix(np.shape(q1), [[0.0, q1, q2], [-np.conj(q1), 0.0, 0.0], [-np.conj(q2), 0.0, 0.0]])
+    zeta = np.asarray(zeta, dtype=complex)[..., None, None]
     return 0.5j * zeta * np.diag(_SIGMA_DIAG).astype(complex) - p.k1 * mat
 
 
-def build_V(jet: FieldJet, zeta: complex, p: SystemParams) -> np.ndarray:
+def build_V(jet: FieldJet, zeta: np.typing.ArrayLike, p: SystemParams) -> np.ndarray:
     """Time part, cubic in zeta, with all nine zeroth-order entries.
 
     The (2,3) zeroth-order entry uses the conjugated first derivative of q1,
     which is what the compatibility condition forces; with it the whole
-    zeta^0 block closes consistently.
+    zeta^0 block closes consistently.  Shapes broadcast as in build_U.
     """
     eps, k1, a2 = p.epsilon, p.k1, p.a2
-    q1, q2 = jet.q1, jet.q2
-    q1x, q2x = jet.q1x, jet.q2x
-    q1xx, q2xx = jet.q1xx, jet.q2xx
+    shape = np.broadcast_shapes(np.shape(jet.q1), np.shape(zeta)) + (3, 3)
+    # numpy's array loops round complex products (fused multiply-add) unlike its
+    # scalar math; raised to 1-d, one jet and zeta give the bits of a batch entry
+    q1, q2, q1x, q2x, q1xx, q2xx = (np.atleast_1d(getattr(jet, f.name)) for f in fields(jet))
     c1, c2 = np.conj(q1), np.conj(q2)
     c1x, c2x = np.conj(q1x), np.conj(q2x)
     dens = (q1 * c1 + q2 * c2).real
+    zeta = np.asarray(zeta, dtype=complex)[..., None, None]
 
     cubic = 0.5j * eps * zeta**3 * np.diag([1.0, -1.0, -1.0]).astype(complex)
 
-    quad = zeta**2 * np.array(
+    quad = zeta**2 * _matrix(
+        dens.shape,
         [
             [a2, eps * k1 * q1, eps * k1 * q2],
             [-eps * k1 * c1, -a2, 0.0],
             [-eps * k1 * c2, 0.0, -a2],
         ],
-        dtype=complex,
     )
 
-    lin = zeta * np.array(
+    lin = zeta * _matrix(
+        dens.shape,
         [
             [
                 -1j * eps * k1**2 * dens,
@@ -100,10 +111,9 @@ def build_V(jet: FieldJet, zeta: complex, p: SystemParams) -> np.ndarray:
                 1j * eps * k1**2 * q2 * c2,
             ],
         ],
-        dtype=complex,
     )
 
-    b = np.empty((3, 3), dtype=complex)
+    b = np.empty((3, 3) + dens.shape, dtype=complex)
     b[0, 0] = -2 * a2 * k1**2 * dens - eps * k1**2 * (q1 * c1x - c1 * q1x + q2 * c2x - c2 * q2x)
     b[0, 1] = -eps * k1 * q1xx + 2 * a2 * k1 * q1x - 2 * eps * k1**3 * q1 * dens
     b[0, 2] = -eps * k1 * q2xx + 2 * a2 * k1 * q2x - 2 * eps * k1**3 * q2 * dens
@@ -114,7 +124,7 @@ def build_V(jet: FieldJet, zeta: complex, p: SystemParams) -> np.ndarray:
     b[2, 1] = -eps * k1**2 * (c2 * q1x - q1 * c2x) + 2 * a2 * k1**2 * c2 * q1
     b[2, 2] = -eps * k1**2 * (c2 * q2x - c2x * q2) + 2 * a2 * k1**2 * q2 * c2
 
-    return cubic + quad + lin + b
+    return (cubic + quad + lin + np.moveaxis(b, (0, 1), (-2, -1))).reshape(shape)
 
 
 def jet_at(
@@ -148,7 +158,7 @@ def jet_at(
 def zero_curvature_residual(
     data: SpectralData,
     p: SystemParams,
-    zeta: complex | Sequence[complex],
+    zeta: np.typing.ArrayLike,
     x: float,
     t: float,
     h: float,
@@ -156,9 +166,8 @@ def zero_curvature_residual(
 ) -> np.ndarray:
     """U_t - V_x + [U, V] on the analytic solution, by finite differences.
 
-    zeta is one spectral parameter (result 3x3) or a sequence of k of them
-    (result (k, 3, 3)); the jets do not depend on zeta and are built once,
-    in one call of jet_at.  For exact solutions the sup norm decreases at
+    zeta is one spectral parameter (result 3x3) or an array of them (result
+    zeta.shape + (3, 3)).  For exact solutions the sup norm decreases at
     the stencil's nominal order under h-refinement.
     """
     if h <= 0:
@@ -170,19 +179,14 @@ def zero_curvature_residual(
     xs = [x] * len(side) + [x + o * h for o, _ in side] + [x]
     ts = [t + o * h for o, _ in side] + [t] * len(side) + [t]
     batch = jet_at(data, p, np.array(xs), np.array(ts), h, order)
-    entries = [getattr(batch, f.name) for f in fields(FieldJet)]
-    jets = [FieldJet(*(complex(e[i]) for e in entries)) for i in range(len(xs))]
-    jets_t, jets_x, jet0 = jets[: len(side)], jets[len(side) : -1], jets[-1]
-
-    def residual(z: complex) -> np.ndarray:
-        u_t = sum(c * build_U(jet, z, p) for (_, c), jet in zip(side, jets_t))
-        v_x = sum(c * build_V(jet, z, p) for (_, c), jet in zip(side, jets_x))
-        u0, v0 = build_U(jet0, z, p), build_V(jet0, z, p)
-        return u_t - v_x + u0 @ v0 - v0 @ u0
-
-    if np.ndim(zeta) == 0:
-        return residual(zeta)
-    return np.array([residual(z) for z in zeta])
+    zeta = np.asarray(zeta, dtype=complex)
+    # one jet per centre along the first axis, broadcast against zeta's axes
+    shape = (-1,) + (1,) * zeta.ndim
+    jets = FieldJet(*(getattr(batch, f.name).reshape(shape) for f in fields(FieldJet)))
+    u, v = build_U(jets, zeta, p), build_V(jets, zeta, p)
+    u_t = sum(c * u[i] for i, (_, c) in enumerate(side))
+    v_x = sum(c * v[len(side) + i] for i, (_, c) in enumerate(side))
+    return u_t - v_x + u[-1] @ v[-1] - v[-1] @ u[-1]
 
 
 def default_zeta_samples() -> list[complex]:

@@ -29,7 +29,6 @@ __all__ = [
     "AlphaNotOneError",
     "ZeroBetaGammaError",
     "fields_batch",
-    "evaluate",
     "one_soliton",
     "sample",
     "envelope_velocity",
@@ -144,12 +143,6 @@ def _check(bad: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         raise SingularMatrixError(float(x[i]), float(t[i]))
-
-
-def evaluate(data: SpectralData, p: SystemParams, x: float, t: float) -> tuple[complex, complex]:
-    """Pointwise N-soliton fields (q1, q2) at (x, t)."""
-    q1, q2 = fields_batch(data, p, np.array([float(x)]), float(t))
-    return complex(q1[0]), complex(q2[0])
 
 
 def one_soliton(d: SpectralDatum, p: SystemParams, x, t):

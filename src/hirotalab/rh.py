@@ -11,6 +11,10 @@ A joint row/column rescaling of the interaction matrix keeps every
 exponential at non-positive real exponent and leaves the factors unchanged;
 the evaluator bounds its exponentials its own way, by dividing each evolved
 vector by its largest component.
+
+The factors take one spectral parameter (result 3x3) or an array of them
+(result zeta.shape + (3, 3)) and build the scaled vectors once per call, so
+a check of many zeta at one (x, t) is one pass: one stacked solve.
 """
 
 from __future__ import annotations
@@ -104,30 +108,37 @@ def _scaled_vectors(data: SpectralData, p: SystemParams, x: float, t: float):
     return v, vhat, m_scaled, zetas
 
 
-def rh_plus(zeta: complex, data: SpectralData, p: SystemParams, x: float, t: float) -> np.ndarray:
+def _check_poles(zeta: np.ndarray, poles: np.ndarray) -> None:
+    """Raise PoleHitError for the first zeta within POLE_RADIUS of a pole."""
+    dist = np.abs(zeta[..., None] - poles).reshape(-1, len(poles))
+    hit = dist.min(axis=1) < POLE_RADIUS
+    if hit.any():
+        i = int(np.argmax(hit))
+        raise PoleHitError(complex(zeta.flat[i]), complex(poles[dist[i].argmin()]))
+
+
+def rh_plus(zeta, data: SpectralData, p: SystemParams, x: float, t: float) -> np.ndarray:
     """Upper-half-plane factor: identity minus the pole sum over zeta_j*."""
+    zeta = np.asarray(zeta, dtype=complex)
     if len(data) == 0:
-        return np.eye(3, dtype=complex)
+        return np.tile(np.eye(3, dtype=complex), zeta.shape + (1, 1))
     v, vhat, m_scaled, zetas = _scaled_vectors(data, p, x, t)
     poles = np.conj(zetas)
-    nearest = np.abs(zeta - poles).min()
-    if nearest < POLE_RADIUS:
-        raise PoleHitError(zeta, complex(poles[np.abs(zeta - poles).argmin()]))
-    y = vhat / (zeta - poles)[:, None]
+    _check_poles(zeta, poles)
+    y = vhat / (zeta[..., None] - poles)[..., None]
     z = np.linalg.solve(m_scaled, y)
     return np.eye(3, dtype=complex) - v.T @ z
 
 
-def rh_minus(zeta: complex, data: SpectralData, p: SystemParams, x: float, t: float) -> np.ndarray:
+def rh_minus(zeta, data: SpectralData, p: SystemParams, x: float, t: float) -> np.ndarray:
     """Lower-half-plane factor: identity plus the pole sum over zeta_k."""
+    zeta = np.asarray(zeta, dtype=complex)
     if len(data) == 0:
-        return np.eye(3, dtype=complex)
+        return np.tile(np.eye(3, dtype=complex), zeta.shape + (1, 1))
     v, vhat, m_scaled, zetas = _scaled_vectors(data, p, x, t)
-    nearest = np.abs(zeta - zetas).min()
-    if nearest < POLE_RADIUS:
-        raise PoleHitError(zeta, complex(zetas[np.abs(zeta - zetas).argmin()]))
+    _check_poles(zeta, zetas)
     z = np.linalg.solve(m_scaled, vhat)
-    return np.eye(3, dtype=complex) + (v.T / (zeta - zetas)[None, :]) @ z
+    return np.eye(3, dtype=complex) + (v.T / (zeta[..., None, None] - zetas)) @ z
 
 
 def rh_plus_order1(data: SpectralData, p: SystemParams, x: float, t: float) -> np.ndarray:
@@ -141,18 +152,14 @@ def rh_plus_order1(data: SpectralData, p: SystemParams, x: float, t: float) -> n
 
 def kernel_report(data: SpectralData, p: SystemParams, x: float, t: float) -> KernelReport:
     """Relative norms of the factor-kernel conditions at every eigenvalue."""
-    right, left = [], []
     if len(data) == 0:
         return KernelReport((), ())
     v, vhat, _, zetas = _scaled_vectors(data, p, x, t)
-    for j, d in enumerate(data):
-        p1 = rh_plus(complex(zetas[j]), data, p, x, t)
-        r = np.linalg.norm(p1 @ v[j]) / np.linalg.norm(v[j])
-        p2 = rh_minus(complex(np.conj(zetas[j])), data, p, x, t)
-        l = np.linalg.norm(vhat[j] @ p2) / np.linalg.norm(vhat[j])
-        right.append(float(r))
-        left.append(float(l))
-    return KernelReport(tuple(right), tuple(left))
+    plus = rh_plus(zetas, data, p, x, t)
+    minus = rh_minus(np.conj(zetas), data, p, x, t)
+    right = [np.linalg.norm(p1 @ vj) / np.linalg.norm(vj) for p1, vj in zip(plus, v)]
+    left = [np.linalg.norm(wj @ p2) / np.linalg.norm(wj) for p2, wj in zip(minus, vhat)]
+    return KernelReport(tuple(map(float, right)), tuple(map(float, left)))
 
 
 def reconstruct(data: SpectralData, p: SystemParams, x: float, t: float) -> tuple[complex, complex]:

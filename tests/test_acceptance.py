@@ -173,7 +173,7 @@ def test_criterion_4_rh_consistency():
                 prod_worst = max(prod_worst, np.abs(prod - np.eye(3)).max())
                 count += 1
             qr = rh.reconstruct(data, DEFAULT_PARAMS, x, t)
-            qe = nsoliton.evaluate(data, DEFAULT_PARAMS, x, t)
+            qe = nsoliton.fields_batch(data, DEFAULT_PARAMS, x, t)
             rec_worst = max(rec_worst, abs(qr[0] - qe[0]), abs(qr[1] - qe[1]))
     elapsed = time.perf_counter() - start
     ok = (

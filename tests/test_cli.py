@@ -285,6 +285,13 @@ def test_exact_eight_soliton_data_pass_residual_and_zero_curvature(tmp_path, see
         assert cli.main([command, "--config", path, "--out", out, "--quiet"]) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("seed", [11, 12, 13, 9701])
+def test_exact_eight_soliton_data_pass_scatter(tmp_path, seed):
+    # default tolerances: det_s_max_err reads about 8.1e-9 against 1e-8 here
+    path = _write_config(tmp_path, nsoliton_doc(seed))
+    assert cli.main(["scatter", "--config", path, "--out", str(tmp_path), "--quiet"]) == cli.EXIT_OK
+
+
 def test_scatter_smaller_domain(tmp_path):
     doc = _third_order_doc()
     doc["scatter"] = {

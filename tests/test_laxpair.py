@@ -135,7 +135,24 @@ def test_residual_over_zeta_samples_matches_scalar_calls(third_order_params, ord
         for z in zetas
     ])
     assert batch.shape == single.shape == (10, 3, 3)
-    assert np.all(batch == single)
+    assert np.array_equal(batch.view(np.int64), single.view(np.int64))
+
+
+@pytest.mark.parametrize("build", ["build_U", "build_V"])
+def test_lax_matrices_over_batched_jets_and_zetas_match_scalar_calls(third_order_params, build):
+    xs = np.array([2.0, 1.9, -7.5])
+    batch = laxpair.jet_at(TWO_SOLITON, third_order_params, xs, 0.5, 1e-2)
+    zetas = np.array(laxpair.default_zeta_samples())
+    fn = getattr(laxpair, build)
+    jets = laxpair.FieldJet(*(getattr(batch, f.name)[:, None] for f in fields(laxpair.FieldJet)))
+    mats = fn(jets, zetas, third_order_params)
+    assert mats.shape == (3, 10, 3, 3)
+    for i in range(len(xs)):
+        jet = laxpair.FieldJet(*(complex(getattr(batch, f.name)[i]) for f in fields(laxpair.FieldJet)))
+        for k, z in enumerate(zetas):
+            single = fn(jet, complex(z), third_order_params)
+            assert single.shape == (3, 3)
+            assert np.array_equal(mats[i, k].view(np.int64), single.view(np.int64))
 
 
 @pytest.mark.parametrize("order, h", [(2, 1e-2), (4, 0.1)])

@@ -16,7 +16,7 @@ moderate = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
 
 def test_evaluate_origin(default_data, default_params):
-    q1, q2 = nsoliton.evaluate(default_data, default_params, 0.0, 0.0)
+    q1, q2 = nsoliton.fields_batch(default_data, default_params, 0.0, 0.0)
     assert abs(q1 - (-1.0 / 15.0)) < 1e-13
     assert abs(q2 - (-2.0 / 15.0)) < 1e-13
 
@@ -24,7 +24,7 @@ def test_evaluate_origin(default_data, default_params):
 def test_evaluate_zero_beta_kills_q1(default_params):
     data = SpectralData((SpectralDatum(0.3 + 0.2j, 1.0, 0.0, 2.0),))
     for x, t in ((0.0, 0.0), (3.0, 1.0), (-7.0, 5.0)):
-        q1, q2 = nsoliton.evaluate(data, default_params, x, t)
+        q1, q2 = nsoliton.fields_batch(data, default_params, x, t)
         assert q1 == 0.0
         assert q2 != 0.0
 
@@ -40,7 +40,7 @@ def test_evaluate_matches_closed_form(default_datum, default_data, default_param
 
 def test_evaluate_graceful_far_field(default_data, default_params):
     for x in (5.0e3, -5.0e3):
-        q1, q2 = nsoliton.evaluate(default_data, default_params, x, 0.0)
+        q1, q2 = nsoliton.fields_batch(default_data, default_params, x, 0.0)
         assert q1 == 0.0 and q2 == 0.0
 
 
@@ -209,8 +209,8 @@ def test_phase_covariance(phi):
         )
     )
     for x, t in ((0.4, 0.0), (-2.0, 1.5)):
-        q1, q2 = nsoliton.evaluate(base, p, x, t)
-        r1, r2 = nsoliton.evaluate(rotated, p, x, t)
+        q1, q2 = nsoliton.fields_batch(base, p, x, t)
+        r1, r2 = nsoliton.fields_batch(rotated, p, x, t)
         assert abs(r1 - q1 * np.exp(-1j * phi)) < 1e-12
         assert abs(r2 - q2 * np.exp(-1j * phi)) < 1e-12
         assert abs(abs(r1) - abs(q1)) < 1e-12
@@ -254,7 +254,7 @@ def test_sample_degenerate_grid_matches_evaluate(default_data, default_params):
     (q1, q2), = nsoliton.sample(default_data, default_params, grid, [0.7])
     assert q1.grid.nx == 2
     for i, x in enumerate(grid.points()):
-        e1, e2 = nsoliton.evaluate(default_data, default_params, float(x), 0.7)
+        e1, e2 = nsoliton.fields_batch(default_data, default_params, float(x), 0.7)
         assert abs(q1.values[i] - e1) < 1e-15
         assert abs(q2.values[i] - e2) < 1e-15
 

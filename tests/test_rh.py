@@ -41,6 +41,38 @@ def test_pole_guard(default_data, default_params):
         rh.rh_minus(0.3 + 0.2j, default_data, default_params, 0.0, 0.0)
 
 
+def _bits(a) -> np.ndarray:
+    return np.asarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("factor", ["rh_plus", "rh_minus"])
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+def test_factor_over_zeta_array_matches_scalar_calls(default_params, factor, n):
+    data = make_random_data(n, seed=40 + n) if n else SpectralData(())
+    rng = np.random.default_rng(n)
+    zetas = rng.uniform(-2, 2, 12) + 1j * rng.uniform(-2, 2, 12)
+    zetas[:4] = zetas[:4].real
+    fn = getattr(rh, factor)
+    batch = fn(zetas, data, default_params, 0.7, 0.4)
+    single = [fn(complex(z), data, default_params, 0.7, 0.4) for z in zetas]
+    assert batch.shape == (12, 3, 3) and all(s.shape == (3, 3) for s in single)
+    assert np.array_equal(_bits(batch), _bits(np.stack(single)))
+    # any array shape: the result keeps zeta's shape in front of (3, 3)
+    grid = fn(zetas.reshape(3, 4), data, default_params, 0.7, 0.4)
+    assert np.array_equal(_bits(grid), _bits(batch.reshape(3, 4, 3, 3)))
+
+
+def test_pole_guard_names_the_zeta_of_a_batch(default_data, default_params):
+    pole = 0.3 - 0.2j  # rh_plus has its pole at zeta_1*, rh_minus at zeta_1
+    near = pole + 0.5 * rh.POLE_RADIUS
+    with pytest.raises(rh.PoleHitError) as hit:
+        rh.rh_plus(np.array([1.0, 0.5j, near, pole, 2.0]), default_data, default_params, 0.0, 0.0)
+    assert (hit.value.zeta, hit.value.pole) == (near, pole)  # the first hit of the batch
+    with pytest.raises(rh.PoleHitError) as hit:
+        rh.rh_minus(np.array([np.conj(near), 1.0]), default_data, default_params, 0.0, 0.0)
+    assert (hit.value.zeta, hit.value.pole) == (np.conj(near), np.conj(pole))
+
+
 def test_kernel_conditions_one_soliton(default_data, default_params):
     report = rh.kernel_report(default_data, default_params, 0.0, 0.0)
     assert report.max_norm <= 1e-12
@@ -91,7 +123,7 @@ def test_reconstruct_matches_evaluate(default_params):
         data = make_random_data(n, seed=seed)
         for x, t in ((0.0, 0.0), (1.3, -0.8), (-4.0, 2.0)):
             qr = rh.reconstruct(data, default_params, x, t)
-            qe = nsoliton.evaluate(data, default_params, x, t)
+            qe = nsoliton.fields_batch(data, default_params, x, t)
             assert abs(qr[0] - qe[0]) < 1e-13
             assert abs(qr[1] - qe[1]) < 1e-13
 
