@@ -75,7 +75,7 @@ DEFAULT_SCATTER = {
     "x_max": 60.0,
     "spacing": 0.01,
     "real_zetas": [0.3, 0.5, 0.7, 0.9, 1.1],
-    "tail_threshold": 1e-5,
+    "tail_threshold": rh.TAIL_THRESHOLD,
 }
 DEFAULT_PROPAGATE = {
     "length": 80.0,
@@ -83,7 +83,7 @@ DEFAULT_PROPAGATE = {
     "dt": 1e-3,
     "t_final": 1.0,
     "snapshots": [1.0],
-    "edge_threshold": 1e-9,
+    "edge_threshold": propagator.EDGE_THRESHOLD,
 }
 
 

@@ -10,9 +10,9 @@ stacks the two spectra v on their derivatives ik v, and one forward
 transform of the (2, n) nonlinear term.
 
 One kernel, _advance, steps the stacked spectra in place on a workspace
-that its caller passes in.  evolve() checks the stability bound and looks
-up the step factors once, allocates one workspace and runs the kernel once
-per step; step() does the same for a single step on a copy of its input.
+that its caller passes in.  evolve(), the one entry point, checks the
+stability bound and looks up the step factors once, allocates one workspace
+and runs the kernel once per step.
 The factors, cached per (grid, params, dt) and read-only, are ik, the
 dealias mask (stored as complex), the integrating factors e_half and
 e_full, the products dt e_half and 2 e_half, and the two scalar
@@ -41,12 +41,9 @@ __all__ = [
     "EdgeDecayError",
     "BlowupError",
     "SpectralGrid",
-    "EvolutionState",
     "linear_symbol",
-    "state_from_fields",
-    "fields_from_state",
+    "check_stability",
     "step_schedule",
-    "step",
     "evolve",
 ]
 
@@ -114,17 +111,6 @@ class SpectralGrid:
         return (np.abs(np.fft.fftfreq(self.n)) < 1.0 / 3.0).astype(float)
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionState:
-    """Fourier-side snapshot of both fields at time t, after `steps` steps."""
-
-    grid: SpectralGrid
-    t: float
-    q1_hat: np.ndarray
-    q2_hat: np.ndarray
-    steps: int = 0
-
-
 def linear_symbol(k: np.ndarray, p: SystemParams) -> np.ndarray:
     """Per-mode symbol of the linearized evolution q_t = -2 a2 q_xx + eps q_xxx.
 
@@ -136,24 +122,12 @@ def linear_symbol(k: np.ndarray, p: SystemParams) -> np.ndarray:
     return 2.0 * p.a2 * k**2 - 1j * p.epsilon * k**3
 
 
-def state_from_fields(q1: ComplexField, q2: ComplexField) -> EvolutionState:
-    """Transform sampled fields into an evolution state.
-
-    The field grid must be uniform and must exclude the periodic wrap point
-    (spacing * nx == domain length).  Mode m of the domain lands in bin m
-    with weight nx: the forward transform is unnormalized.
-    """
-    sgrid, hat = _spectra(q1, q2)
-    return EvolutionState(sgrid, q1.t, hat[0], hat[1])
-
-
-def fields_from_state(state: EvolutionState, grid: Grid1D) -> tuple[ComplexField, ComplexField]:
-    """Normalized inverse of state_from_fields, sampled on grid."""
-    return _fields(np.stack((state.q1_hat, state.q2_hat)), state.t, grid)
-
-
 def _spectra(q1: ComplexField, q2: ComplexField) -> tuple[SpectralGrid, np.ndarray]:
-    """The spectral grid of two fields and their stacked (2, n) spectra."""
+    """The spectral grid of two fields and their stacked (2, n) spectra.
+
+    The field grid must exclude the periodic wrap point (spacing * nx ==
+    domain length).  Mode m lands in bin m with weight nx.
+    """
     if q1.grid != q2.grid or q1.t != q2.t:
         raise ValueError("fields must share grid and time")
     g = q1.grid
@@ -216,16 +190,6 @@ def _step_factors(grid: SpectralGrid, p: SystemParams, dt: float) -> tuple:
         a.flags.writeable = False
     ksq = p.k1 * p.k1
     return arrays + (3.0 * p.epsilon * ksq, -4.0 * ksq * p.a2)
-
-
-def _factors(grid: SpectralGrid, p: SystemParams, dt: float, t: float, steps: int) -> tuple:
-    """Check the stability bound, then return _step_factors for a step from
-    (t, steps); an overflowing integrating factor fails that step."""
-    check_stability(grid, p, dt)
-    try:
-        return _step_factors(grid, p, dt)
-    except FloatingPointError as exc:
-        raise BlowupError(t, steps + 1, _growth_rate(grid, p)) from exc
 
 
 def _workspace(n: int) -> tuple:
@@ -335,25 +299,6 @@ def _advance(v: np.ndarray, ws: tuple, factors: tuple, dt: float) -> bool:
     return bool(np.isfinite(v, out=finite).all())
 
 
-def step(state: EvolutionState, p: SystemParams, dt: float) -> EvolutionState:
-    """One integrating-factor RK4 step of both fields (see _advance).
-
-    Checks the stability bound and the integrating factor, which is cached
-    read-only per (grid, params, dt) with the other step factors, then
-    advances a copy of the stacked spectra on a workspace of its own, so
-    calls share no mutable state and the input is left untouched.  The
-    result is allocated after the workspace: freed at the top of the heap
-    instead, glibc returns the workspace to the system and the next call
-    faults it back in.  Raises BlowupError when the result is not finite.
-    """
-    factors = _factors(state.grid, p, dt, state.t, state.steps)
-    ws = _workspace(state.grid.n)
-    v = np.stack((state.q1_hat, state.q2_hat))
-    if not _advance(v, ws, factors, dt):
-        raise BlowupError(state.t + dt, state.steps + 1, _growth_rate(state.grid, p))
-    return EvolutionState(state.grid, state.t + dt, v[0], v[1], state.steps + 1)
-
-
 def step_schedule(t_final: float, dt: float, snapshots) -> tuple[int, list[int]]:
     """Number of steps to t_final and the step index of each snapshot, sorted.
 
@@ -383,29 +328,32 @@ def evolve(
     snapshots,
     edge_threshold: float = EDGE_THRESHOLD,
 ) -> list[tuple[ComplexField, ComplexField]]:
-    """Repeated stepping from t = 0 with snapshot capture.
+    """Repeated stepping from the inputs' time with snapshot capture.
 
     Snapshot times must lie in [0, t_final] and be integer multiples of dt.
     t_final = 0 returns the inputs unchanged.  Every step shares (grid, p,
     dt), so the stability bound and the integrating factor are checked once;
     the spectra are then advanced in place on one workspace for the whole
-    call, with the same bits step() would give.  Each snapshot is a fresh
-    inverse transform, sharing no memory with the workspace.  Raises
-    BlowupError at the first step whose result is not finite.
+    call.  Each snapshot is a fresh inverse transform, sharing no memory
+    with the workspace.  Raises BlowupError at the first step whose result
+    is not finite, or at step 1 when the integrating factor overflows.
     """
     edge = max(
         abs(q1_0.values[0]), abs(q1_0.values[-1]), abs(q2_0.values[0]), abs(q2_0.values[-1])
     )
     if edge > edge_threshold:
         raise EdgeDecayError(float(edge), edge_threshold)
-    snaps = sorted(float(s) for s in snapshots)
+    n_steps, snap_steps = step_schedule(t_final, dt, snapshots)
     if t_final == 0.0:
-        return [(q1_0, q2_0) for _ in snaps] or [(q1_0, q2_0)]
-    n_steps, snap_steps = step_schedule(t_final, dt, snaps)
+        return [(q1_0, q2_0) for _ in snap_steps] or [(q1_0, q2_0)]
 
     sgrid, v = _spectra(q1_0, q2_0)
     t = q1_0.t
-    factors = _factors(sgrid, p, dt, t, 0)
+    check_stability(sgrid, p, dt)
+    try:
+        factors = _step_factors(sgrid, p, dt)
+    except FloatingPointError as exc:
+        raise BlowupError(t, 1, _growth_rate(sgrid, p)) from exc
     ws = _workspace(sgrid.n)
     grid = q1_0.grid
     out = []
