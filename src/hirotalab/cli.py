@@ -299,9 +299,13 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_text(path: Path, text: str) -> None:
+def _open_text(path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as handle:
+    return open(path, "w", newline="\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _open_text(path) as handle:
         handle.write(text)
 
 
@@ -344,13 +348,49 @@ class Report:
                 print(f"  [{'PASS' if ok else 'FAIL'}] {name} = {value:.6g} (threshold {threshold})")
 
 
-def _field_csv(q1: ComplexField, q2: ComplexField) -> str:
-    # one %-format per row over Python floats renders every value as _fmt does
-    row = ",".join(["%.17g"] * 7)
-    lines = ["x,re_q1,im_q1,abs_q1,re_q2,im_q2,abs_q2"]
-    for x, a, b in zip(q1.grid.points().tolist(), q1.values.tolist(), q2.values.tolist()):
-        lines.append(row % (x, a.real, a.imag, abs(a), b.real, b.imag, abs(b)))
-    return "\n".join(lines) + "\n"
+# Rows per %-operation of the field writers; bounds the strings one block makes.
+FIELD_BLOCK = 1024
+
+
+def _row_templates(leads: list[str], sep: str) -> list[str]:
+    """%-templates of FIELD_BLOCK rows each: a row is its lead, then six %.17g values."""
+    tail = (sep + "%.17g") * 6 + "\n"
+    return [
+        "".join([lead + tail for lead in leads[i : i + FIELD_BLOCK]])
+        for i in range(0, len(leads), FIELD_BLOCK)
+    ]
+
+
+def _columns(q1: ComplexField, q2: ComplexField) -> np.ndarray:
+    """(nx, 6) columns re, im, abs of q1, then of q2.
+
+    np.hypot is libm's hypot, which abs(complex) uses too, so each abs
+    prints as _fmt(abs(z)) does; np.abs can differ in the last bit.
+    """
+    cols = np.empty((q1.grid.nx, 6))
+    for k, v in ((0, q1.values), (3, q2.values)):
+        cols[:, k], cols[:, k + 1] = v.real, v.imag
+        cols[:, k + 2] = np.hypot(v.real, v.imag)
+    return cols
+
+
+def _write_blocks(handle, templates: list[str], cols: np.ndarray) -> None:
+    """Stream the (rows, 6) value columns through the block templates."""
+    for i, template in enumerate(templates):
+        block = cols[i * FIELD_BLOCK : (i + 1) * FIELD_BLOCK]
+        handle.write(template % tuple(block.ravel().tolist()))
+
+
+def _x_column(grid: Grid1D) -> list[str]:
+    """The grid's x values as every field file prints them."""
+    return [_fmt(x) for x in grid.points().tolist()]
+
+
+def _write_fields(path: Path, templates: list[str], q1: ComplexField, q2: ComplexField) -> None:
+    """Write the field CSV of q1, q2; templates is _row_templates(_x_column(grid), ",")."""
+    with _open_text(path) as handle:
+        handle.write("x,re_q1,im_q1,abs_q1,re_q2,im_q2,abs_q2\n")
+        _write_blocks(handle, templates, _columns(q1, q2))
 
 
 def _worst(values) -> float:
@@ -364,20 +404,26 @@ def _time_tag(t: float) -> str:
 
 def cmd_sample(cfg: RunConfig, out: Path, quiet: bool) -> int:
     pairs = nsoliton.sample(cfg.spectral, cfg.params, cfg.grid, cfg.times)
+    xcol = _x_column(cfg.grid)
+    templates = _row_templates(xcol, ",")
     names = []
     for (q1, q2), t in zip(pairs, cfg.times):
         name = f"fields_t{_time_tag(t)}.csv"
-        _write_text(out / name, _field_csv(q1, q2))
+        _write_fields(out / name, templates, q1, q2)
         names.append(name)
         if not quiet:
             print(f"  wrote {name}")
     if cfg.emit_plots and names:
-        _emit_plot_scripts(cfg, out, names, pairs)
+        _emit_plot_scripts(cfg, out, names, pairs, xcol)
     return EXIT_OK
 
 
 def _emit_plot_scripts(
-    cfg: RunConfig, out: Path, names: list[str], pairs: list[tuple[ComplexField, ComplexField]]
+    cfg: RunConfig,
+    out: Path,
+    names: list[str],
+    pairs: list[tuple[ComplexField, ComplexField]],
+    xcol: list[str],
 ) -> None:
     slice_lines = [
         "set datafile separator ','",
@@ -396,14 +442,14 @@ def _emit_plot_scripts(
         slice_lines.append(f"plot {plots}")
     _write_text(out / "plot_slices.gp", "\n".join(slice_lines) + "\n")
 
-    surf_rows = ["# x t abs_q1 abs_q2 re_q1 re_q2 im_q1 im_q2"]
-    row = " ".join(["%.17g"] * 8)
-    xs = cfg.grid.points().tolist()
-    for (q1, q2), t in zip(pairs, cfg.times):
-        for x, a, b in zip(xs, q1.values.tolist(), q2.values.tolist()):
-            surf_rows.append(row % (x, t, abs(a), abs(b), a.real, b.real, a.imag, b.imag))
-        surf_rows.append("")
-    _write_text(out / "surface.dat", "\n".join(surf_rows) + "\n")
+    with _open_text(out / "surface.dat") as handle:
+        handle.write("# x t abs_q1 abs_q2 re_q1 re_q2 im_q1 im_q2\n")
+        for (q1, q2), t in zip(pairs, cfg.times):
+            lead = " " + _fmt(t)
+            templates = _row_templates([x + lead for x in xcol], " ")
+            # abs, re, im, each of q1 then of q2
+            _write_blocks(handle, templates, _columns(q1, q2)[:, [2, 5, 0, 3, 1, 4]])
+            handle.write("\n")
     surf_lines = [
         "set xlabel 'x'",
         "set ylabel 't'",
@@ -454,12 +500,10 @@ def cmd_zero_curvature(cfg: RunConfig, out: Path, quiet: bool) -> int:
         spacings = [float(h) for h in opts[key]]
         lo, hi = (float(v) for v in cfg.tolerances[band_key])
         # sups[j][iz]: sup norm of the residual at spacing j and sample iz
-        sups = [
-            np.abs(
-                laxpair.zero_curvature_residual(cfg.spectral, cfg.params, zetas, x, t, h, order)
-            ).max(axis=(1, 2)).tolist()
-            for h in spacings
-        ]
+        res = laxpair.zero_curvature_residual(
+            cfg.spectral, cfg.params, zetas, x, t, spacings, order
+        )
+        sups = np.abs(res).max(axis=(-2, -1)).tolist()
         for iz in range(len(zetas)):
             for j in range(len(sups) - 1):
                 ratio = sups[j][iz] / sups[j + 1][iz] if sups[j + 1][iz] > 0 else float("inf")
@@ -569,13 +613,14 @@ def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> int:
         return EXIT_VERIFICATION
 
     table = ["t,linf_error_q1,linf_error_q2"]
+    templates = _row_templates(_x_column(grid), ",")
     final_err = 0.0
     for (e1, e2), tt in zip(evolved, snaps):
         a1, a2 = analytic(tt)
         err1 = float(np.abs(e1.values - a1.values).max())
         err2 = float(np.abs(e2.values - a2.values).max())
         table.append(f"{_fmt(tt)},{_fmt(err1)},{_fmt(err2)}")
-        _write_text(out / f"snapshot_t{_time_tag(tt)}.csv", _field_csv(e1, e2))
+        _write_fields(out / f"snapshot_t{_time_tag(tt)}.csv", templates, e1, e2)
         if tt == snaps[-1]:
             final_err = max(err1, err2)
     _write_text(out / "propagation_table.csv", "\n".join(table) + "\n")

@@ -3,8 +3,9 @@
 Jets of candidate solutions come from finite differences of the analytic
 evaluator, never from symbolic differentiation, so the convergence-order
 test absorbs the differencing error.  The matrices take batched jets and
-arrays of zeta, so one spacing of the check is one pass at one (x, t): one
-evaluator call for every stencil centre, then every U and V at once.
+arrays of zeta, so one ladder of the check is one pass at one (x, t): one
+evaluator call for every stencil centre of every spacing, then every U and
+V at once.
 """
 
 from __future__ import annotations
@@ -132,19 +133,20 @@ def jet_at(
     p: SystemParams,
     x: float | np.ndarray,
     t: float | np.ndarray,
-    h: float,
+    h: float | np.ndarray,
     order: int = 2,
 ) -> FieldJet:
     """Jet of the analytic solution at (x, t) by central differences in x.
 
-    x and t may be arrays of centres, broadcast together; each entry of the
-    jet then has their broadcast shape.  All centres go through one call of
-    the evaluator, and each centre's jet is bit for bit the one its own call
-    gives.
+    x and t may be arrays of centres and h an array of spacings, all
+    broadcast together; each entry of the jet then has their broadcast
+    shape.  All centres go through one call of the evaluator, and each
+    centre's jet is bit for bit the one its own call gives.
     """
     (w1, div1), (w2, div2) = stencil(order, 1), stencil(order, 2)
     mid = len(w1) // 2
-    xs = np.asarray(x, dtype=float)[..., None] + h * np.arange(-mid, mid + 1)
+    h = np.asarray(h, dtype=float)
+    xs = np.asarray(x, dtype=float)[..., None] + h[..., None] * np.arange(-mid, mid + 1)
     q = np.stack(fields_batch(data, p, xs, np.asarray(t, dtype=float)[..., None]))
 
     def derivative(weights, scale):
@@ -161,31 +163,39 @@ def zero_curvature_residual(
     zeta: np.typing.ArrayLike,
     x: float,
     t: float,
-    h: float,
+    h: float | np.typing.ArrayLike,
     order: int = 2,
 ) -> np.ndarray:
     """U_t - V_x + [U, V] on the analytic solution, by finite differences.
 
-    zeta is one spectral parameter (result 3x3) or an array of them (result
-    zeta.shape + (3, 3)).  For exact solutions the sup norm decreases at
-    the stencil's nominal order under h-refinement.
+    h is one spacing or an array of them, such as a ladder, and zeta one
+    spectral parameter or an array of them; the result has shape h.shape +
+    zeta.shape + (3, 3).  Every spacing goes through one evaluator call.
+    For exact solutions the sup norm decreases at the stencil's nominal
+    order under h-refinement.
     """
-    if h <= 0:
+    h = np.asarray(h, dtype=float)
+    if np.any(h <= 0):
         raise ValueError("h must be positive")
     weights, divisor = stencil(order, 1)
     mid = len(weights) // 2
-    side = [(o - mid, c / (divisor * h)) for o, c in enumerate(weights) if c]
-    # centres: the time stencil, then the space stencil, then (x, t) itself
-    xs = [x] * len(side) + [x + o * h for o, _ in side] + [x]
-    ts = [t + o * h for o, _ in side] + [t] * len(side) + [t]
-    batch = jet_at(data, p, np.array(xs), np.array(ts), h, order)
+    offsets = np.array([o - mid for o, c in enumerate(weights) if c])
+    # centres along the first axis: the time stencil, then the space
+    # stencil, then (x, t) itself
+    step = offsets.reshape((-1,) + (1,) * h.ndim) * h
+    same = np.ones_like(step)
+    xs = np.concatenate([x * same, x + step, x * same[:1]])
+    ts = np.concatenate([t + step, t * same, t * same[:1]])
+    batch = jet_at(data, p, xs, ts, h, order)
     zeta = np.asarray(zeta, dtype=complex)
-    # one jet per centre along the first axis, broadcast against zeta's axes
-    shape = (-1,) + (1,) * zeta.ndim
+    # each centre's jets broadcast against zeta's axes
+    shape = batch.q1.shape + (1,) * zeta.ndim
     jets = FieldJet(*(getattr(batch, f.name).reshape(shape) for f in fields(FieldJet)))
     u, v = build_U(jets, zeta, p), build_V(jets, zeta, p)
-    u_t = sum(c * u[i] for i, (_, c) in enumerate(side))
-    v_x = sum(c * v[len(side) + i] for i, (_, c) in enumerate(side))
+    scale = (divisor * h).reshape(h.shape + (1,) * (zeta.ndim + 2))
+    side = [c / scale for c in weights if c]
+    u_t = sum(c * u[i] for i, c in enumerate(side))
+    v_x = sum(c * v[len(side) + i] for i, c in enumerate(side))
     return u_t - v_x + u[-1] @ v[-1] - v[-1] @ u[-1]
 
 

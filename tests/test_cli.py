@@ -142,22 +142,41 @@ def test_sample_emits_plot_scripts(tmp_path, monkeypatch):
     assert surface.startswith("# x t abs_q1")
 
 
-def test_field_csv_rows_match_per_value_format():
-    grid = cli.Grid1D(-1.0, 1.0, 4)
-    q1 = cli.ComplexField(
-        grid, 0.0, [complex(-0.0, 5e-324), complex(1e308, -0.0), 0.1 + 0.2j, complex(-3e-310, 1e308)]
-    )
-    q2 = cli.ComplexField(
-        grid, 0.0, [complex(5e-324, -0.0), 1.0 / 3.0, complex(-1e308, -1e-300), 2.5 - 7.0j]
-    )
+def _written_fields(tmp_path, q1, q2):
+    path = tmp_path / "fields.csv"
+    templates = cli._row_templates(cli._x_column(q1.grid), ",")
+    cli._write_fields(path, templates, q1, q2)
+    return path.read_text()
+
+
+def test_field_csv_rows_match_per_value_format(tmp_path):
+    # one full block and 3 rows of a second, partial one
+    grid = cli.Grid1D(-1.0, 1.0, cli.FIELD_BLOCK + 3)
+    edges1 = [complex(-0.0, 5e-324), complex(1e308, -0.0), 0.1 + 0.2j, complex(-3e-310, 1e308)]
+    edges2 = [complex(5e-324, -0.0), 1.0 / 3.0, complex(-1e308, -1e-300), 2.5 - 7.0j]
+    q1 = cli.ComplexField(grid, 0.0, (edges1 * grid.nx)[: grid.nx])
+    q2 = cli.ComplexField(grid, 0.0, (edges2 * grid.nx)[::-1][: grid.nx])
     lines = ["x,re_q1,im_q1,abs_q1,re_q2,im_q2,abs_q2"]
     for x, a, b in zip(grid.points(), q1.values, q2.values):
         lines.append(
             ",".join(cli._fmt(v) for v in (x, a.real, a.imag, abs(a), b.real, b.imag, abs(b)))
         )
-    text = cli._field_csv(q1, q2)
+    text = _written_fields(tmp_path, q1, q2)
     assert text == "\n".join(lines) + "\n"
     assert ",-0," in text and "4.9406564584124654e-324" in text and "1e+308" in text
+
+
+def test_field_csv_abs_columns_match_abs_of_each_value(tmp_path):
+    # hypot of the parts prints as abs(complex) does, over 10,000 values of
+    # wide-ranging magnitude
+    rng = np.random.default_rng(20261019)
+    grid = cli.Grid1D(0.0, 1.0, 5000)
+    parts = rng.normal(size=(4, grid.nx)) * 10.0 ** rng.uniform(-300, 300, size=(4, grid.nx))
+    q1 = cli.ComplexField(grid, 0.0, parts[0] + 1j * parts[1])
+    q2 = cli.ComplexField(grid, 0.0, parts[2] + 1j * parts[3])
+    rows = [r.split(",") for r in _written_fields(tmp_path, q1, q2).split("\n")[1:-1]]
+    assert [r[3] for r in rows] == [cli._fmt(abs(z)) for z in q1.values.tolist()]
+    assert [r[6] for r in rows] == [cli._fmt(abs(z)) for z in q2.values.tolist()]
 
 
 def test_unwritable_output_is_io_error(tmp_path, capsys):
@@ -262,15 +281,26 @@ def test_zero_curvature_verdicts_differ_by_sector(tmp_path):
     assert cli.main(["zero-curvature", "--out", str(tmp_path / "z1"), "--quiet"]) == cli.EXIT_VERIFICATION
 
 
-def test_zero_curvature_builds_jets_once_per_spacing(tmp_path, monkeypatch):
+def test_zero_curvature_evaluates_each_ladder_in_one_call(tmp_path, monkeypatch):
     calls = []
-    jet_at = laxpair.jet_at
-    monkeypatch.setattr(laxpair, "jet_at", lambda *args: calls.append(args) or jet_at(*args))
-    out = tmp_path / "zc"
-    assert cli.main(["zero-curvature", "--config", str(THIRD_ORDER), "--out", str(out), "--quiet"]) == 0
-    # one batched call per spacing: (2 * 2 + 1) centres at order 2, (2 * 4 + 1) at order 4
-    assert [np.size(args[2]) for args in calls] == [5] * 3 + [9] * 3
-    names = [r.split(",")[0] for r in (out / "zero_curvature_report.csv").read_text().split("\n")[1:-1]]
+    batch = laxpair.fields_batch
+
+    def counted(data, p, x, t):
+        calls.append(np.shape(x))
+        return batch(data, p, x, t)
+
+    def report(name):
+        out = tmp_path / name
+        assert cli.main(["zero-curvature", "--config", str(THIRD_ORDER), "--out", str(out), "--quiet"]) == 0
+        return (out / "zero_curvature_report.csv").read_bytes()
+
+    reference = report("reference")
+    monkeypatch.setattr(laxpair, "fields_batch", counted)
+    # one batched call per ladder of 3 spacings: (2 * 2 + 1) centres of a
+    # 3-point stencil at order 2, (2 * 4 + 1) of a 5-point one at order 4
+    assert report("counted") == reference
+    assert calls == [(5, 3, 3), (9, 3, 5)]
+    names = [r.split(",")[0] for r in reference.decode().split("\n")[1:-1]]
     assert names == [
         f"zc_o{order}_z{iz}_ratio{j}" for order in (2, 4) for iz in range(10) for j in range(2)
     ]

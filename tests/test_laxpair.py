@@ -136,6 +136,13 @@ def test_residual_over_zeta_samples_matches_scalar_calls(third_order_params, ord
     ])
     assert batch.shape == single.shape == (10, 3, 3)
     assert np.array_equal(batch.view(np.int64), single.view(np.int64))
+    # a ladder of spacings in one call gives each spacing's own bits
+    ladder = laxpair.zero_curvature_residual(
+        TWO_SOLITON, third_order_params, zetas, 2.0, 0.5, [h, h / 2], order
+    )
+    half = laxpair.zero_curvature_residual(TWO_SOLITON, third_order_params, zetas, 2.0, 0.5, h / 2, order)
+    assert ladder.shape == (2, 10, 3, 3)
+    assert np.array_equal(ladder.view(np.int64), np.stack([batch, half]).view(np.int64))
 
 
 @pytest.mark.parametrize("build", ["build_U", "build_V"])
