@@ -467,7 +467,7 @@ def cmd_residual(cfg: RunConfig, out: Path, quiet: bool) -> int:
     order = int(opts["order"])
     spacings = tuple(float(h) for h in opts["spacings"])
     rep1, rep2 = residual.soliton_residual_ladder(
-        cfg.spectral,
+        lambda x, t: nsoliton.fields_batch(cfg.spectral, cfg.params, x, t),
         cfg.params,
         cfg.grid.x_min,
         cfg.grid.x_max,

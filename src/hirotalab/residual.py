@@ -3,7 +3,9 @@
 Every finite difference in the package takes its weights from STENCILS, the
 exact integer central stencils of orders 2 and 4 for derivatives 1-3
 (Fornberg, Math. Comp. 51 (1988) 699-706); the time derivative applies the
-order's first-derivative stencil to analytic time slices.  Spatial
+order's first-derivative stencil to time slices of the fields.  The ladder
+checks any field source fields(x, t) -> (q1, q2): the analytic N-soliton
+evaluator is one, a perturbed or closed-form field is another.  Spatial
 derivatives, and so the residual, are formed only on the interior nodes
 where the widest stencil fits, which is where the sup norms are taken.
 Both coupled equations are one expression on (q1, q2) stacked as (2, n).
@@ -15,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexField, Grid1D, SpectralData, SystemParams
-from . import nsoliton
+from .core import Grid1D, SystemParams
 
 __all__ = [
     "GridTooSmallError",
-    "GridMismatchError",
     "InsufficientLadderError",
     "STENCILS",
     "stencil",
@@ -52,10 +52,6 @@ STENCILS = {
 
 class GridTooSmallError(ValueError):
     """The grid has fewer nodes than the stencil needs."""
-
-
-class GridMismatchError(ValueError):
-    """Fields passed together do not share grid or time spacing."""
 
 
 class InsufficientLadderError(ValueError):
@@ -100,42 +96,27 @@ def interior_derivatives(v, h: float, order: int) -> tuple[np.ndarray, np.ndarra
     return tuple(out)
 
 
-def _time_step(q1_slices, q2_slices) -> float:
-    """Spacing of the times shared by the q1 and q2 slices, all on one grid."""
-    if any(f.grid != q1_slices[0].grid for f in (*q1_slices, *q2_slices)):
-        raise GridMismatchError("time slices of q1 and q2 must share one grid")
-    times = [f.t for f in q1_slices]
-    dt = times[1] - times[0]
-    if times != [f.t for f in q2_slices] or dt <= 0 or any(
-        abs(b - a - dt) > 1e-12 * max(1.0, dt) for a, b in zip(times, times[1:])
-    ):
-        raise GridMismatchError("q1 and q2 slices must share equally spaced, increasing times")
-    return dt
-
-
 def hirota_residual(
-    q1_slices, q2_slices, p: SystemParams, order: int
+    q, h: float, dt: float, p: SystemParams, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of both coupled equations on the center slice.
 
-    q1_slices and q2_slices are the 2w+1 fields at equally spaced times that
-    the order's first-derivative stencil needs (3 at order 2, 5 at order 4);
-    the time derivative is that stencil applied to them.  The residuals are
-    given on the interior nodes of interior_derivatives.
+    q is (slices, 2, n): (q1, q2) on a grid of spacing h at the 2w+1 times,
+    dt apart, that the order's first-derivative stencil needs (3 at order 2,
+    5 at order 4); the time derivative is that stencil applied to them.  The
+    residuals are given on the interior nodes of interior_derivatives.
     """
     weights, divisor = stencil(order, 1)
-    if len(q1_slices) != len(weights):
-        raise ValueError(f"order {order} needs {len(weights)} time slices, got {len(q1_slices)}")
-    dt = _time_step(q1_slices, q2_slices)
-    slices = [np.stack((a.values, b.values)) for a, b in zip(q1_slices, q2_slices)]
-    q = slices[len(slices) // 2]
-    qx, qxx, qxxx = interior_derivatives(q, q1_slices[0].grid.spacing, order)
+    if len(q) != len(weights):
+        raise ValueError(f"order {order} needs {len(weights)} time slices, got {len(q)}")
+    center = q[len(q) // 2]
+    qx, qxx, qxxx = interior_derivatives(center, h, order)
 
     # the derivatives cover all but w nodes at each end
-    w = (q.shape[-1] - qx.shape[-1]) // 2
-    inner = slice(w, q.shape[-1] - w)
-    v = q[:, inner]
-    qt = _combine(weights, divisor, [s[:, inner] for s in slices]) / dt
+    w = (center.shape[-1] - qx.shape[-1]) // 2
+    inner = slice(w, center.shape[-1] - w)
+    v = center[:, inner]
+    qt = _combine(weights, divisor, [s[:, inner] for s in q]) / dt
     dens = np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2
     cross = np.conj(v[0]) * qx[0] + np.conj(v[1]) * qx[1]
     ksq = p.k1 * p.k1
@@ -185,35 +166,28 @@ def convergence_order(spacings, sup_norms) -> ResidualReport:
 
 
 def soliton_residual_ladder(
-    data: SpectralData,
+    fields,
     p: SystemParams,
     x_min: float,
     x_max: float,
     spacings,
     t_center: float,
     order: int = 2,
-    perturbation=None,
 ) -> tuple[ResidualReport, ResidualReport]:
-    """Residual sup norms of the analytic solution over an h ladder.
+    """Residual sup norms of a field source over an h ladder.
 
-    The time slices are analytic evaluations at t_center + o h for the
-    offsets o of the order's first-derivative stencil (dt = h).  An optional
-    perturbation(x) multiplies both center-time fields, as a negative
-    control that must destroy convergence.
+    fields(x, t) -> (q1, q2) broadcasts its arguments, as
+    nsoliton.fields_batch does.  Each rung samples it once, at the grid
+    points and the times t_center + o h for the offsets o of the order's
+    first-derivative stencil (dt = h).
     """
     half = len(stencil(order, 1)[0]) // 2
     norms1, norms2 = [], []
     for h in spacings:
         grid = Grid1D.with_spacing(x_min, x_max, h)
-        times = [t_center + o * h for o in range(-half, half + 1)]
-        fields = nsoliton.sample(data, p, grid, times)
-        q1s = [f[0] for f in fields]
-        q2s = [f[1] for f in fields]
-        if perturbation is not None:
-            factor = 1.0 + perturbation(grid.points())
-            q1s[half] = ComplexField(grid, q1s[half].t, q1s[half].values * factor)
-            q2s[half] = ComplexField(grid, q2s[half].t, q2s[half].values * factor)
-        r1, r2 = hirota_residual(tuple(q1s), tuple(q2s), p, order)
+        times = t_center + h * np.arange(-half, half + 1)
+        q = np.stack(fields(grid.points(), times[:, None]), axis=1)
+        r1, r2 = hirota_residual(q, grid.spacing, times[1] - times[0], p, order)
         norms1.append(float(np.abs(r1).max()))
         norms2.append(float(np.abs(r2).max()))
     return (

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hirotalab import nsoliton
 from hirotalab.core import SpectralData, SpectralDatum, SystemParams
 
 
@@ -22,6 +23,19 @@ def default_datum():
 @pytest.fixture(scope="session")
 def default_data(default_datum):
     return SpectralData((default_datum,))
+
+
+def centre_perturbed(data: SpectralData, p: SystemParams, t_center: float):
+    """Field source: the analytic fields, times 1 + 1e-3 / cosh(x) at t_center only.
+
+    A residual ladder centred on t_center must not converge on it.
+    """
+    def fields(x, t):
+        factor = 1.0 + np.where(t == t_center, 1e-3 / np.cosh(x), 0.0)
+        q1, q2 = nsoliton.fields_batch(data, p, x, t)
+        return q1 * factor, q2 * factor
+
+    return fields
 
 
 def make_random_data(n: int, seed: int) -> SpectralData:

@@ -12,6 +12,7 @@ zero-curvature reports of the default config for the full picture).
 Run with `pytest tests/test_acceptance.py -v -s` to see the summary lines.
 """
 
+import functools
 import json
 import time
 from pathlib import Path
@@ -29,7 +30,7 @@ from hirotalab.core import (
     trapezoid_mass,
 )
 
-from conftest import make_random_data
+from conftest import centre_perturbed, make_random_data
 
 DEFAULT_PARAMS = SystemParams(epsilon=1.0, k1=1.0, a2=1.0)
 THIRD_ORDER_PARAMS = SystemParams(epsilon=1.0, k1=1.0, a2=0.0)
@@ -59,18 +60,18 @@ def test_criterion_1_closed_form_equivalence():
 def test_criterion_2_pde_residual_convergence():
     start = time.perf_counter()
     spacings = (0.1, 0.05, 0.025)
+    analytic = functools.partial(nsoliton.fields_batch, DATA, THIRD_ORDER_PARAMS)
     rep1, rep2 = residual.soliton_residual_ladder(
-        DATA, THIRD_ORDER_PARAMS, -20.0, 20.0, spacings, 0.5, 2
+        analytic, THIRD_ORDER_PARAMS, -20.0, 20.0, spacings, 0.5, 2
     )
     neg1, _ = residual.soliton_residual_ladder(
-        DATA,
+        centre_perturbed(DATA, THIRD_ORDER_PARAMS, 0.5),
         THIRD_ORDER_PARAMS,
         -20.0,
         20.0,
         spacings,
         0.5,
         2,
-        perturbation=lambda xs: 1e-3 / np.cosh(xs),
     )
     elapsed = time.perf_counter() - start
     ok = (
@@ -87,7 +88,8 @@ def test_criterion_2_pde_residual_convergence():
     )
 
     diag1, _ = residual.soliton_residual_ladder(
-        DATA, DEFAULT_PARAMS, -20.0, 20.0, spacings, 0.5, 2
+        functools.partial(nsoliton.fields_batch, DATA, DEFAULT_PARAMS),
+        DEFAULT_PARAMS, -20.0, 20.0, spacings, 0.5, 2,
     )
     print(
         "        diagnostic: default a2=1 family does not converge, "

@@ -1,10 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from hirotalab.core import ComplexField, Grid1D, SpectralData, SpectralDatum, SystemParams
+from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams
 from hirotalab import nsoliton, residual
+
+from conftest import centre_perturbed
 
 
 def _entries():
@@ -88,51 +91,32 @@ def test_differentiate_grid_too_small():
             residual.interior_derivatives(np.zeros(least - 1, complex), 0.1, order)
 
 
-def _slices(data, p, grid, t0, dt):
-    fields = nsoliton.sample(data, p, grid, [t0 - dt, t0, t0 + dt])
-    return tuple(f[0] for f in fields), tuple(f[1] for f in fields)
+def _analytic(data, p):
+    return functools.partial(nsoliton.fields_batch, data, p)
 
 
 def test_zero_fields_zero_residual(default_params):
-    g = Grid1D(-5.0, 5.0, 101)
-    zero = ComplexField(g, 0.0, np.zeros(101, complex))
-    zm = ComplexField(g, -0.1, np.zeros(101, complex))
-    zp = ComplexField(g, 0.1, np.zeros(101, complex))
-    r1, r2 = residual.hirota_residual((zm, zero, zp), (zm, zero, zp), default_params, 2)
+    r1, r2 = residual.hirota_residual(np.zeros((3, 2, 101), complex), 0.1, 0.1, default_params, 2)
     assert r1.shape == r2.shape == (101 - 4,)
     assert np.abs(r1).max() == 0.0
     assert np.abs(r2).max() == 0.0
 
 
-def test_grid_mismatch_errors(default_data, default_params):
-    g1 = Grid1D(-5.0, 5.0, 101)
-    g2 = Grid1D(-5.0, 5.0, 102)
-    a = ComplexField(g1, 0.0, np.zeros(101, complex))
-    b = ComplexField(g2, 0.1, np.zeros(102, complex))
-    with pytest.raises(residual.GridMismatchError):
-        residual.hirota_residual((a, a, b), (a, a, a), default_params, 2)
-    c0 = ComplexField(g1, 0.0, np.zeros(101, complex))
-    c1 = ComplexField(g1, 0.1, np.zeros(101, complex))
-    c2 = ComplexField(g1, 0.3, np.zeros(101, complex))
-    with pytest.raises(residual.GridMismatchError):
-        residual.hirota_residual((c0, c1, c2), (c0, c1, c2), default_params, 2)
-
-
 def test_slice_count_must_match_order(default_params):
-    g = Grid1D(-5.0, 5.0, 101)
-    zeros = tuple(ComplexField(g, 0.1 * k, np.zeros(101, complex)) for k in range(5))
-    r1, r2 = residual.hirota_residual(zeros, zeros, default_params, 4)
+    zeros = np.zeros((5, 2, 101), complex)
+    r1, r2 = residual.hirota_residual(zeros, 0.1, 0.1, default_params, 4)
     assert r1.shape == r2.shape == (101 - 6,)
     with pytest.raises(ValueError, match="5 time slices"):
-        residual.hirota_residual(zeros[1:4], zeros[1:4], default_params, 4)
+        residual.hirota_residual(zeros[1:4], 0.1, 0.1, default_params, 4)
     with pytest.raises(ValueError, match="3 time slices"):
-        residual.hirota_residual(zeros, zeros, default_params, 2)
+        residual.hirota_residual(zeros, 0.1, 0.1, default_params, 2)
 
 
 def test_order4_residual_converges_at_fourth_order(default_data, third_order_params):
     # the time derivative uses the order-4 stencil too, so order 4 holds in t
     rep1, rep2 = residual.soliton_residual_ladder(
-        default_data, third_order_params, -20.0, 20.0, (0.2, 0.1, 0.05), 0.5, 4
+        _analytic(default_data, third_order_params), third_order_params,
+        -20.0, 20.0, (0.2, 0.1, 0.05), 0.5, 4,
     )
     assert rep1.estimated_order >= 3.8
     assert rep2.estimated_order >= 3.8
@@ -140,7 +124,8 @@ def test_order4_residual_converges_at_fourth_order(default_data, third_order_par
 
 def test_soliton_residual_converges_third_order_sector(default_data, third_order_params):
     rep1, rep2 = residual.soliton_residual_ladder(
-        default_data, third_order_params, -20.0, 20.0, (0.1, 0.05, 0.025), 0.5, 2
+        _analytic(default_data, third_order_params), third_order_params,
+        -20.0, 20.0, (0.1, 0.05, 0.025), 0.5, 2,
     )
     assert 1.8 <= rep1.estimated_order <= 2.3
     assert 1.8 <= rep2.estimated_order <= 2.3
@@ -155,7 +140,8 @@ def test_multi_soliton_residual_converges(third_order_params, n_solitons):
         SpectralDatum(0.1 + 0.8j, 1.0, 1.2, -0.4j),
     )[:n_solitons])
     rep1, rep2 = residual.soliton_residual_ladder(
-        data, third_order_params, -20.0, 20.0, (0.1, 0.05, 0.025), 0.5, 2
+        _analytic(data, third_order_params), third_order_params,
+        -20.0, 20.0, (0.1, 0.05, 0.025), 0.5, 2,
     )
     assert rep1.estimated_order >= 1.8
     assert rep2.estimated_order >= 1.8
@@ -165,7 +151,8 @@ def test_soliton_residual_plateaus_with_second_order_dispersion(default_data, de
     # the a2 != 0 family is not an exact solution family; the ladder exposes
     # a fixed defect instead of second-order convergence
     rep1, rep2 = residual.soliton_residual_ladder(
-        default_data, default_params, -20.0, 20.0, (0.1, 0.05, 0.025), 0.5, 2
+        _analytic(default_data, default_params), default_params,
+        -20.0, 20.0, (0.1, 0.05, 0.025), 0.5, 2,
     )
     assert rep1.estimated_order < 0.5
     assert min(rep1.sup_norms) > 1e-3
@@ -173,17 +160,41 @@ def test_soliton_residual_plateaus_with_second_order_dispersion(default_data, de
 
 def test_perturbed_field_fails_to_converge(default_data, third_order_params):
     rep1, _ = residual.soliton_residual_ladder(
-        default_data,
-        third_order_params,
-        -20.0,
-        20.0,
-        (0.1, 0.05, 0.025),
-        0.5,
-        2,
-        perturbation=lambda xs: 1e-3 / np.cosh(xs),
+        centre_perturbed(default_data, third_order_params, 0.5), third_order_params,
+        -20.0, 20.0, (0.1, 0.05, 0.025), 0.5, 2,
     )
     assert min(rep1.sup_norms) >= 1e-4
     assert rep1.estimated_order < 0.5
+
+
+def _plane_wave(k, amps, omega):
+    """(q1, q2) = amps e^{i(k x - omega t)}, broadcast over x and t."""
+    def fields(x, t):
+        wave = np.exp(1j * (k * x - omega * t))
+        return amps[0] * wave, amps[1] * wave
+
+    return fields
+
+
+@pytest.mark.parametrize("epsilon,k1", [(1.0, 1.0), (-0.7, 1.3)])
+def test_plane_wave_residual_converges(epsilon, k1):
+    # at a2 = 0, (A, B) e^{i(kx - wt)} solves the system exactly when
+    # w = eps (k^3 - 6 k1^2 (|A|^2 + |B|^2) k); the evaluator is not involved
+    p = SystemParams(epsilon=epsilon, k1=k1, a2=0.0)
+    amps, k = (0.3 + 0.1j, -0.2j), 0.9
+    omega = epsilon * (k**3 - 6.0 * k1 * k1 * (abs(amps[0]) ** 2 + abs(amps[1]) ** 2) * k)
+    for order, spacings, least in ((2, (0.1, 0.05, 0.025), 1.8), (4, (0.2, 0.1, 0.05), 3.8)):
+        reps = residual.soliton_residual_ladder(
+            _plane_wave(k, amps, omega), p, -10.0, 10.0, spacings, 0.3, order
+        )
+        for rep in reps:
+            assert least <= rep.estimated_order <= order + 0.3
+        # a frequency off by a relative 1e-2 leaves a fixed defect
+        reps = residual.soliton_residual_ladder(
+            _plane_wave(k, amps, omega * 1.01), p, -10.0, 10.0, spacings, 0.3, order
+        )
+        for rep in reps:
+            assert rep.estimated_order < 0.5
 
 
 def test_convergence_order_exact_ladder():
