@@ -73,7 +73,7 @@ DEFAULT_RH = {"x": 0.7, "t": 0.4, "n_symmetry": 20, "n_product": 40, "seed": 202
 DEFAULT_SCATTER = {
     "x_min": -60.0,
     "x_max": 60.0,
-    "spacing": 0.01,
+    "spacing": 0.015,
     "real_zetas": [0.3, 0.5, 0.7, 0.9, 1.1],
     "tail_threshold": rh.TAIL_THRESHOLD,
 }
@@ -481,9 +481,11 @@ def cmd_residual(cfg: RunConfig, out: Path, quiet: bool) -> int:
     _write_text(out / "residual_ladder.csv", "\n".join(ladder_lines) + "\n")
 
     report = Report()
-    floor = order - float(cfg.tolerances["residual_order_deficit"])
-    report.check_ge("residual_order_q1", rep1.estimated_order, floor)
-    report.check_ge("residual_order_q2", rep2.estimated_order, floor)
+    # a slope above the nominal order is no more a pass than one below it:
+    # a wrong field whose defect cancels part of the truncation error reads high
+    deficit = float(cfg.tolerances["residual_order_deficit"])
+    report.check_band("residual_order_q1", rep1.estimated_order, order - deficit, order + deficit)
+    report.check_band("residual_order_q2", rep2.estimated_order, order - deficit, order + deficit)
     report.write(out / "residual_report.csv", quiet)
     return EXIT_OK if report.all_pass else EXIT_VERIFICATION
 

@@ -15,6 +15,12 @@ vector by its largest component.
 The factors take one spectral parameter (result 3x3) or an array of them
 (result zeta.shape + (3, 3)) and build the scaled vectors once per call, so
 a check of many zeta at one (x, t) is one pass: one stacked solve.
+
+Direct scattering integrates the spectral ODE of the sampled potentials by
+RK4.  A real zeta is integrated in the interaction picture, where the free
+phase e^{+-i zeta x} is exact and only the potential's step error is left;
+off the real axis that phase grows like e^{Im zeta |x|}, so the free part
+stays in the RK4 coefficient there.
 """
 
 from __future__ import annotations
@@ -223,12 +229,22 @@ def direct_scattering(
 ) -> np.ndarray:
     """Scattering matrix of the sampled potentials at spectral parameter zeta.
 
-    Integrates the 3x3 spectral ODE from the left grid end (initialized to
-    the free factor) and reads off S at the right end.  Classical RK4 over
-    node pairs, so grid values supply the exact midpoints; accuracy is
-    O(h^4).  An odd interval count ends with one step of h whose midpoint
-    coefficient is the average of its two end nodes.  For zeta off the real
-    axis only the first column of S is meaningful; its (1,1) entry extends
+    Integrates the 3x3 spectral ODE psi' = ((i/2) zeta sigma + Q) psi,
+    sigma = diag(-1, 1, 1), over the grid and reads off S at the right end.
+    Classical RK4 over node pairs, so grid values supply the exact
+    midpoints; accuracy is O(h^4).  An odd interval count ends with one
+    step of h whose midpoint coefficient is the average of its two end
+    nodes.
+
+    A real zeta takes the interaction picture phi = exp(-(i/2) zeta sigma x)
+    psi, whose coefficient is the potential alone, with zero diagonal and
+    off-diagonal entries -k1 q_{1,2} e^{i zeta x} and k1 conj(q_{1,2})
+    e^{-i zeta x}: the free phase is exact, phi(x_min) = I and
+    S = phi(x_max), so a zero potential gives exactly I.  A zeta off the
+    real axis keeps the free part in the coefficient, since e^{i zeta x}
+    grows like e^{Im zeta |x|} there: psi starts at the free factor
+    exp((i/2) zeta sigma x_min) and S = exp(-(i/2) zeta sigma x_max) psi.
+    Only the first column of that S is meaningful; its (1,1) entry extends
     analytically to the upper half plane.
 
     The ODE is linear, so each RK4 step is a fixed matrix polynomial in the
@@ -239,7 +255,8 @@ def direct_scattering(
     pairwise (log-depth) products, later steps on the left; the block
     products are then applied in order.  Blocks bound the memory: the
     coefficient and step matrices of one block exist at a time, however
-    long the grid is.
+    long the grid is; only a real zeta's phase-multiplied potentials span
+    the whole grid.
     """
     if q1.grid != q2.grid:
         raise ValueError("fields must share one grid")
@@ -252,19 +269,27 @@ def direct_scattering(
     if edge > tail_threshold:
         raise NonDecayingTailsError(float(edge), tail_threshold)
 
+    v1, v2 = q1.values, q2.values
+    real = np.imag(zeta) == 0
+    if real:
+        # interaction picture: the potentials times e^{i zeta x}, once per call
+        wave = np.exp(1j * np.real(zeta) * grid.points())
+        v1, v2 = v1 * wave, v2 * wave
+
     def coefficients(lo: int, hi: int) -> np.ndarray:
         # (3, 3, hi - lo) coefficient matrices at nodes lo..hi-1
         a = np.zeros((3, 3, hi - lo), dtype=complex)
-        a[0, 1] = -p.k1 * q1.values[lo:hi]
-        a[0, 2] = -p.k1 * q2.values[lo:hi]
-        a[1, 0] = p.k1 * np.conj(q1.values[lo:hi])
-        a[2, 0] = p.k1 * np.conj(q2.values[lo:hi])
-        a[0, 0] = -0.5j * zeta
-        a[1, 1] = a[2, 2] = 0.5j * zeta
+        a[0, 1] = -p.k1 * v1[lo:hi]
+        a[0, 2] = -p.k1 * v2[lo:hi]
+        a[1, 0] = p.k1 * np.conj(v1[lo:hi])
+        a[2, 0] = p.k1 * np.conj(v2[lo:hi])
+        if not real:
+            a[0, 0] = -0.5j * zeta
+            a[1, 1] = a[2, 2] = 0.5j * zeta
         return a
 
     n = grid.nx
-    psi = _free_factor(zeta, grid.x_min)
+    psi = np.eye(3, dtype=complex) if real else _free_factor(zeta, grid.x_min)
     last = 2 * ((n - 1) // 2)  # node where the steps of 2h end
     for i in range(0, last, 2 * FOLD_BLOCK):
         a = coefficients(i, min(i + 2 * FOLD_BLOCK, last) + 1)
@@ -276,4 +301,4 @@ def direct_scattering(
         a0, a1 = a[:, :, :1], a[:, :, 1:]
         psi = _rk4_step_matrices(a0, 0.5 * (a0 + a1), a1, h)[:, :, 0] @ psi
 
-    return _free_factor(-zeta, grid.x_max) @ psi
+    return psi if real else _free_factor(-zeta, grid.x_max) @ psi

@@ -151,14 +151,25 @@ def _sampled_soliton(params, span=60.0, h=0.01, datum=None):
 
 
 def test_scattering_of_zero_fields(default_params):
-    grid = Grid1D(-10.0, 10.0, 2001)
-    zero = np.zeros(2001, complex)
+    # the real axis integrates the free phase exactly: no potential gives
+    # exactly I, with an even or odd interval count
     from hirotalab.core import ComplexField
 
-    f = ComplexField(grid, 0.0, zero)
-    for zeta in (0.5, 1.2, 0.3 + 0.2j):
-        s = rh.direct_scattering(f, f, zeta, default_params)
+    for nx in (2001, 2002):
+        f = ComplexField(Grid1D(-10.0, 10.0, nx), 0.0, np.zeros(nx, complex))
+        for zeta in (0.0, 0.5, 1.2, -3.0):
+            assert np.array_equal(rh.direct_scattering(f, f, zeta, default_params), np.eye(3))
+        s = rh.direct_scattering(f, f, 0.3 + 0.2j, default_params)
         assert np.abs(s - np.eye(3)).max() < 1e-7
+
+
+def test_scattering_determinant_third_order(third_order_params):
+    # h = 0.01 on [-60, 60]: with the free phase in the RK4 coefficient
+    # |det S - 1| read 8.06e-9 here, all of it the free part's step error
+    _, q1, q2 = _sampled_soliton(third_order_params)
+    for zeta in (0.3, 0.5, 0.7, 0.9, 1.1):
+        s = rh.direct_scattering(q1, q2, zeta, third_order_params)
+        assert abs(np.linalg.det(s) - 1.0) <= 1e-10
 
 
 def test_scattering_tail_guard(default_params, default_datum):
@@ -218,21 +229,29 @@ def test_scattering_refinement_oracle(default_params):
 
 
 def _sequential_scattering(q1, q2, zeta, p):
-    """Reference oracle: direct_scattering as a step-by-step RK4 loop."""
+    """Reference oracle: direct_scattering as a step-by-step RK4 loop.
+
+    A real zeta integrates phi = exp(-(i/2) zeta sigma x) psi from I, whose
+    coefficient is the potential times e^{+-i zeta x}; any other zeta
+    integrates psi with the free part in the coefficient.
+    """
     grid = q1.grid
     h = grid.spacing
     n = grid.nx
+    real = np.imag(zeta) == 0
+    wave = np.exp(1j * np.real(zeta) * grid.points()) if real else np.ones(n)
     coeff = np.zeros((n, 3, 3), dtype=complex)
-    coeff[:, 0, 1] = -p.k1 * q1.values
-    coeff[:, 0, 2] = -p.k1 * q2.values
-    coeff[:, 1, 0] = p.k1 * np.conj(q1.values)
-    coeff[:, 2, 0] = p.k1 * np.conj(q2.values)
-    diag = 0.5j * zeta * np.array([-1.0, 1.0, 1.0])
-    coeff[:, 0, 0] = diag[0]
-    coeff[:, 1, 1] = diag[1]
-    coeff[:, 2, 2] = diag[2]
+    coeff[:, 0, 1] = -p.k1 * q1.values * wave
+    coeff[:, 0, 2] = -p.k1 * q2.values * wave
+    coeff[:, 1, 0] = p.k1 * np.conj(q1.values) * np.conj(wave)
+    coeff[:, 2, 0] = p.k1 * np.conj(q2.values) * np.conj(wave)
+    if not real:
+        diag = 0.5j * zeta * np.array([-1.0, 1.0, 1.0])
+        coeff[:, 0, 0] = diag[0]
+        coeff[:, 1, 1] = diag[1]
+        coeff[:, 2, 2] = diag[2]
 
-    psi = rh._free_factor(zeta, grid.x_min)
+    psi = np.eye(3, dtype=complex) if real else rh._free_factor(zeta, grid.x_min)
     i = 0
     while i + 2 <= n - 1:
         a0, a1, a2 = coeff[i], coeff[i + 1], coeff[i + 2]
@@ -251,7 +270,7 @@ def _sequential_scattering(q1, q2, zeta, p):
         k3m = amid @ (psi + 0.5 * h * k2m)
         k4m = a1 @ (psi + h * k3m)
         psi = psi + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    return rh._free_factor(-zeta, grid.x_max) @ psi
+    return psi if real else rh._free_factor(-zeta, grid.x_max) @ psi
 
 
 @pytest.mark.parametrize(
