@@ -17,10 +17,12 @@ The factors take one spectral parameter (result 3x3) or an array of them
 a check of many zeta at one (x, t) is one pass: one stacked solve.
 
 Direct scattering integrates the spectral ODE of the sampled potentials by
-RK4.  A real zeta is integrated in the interaction picture, where the free
-phase e^{+-i zeta x} is exact and only the potential's step error is left;
-off the real axis that phase grows like e^{Im zeta |x|}, so the free part
-stays in the RK4 coefficient there.
+RK4 in an interaction picture, where the free phase e^{+-i zeta x} is exact
+and only the potential's step error is left.  A real zeta keeps one
+picture over the whole grid; off the real axis that phase grows like
+e^{Im zeta |x|}, so each step takes its own picture at its first node.
+Either way the coefficient has a zero diagonal, and each RK4 step matrix is
+built in closed form from the potentials at the step's three nodes.
 """
 
 from __future__ import annotations
@@ -195,18 +197,30 @@ def _matmul33(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] * b[None]).sum(axis=1)
 
 
-def _rk4_step_matrices(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray, s: float) -> np.ndarray:
-    """RK4 propagators of psi' = a psi over k steps of length s.
+def _step_matrices(r0, r1, r2, c0, c1, c2, s: float) -> np.ndarray:
+    """RK4 propagators of phi' = [[0, r^T], [c, 0]] phi over k steps of length s.
 
-    a0, a1, a2 are (3, 3, k) stacks of the coefficient at the start, middle
-    and end of each step; the stages are those of RK4 applied to the identity.
+    r0, r1, r2 and c0, c1, c2 are (2, k) stacks of the coefficient's row r
+    and column c at the start, middle and end of each step.  RK4 applied to
+    the identity is I + s/6 (a0 + 4a1 + a2) + s^2/6 (a1a0 + a1^2 + a2a1)
+    + s^3/12 (a1^2a0 + a2a1^2) + s^4/24 a2a1^2a0; a product of two such
+    coefficients is block-diagonal and one of three is again of their
+    shape, so every term closes in the dot products d10 = r1.c0,
+    d11 = r1.c1 and d21 = r2.c1.  Result: (3, 3, k).
     """
-    eye = np.eye(3)[:, :, None]
-    k1 = a0
-    k2 = _matmul33(a1, eye + 0.5 * s * k1)
-    k3 = _matmul33(a1, eye + 0.5 * s * k2)
-    k4 = _matmul33(a2, eye + s * k3)
-    return eye + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    d10 = (r1 * c0).sum(axis=0)
+    d11 = (r1 * c1).sum(axis=0)
+    d21 = (r2 * c1).sum(axis=0)
+    s1, s2, s3, s4 = s / 6.0, s * s / 6.0, s**3 / 12.0, s**4 / 24.0
+    out = np.empty((3, 3, d10.shape[0]), dtype=complex)
+    out[0, 0] = 1.0 + s2 * (d10 + d11 + d21) + s4 * (d21 * d10)
+    out[0, 1:] = s1 * (r0 + 4.0 * r1 + r2) + s3 * (d11 * r0 + d21 * r1)
+    out[1:, 0] = s1 * (c0 + 4.0 * c1 + c2) + s3 * (d10 * c1 + d11 * c2)
+    out[1:, 1:] = s2 * (c1[:, None] * (r0 + r1) + c2[:, None] * r1)
+    out[1:, 1:] += s4 * (d11 * c2)[:, None] * r0
+    out[1, 1] += 1.0
+    out[2, 2] += 1.0
+    return out
 
 
 def _fold(steps: np.ndarray) -> np.ndarray:
@@ -237,26 +251,27 @@ def direct_scattering(
     nodes.
 
     A real zeta takes the interaction picture phi = exp(-(i/2) zeta sigma x)
-    psi, whose coefficient is the potential alone, with zero diagonal and
-    off-diagonal entries -k1 q_{1,2} e^{i zeta x} and k1 conj(q_{1,2})
-    e^{-i zeta x}: the free phase is exact, phi(x_min) = I and
-    S = phi(x_max), so a zero potential gives exactly I.  A zeta off the
-    real axis keeps the free part in the coefficient, since e^{i zeta x}
-    grows like e^{Im zeta |x|} there: psi starts at the free factor
-    exp((i/2) zeta sigma x_min) and S = exp(-(i/2) zeta sigma x_max) psi.
-    Only the first column of that S is meaningful; its (1,1) entry extends
-    analytically to the upper half plane.
+    psi over the whole grid.  Its coefficient is the potential alone,
+    [[0, r^T], [c, 0]] with r = -k1 q e^{i zeta x} and c = k1 conj(q)
+    e^{-i zeta x} for q = (q1, q2): the free phase is exact, phi(x_min) = I
+    and S = phi(x_max), so a zero potential gives exactly I.  Off the real
+    axis e^{i zeta x} grows like e^{Im zeta |x|}, so each step of length s
+    takes the picture afresh at its first node x0: node x of the step
+    carries e^{+-i zeta (x - x0)}, which is e^{+-i zeta j h} at its j-th
+    node, and the step matrix is E P with E = exp((i/2) zeta sigma s) the
+    exact free evolution.  There psi starts at the free factor
+    exp((i/2) zeta sigma x_min) and S = exp(-(i/2) zeta sigma x_max) psi;
+    only the first column of that S is meaningful, and its (1,1) entry
+    extends analytically to the upper half plane.
 
-    The ODE is linear, so each RK4 step is a fixed matrix polynomial in the
-    coefficients a0, a1, a2 at its start, middle and end node (step s):
-    I + s/6 (a0 + 4a1 + a2) + s^2/6 (a1a0 + a1^2 + a2a1)
-    + s^3/12 (a1^2a0 + a2a1^2) + s^4/24 a2a1^2a0.  All step matrices of a
+    The ODE is linear, so each RK4 step matrix P is a fixed polynomial in
+    the coefficients at its start, middle and end node, which
+    `_step_matrices` evaluates in closed form.  All step matrices of a
     block of FOLD_BLOCK steps are built at once and multiplied together by
     pairwise (log-depth) products, later steps on the left; the block
     products are then applied in order.  Blocks bound the memory: the
-    coefficient and step matrices of one block exist at a time, however
-    long the grid is; only a real zeta's phase-multiplied potentials span
-    the whole grid.
+    potentials, phases and step matrices of one block exist at a time,
+    however long the grid is.
     """
     if q1.grid != q2.grid:
         raise ValueError("fields must share one grid")
@@ -269,36 +284,47 @@ def direct_scattering(
     if edge > tail_threshold:
         raise NonDecayingTailsError(float(edge), tail_threshold)
 
-    v1, v2 = q1.values, q2.values
     real = np.imag(zeta) == 0
-    if real:
-        # interaction picture: the potentials times e^{i zeta x}, once per call
-        wave = np.exp(1j * np.real(zeta) * grid.points())
-        v1, v2 = v1 * wave, v2 * wave
+    v1, v2 = q1.values, q2.values
+    # off the real axis, node j of a step carries ahead[j] = e^{i zeta j h}
+    # in its row and behind[j] = e^{-i zeta j h} in its column
+    ahead = np.exp(1j * zeta * h * np.arange(3))
+    behind = np.exp(-1j * zeta * h * np.arange(3))
 
-    def coefficients(lo: int, hi: int) -> np.ndarray:
-        # (3, 3, hi - lo) coefficient matrices at nodes lo..hi-1
-        a = np.zeros((3, 3, hi - lo), dtype=complex)
-        a[0, 1] = -p.k1 * v1[lo:hi]
-        a[0, 2] = -p.k1 * v2[lo:hi]
-        a[1, 0] = p.k1 * np.conj(v1[lo:hi])
-        a[2, 0] = p.k1 * np.conj(v2[lo:hi])
-        if not real:
-            a[0, 0] = -0.5j * zeta
-            a[1, 1] = a[2, 2] = 0.5j * zeta
-        return a
+    def rows(lo: int, hi: int) -> np.ndarray:
+        # (2, hi - lo) rows r at nodes lo..hi-1, in the global picture if zeta is real
+        v = np.stack((v1[lo:hi], v2[lo:hi]))
+        if real:
+            v *= np.exp(1j * np.real(zeta) * (grid.x_min + h * np.arange(lo, hi)))
+        return -p.k1 * v
+
+    def stage(r: np.ndarray, j: int):
+        # rows and columns of a stage j nodes into its step
+        c = -np.conj(r)
+        return (r, c) if real or j == 0 else (ahead[j] * r, behind[j] * c)
+
+    def free(s: float) -> np.ndarray:
+        # E of a step of length s, to scale the rows of (3, 3, k) step matrices
+        return np.diag(_free_factor(zeta, s))[:, None, None]
 
     n = grid.nx
     psi = np.eye(3, dtype=complex) if real else _free_factor(zeta, grid.x_min)
     last = 2 * ((n - 1) // 2)  # node where the steps of 2h end
     for i in range(0, last, 2 * FOLD_BLOCK):
-        a = coefficients(i, min(i + 2 * FOLD_BLOCK, last) + 1)
-        steps = _rk4_step_matrices(a[:, :, :-1:2], a[:, :, 1::2], a[:, :, 2::2], 2.0 * h)
+        r = rows(i, min(i + 2 * FOLD_BLOCK, last) + 1)
+        m = r.shape[1]
+        (r0, c0), (r1, c1), (r2, c2) = (stage(r[:, j : m - 2 + j : 2], j) for j in range(3))
+        steps = _step_matrices(r0, r1, r2, c0, c1, c2, 2.0 * h)
+        if not real:
+            steps *= free(2.0 * h)
         psi = _fold(steps) @ psi
     if last == n - 2:
         # odd interval count: one single RK4 step with averaged midpoint
-        a = coefficients(n - 2, n)
-        a0, a1 = a[:, :, :1], a[:, :, 1:]
-        psi = _rk4_step_matrices(a0, 0.5 * (a0 + a1), a1, h)[:, :, 0] @ psi
+        r = rows(n - 2, n)
+        (r0, c0), (r1, c1) = stage(r[:, :1], 0), stage(r[:, 1:], 1)
+        step = _step_matrices(r0, 0.5 * (r0 + r1), r1, c0, 0.5 * (c0 + c1), c1, h)
+        if not real:
+            step *= free(h)
+        psi = step[:, :, 0] @ psi
 
     return psi if real else _free_factor(-zeta, grid.x_max) @ psi
