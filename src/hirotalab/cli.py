@@ -320,11 +320,6 @@ class Report:
         self.rows.append((name, value, _fmt(threshold), ok))
         return ok
 
-    def check_ge(self, name: str, value: float, threshold: float) -> bool:
-        ok = bool(value >= threshold)
-        self.rows.append((name, value, _fmt(threshold), ok))
-        return ok
-
     def check_band(self, name: str, value: float, lo: float, hi: float) -> bool:
         ok = bool(lo <= value <= hi)
         self.rows.append((name, value, f"{_fmt(lo)}..{_fmt(hi)}", ok))

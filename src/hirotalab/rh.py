@@ -18,11 +18,11 @@ a check of many zeta at one (x, t) is one pass: one stacked solve.
 
 Direct scattering integrates the spectral ODE of the sampled potentials by
 RK4 in an interaction picture, where the free phase e^{+-i zeta x} is exact
-and only the potential's step error is left.  A real zeta keeps one
-picture over the whole grid; off the real axis that phase grows like
-e^{Im zeta |x|}, so each step takes its own picture at its first node.
-Either way the coefficient has a zero diagonal, and each RK4 step matrix is
-built in closed form from the potentials at the step's three nodes.
+and only the potential's step error is left.  Each step takes its own
+picture at its first node, so no coefficient grows like e^{Im zeta |x|} off
+the real axis; the coefficient has a zero diagonal, and each RK4 step
+matrix is built in closed form from the potentials at the step's three
+nodes.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class ScatteringStepError(ValueError):
 
     def __init__(self, h: float, zeta: complex) -> None:
         super().__init__(
-            f"need h * |zeta| <= {PHASE_STEP_LIMIT} for phase accuracy, got "
-            f"{h * abs(zeta):.3g}"
+            f"need h * |zeta| <= {PHASE_STEP_LIMIT} to bound RK4's step error on "
+            f"the e^(+-i zeta x) within a step, got {h * abs(zeta):.3g}"
         )
 
 
@@ -181,8 +181,8 @@ def reconstruct(data: SpectralData, p: SystemParams, x: float, t: float) -> tupl
 
 
 def check_phase_step(h: float, zeta: complex) -> None:
-    """Raise ScatteringStepError unless a scattering grid of spacing h
-    resolves the phase of zeta."""
+    """Raise ScatteringStepError unless RK4 steps on a grid of spacing h
+    resolve the e^{+-i zeta x} that the potential carries within a step."""
     if not h * abs(zeta) <= PHASE_STEP_LIMIT:
         raise ScatteringStepError(h, zeta)
 
@@ -250,19 +250,17 @@ def direct_scattering(
     step of h whose midpoint coefficient is the average of its two end
     nodes.
 
-    A real zeta takes the interaction picture phi = exp(-(i/2) zeta sigma x)
-    psi over the whole grid.  Its coefficient is the potential alone,
-    [[0, r^T], [c, 0]] with r = -k1 q e^{i zeta x} and c = k1 conj(q)
-    e^{-i zeta x} for q = (q1, q2): the free phase is exact, phi(x_min) = I
-    and S = phi(x_max), so a zero potential gives exactly I.  Off the real
-    axis e^{i zeta x} grows like e^{Im zeta |x|}, so each step of length s
-    takes the picture afresh at its first node x0: node x of the step
-    carries e^{+-i zeta (x - x0)}, which is e^{+-i zeta j h} at its j-th
-    node, and the step matrix is E P with E = exp((i/2) zeta sigma s) the
-    exact free evolution.  There psi starts at the free factor
-    exp((i/2) zeta sigma x_min) and S = exp(-(i/2) zeta sigma x_max) psi;
-    only the first column of that S is meaningful, and its (1,1) entry
-    extends analytically to the upper half plane.
+    Each step of length s takes the interaction picture
+    phi = exp(-(i/2) zeta sigma (x - x0)) psi afresh at its first node x0.
+    Its coefficient is the potential alone, [[0, r^T], [c, 0]] with
+    r = -k1 q e^{i zeta (x - x0)} and c = k1 conj(q) e^{-i zeta (x - x0)}
+    for q = (q1, q2), which is e^{+-i zeta j h} at the step's j-th node, so
+    no coefficient grows like e^{Im zeta |x|} off the real axis.  The step
+    matrix is E P with E = exp((i/2) zeta sigma s) the exact free
+    evolution (Lawson's integrating-factor RK4).  psi starts at the free
+    factor exp((i/2) zeta sigma x_min) and S = exp(-(i/2) zeta sigma x_max)
+    psi.  Off the real axis only the first column of S is meaningful, and
+    its (1,1) entry extends analytically to the upper half plane.
 
     The ODE is linear, so each RK4 step matrix P is a fixed polynomial in
     the coefficients at its start, middle and end node, which
@@ -284,47 +282,37 @@ def direct_scattering(
     if edge > tail_threshold:
         raise NonDecayingTailsError(float(edge), tail_threshold)
 
-    real = np.imag(zeta) == 0
     v1, v2 = q1.values, q2.values
-    # off the real axis, node j of a step carries ahead[j] = e^{i zeta j h}
-    # in its row and behind[j] = e^{-i zeta j h} in its column
+    # node j of a step carries ahead[j] = e^{i zeta j h} in its row and
+    # behind[j] = e^{-i zeta j h} in its column
     ahead = np.exp(1j * zeta * h * np.arange(3))
     behind = np.exp(-1j * zeta * h * np.arange(3))
 
-    def rows(lo: int, hi: int) -> np.ndarray:
-        # (2, hi - lo) rows r at nodes lo..hi-1, in the global picture if zeta is real
-        v = np.stack((v1[lo:hi], v2[lo:hi]))
-        if real:
-            v *= np.exp(1j * np.real(zeta) * (grid.x_min + h * np.arange(lo, hi)))
-        return -p.k1 * v
-
-    def stage(r: np.ndarray, j: int):
-        # rows and columns of a stage j nodes into its step
-        c = -np.conj(r)
-        return (r, c) if real or j == 0 else (ahead[j] * r, behind[j] * c)
+    def stage(nodes: slice, j: int):
+        # rows and columns at grid nodes that lie j nodes into their steps;
+        # np.stack here leaves small cached buffers behind per call, which
+        # made the traced peak of a call grow with the number of blocks
+        r = -p.k1 * np.array((v1[nodes], v2[nodes]))
+        return ahead[j] * r, behind[j] * -np.conj(r)
 
     def free(s: float) -> np.ndarray:
         # E of a step of length s, to scale the rows of (3, 3, k) step matrices
         return np.diag(_free_factor(zeta, s))[:, None, None]
 
     n = grid.nx
-    psi = np.eye(3, dtype=complex) if real else _free_factor(zeta, grid.x_min)
+    psi = _free_factor(zeta, grid.x_min)
     last = 2 * ((n - 1) // 2)  # node where the steps of 2h end
     for i in range(0, last, 2 * FOLD_BLOCK):
-        r = rows(i, min(i + 2 * FOLD_BLOCK, last) + 1)
-        m = r.shape[1]
-        (r0, c0), (r1, c1), (r2, c2) = (stage(r[:, j : m - 2 + j : 2], j) for j in range(3))
+        hi = min(i + 2 * FOLD_BLOCK, last)
+        (r0, c0), (r1, c1), (r2, c2) = (stage(slice(i + j, hi + j, 2), j) for j in range(3))
         steps = _step_matrices(r0, r1, r2, c0, c1, c2, 2.0 * h)
-        if not real:
-            steps *= free(2.0 * h)
+        steps *= free(2.0 * h)
         psi = _fold(steps) @ psi
     if last == n - 2:
         # odd interval count: one single RK4 step with averaged midpoint
-        r = rows(n - 2, n)
-        (r0, c0), (r1, c1) = stage(r[:, :1], 0), stage(r[:, 1:], 1)
+        (r0, c0), (r1, c1) = stage(slice(n - 2, n - 1), 0), stage(slice(n - 1, n), 1)
         step = _step_matrices(r0, 0.5 * (r0 + r1), r1, c0, 0.5 * (c0 + c1), c1, h)
-        if not real:
-            step *= free(h)
+        step *= free(h)
         psi = step[:, :, 0] @ psi
 
-    return psi if real else _free_factor(-zeta, grid.x_max) @ psi
+    return _free_factor(-zeta, grid.x_max) @ psi
