@@ -109,15 +109,35 @@ class ConfigError(ValueError):
     pass
 
 
+def _read(value, like, key: str):
+    """A config value checked against the JSON type of like, typed as like is.
+
+    A float like takes any JSON number and an int like an integral one
+    (1024.0 included).  A list like takes an array, whose items are read like
+    its first item when it has one.  Strings and booleans are not numbers.
+    """
+    if isinstance(like, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be an array, got {value!r}")
+        return [_read(v, like[0], key) for v in value] if like else value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if isinstance(like, int):
+        if not float(value).is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
+
+
 def _complex_of(node, where: str) -> complex:
-    if isinstance(node, (int, float)):
-        return complex(node)
+    """A JSON number, or an object {"re": ..., "im": ...} of numbers (each 0 if left out)."""
     if isinstance(node, dict) and set(node) <= {"re", "im"}:
-        return complex(float(node.get("re", 0.0)), float(node.get("im", 0.0)))
-    raise ConfigError(f"{where}: expected a number or {{\"re\": ..., \"im\": ...}}")
+        return complex(*(_read(node.get(key, 0.0), 0.0, f"{where}.{key}") for key in ("re", "im")))
+    return complex(_read(node, 0.0, where))
 
 
 def _merged(defaults: dict, user) -> dict:
+    """The defaults, overridden by the user's keys, each read like its default."""
     out = dict(defaults)
     if user is not None:
         if not isinstance(user, dict):
@@ -125,32 +145,31 @@ def _merged(defaults: dict, user) -> dict:
         unknown = sorted(set(user) - set(defaults))
         if unknown:
             raise ValueError(f"unknown keys {unknown}, expected keys of {sorted(defaults)}")
-        out.update(user)
+        out.update({key: _read(value, defaults[key], key) for key, value in user.items()})
     return out
 
 
 def _snapshot_times(opts: dict) -> list[float]:
     """Sorted propagate snapshot times, t_final always included."""
-    return sorted(set(float(s) for s in opts["snapshots"]) | {float(opts["t_final"])})
+    return sorted(set(opts["snapshots"]) | {opts["t_final"]})
 
 
 def _positive(values, key: str) -> None:
-    if not all(float(v) > 0 for v in values):
+    if not all(v > 0 for v in values):
         raise ValueError(f"{key} must be positive, got {values!r}")
 
 
 def _scatter_grid(opts: dict) -> Grid1D:
     """Grid of the scatter command: x_min..x_max in steps of spacing."""
-    h = float(opts["spacing"])
-    _positive([h], "spacing")
-    return Grid1D.with_spacing(float(opts["x_min"]), float(opts["x_max"]), h)
+    _positive([opts["spacing"]], "spacing")
+    return Grid1D.with_spacing(opts["x_min"], opts["x_max"], opts["spacing"])
 
 
 # Load-time checks of the command sections: each raises what its command
 # would otherwise raise partway through a run.
 def _check_finite(opts: dict, *keys: str) -> None:
     for key in keys:
-        if not np.isfinite(float(opts[key])):
+        if not np.isfinite(opts[key]):
             raise ValueError(f"{key} must be finite, got {opts[key]!r}")
 
 
@@ -160,22 +179,22 @@ def _check_tolerances(tol: dict) -> None:
             _check_finite(tol, key)
             continue
         # a band: [lo, hi]
-        if not isinstance(value, (list, tuple)) or len(value) != 2:
+        if len(value) != 2:
             raise ValueError(f"{key} must be a pair [lo, hi], got {value!r}")
-        lo, hi = float(value[0]), float(value[1])
+        lo, hi = value
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
             raise ValueError(f"{key} must be finite with lo <= hi, got {value!r}")
 
 
 def _check_residual(opts: dict, grid: Grid1D) -> None:
-    if float(opts["order"]) not in (2.0, 4.0):
+    if opts["order"] not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {opts['order']!r}")
     _positive(opts["spacings"], "spacings")
     residual.check_ladder(opts["spacings"])
     # each rung's grid must hold the widest stencil
     for h in opts["spacings"]:
-        rung = Grid1D.with_spacing(grid.x_min, grid.x_max, float(h))
-        residual.check_nodes(rung.nx, int(opts["order"]))
+        rung = Grid1D.with_spacing(grid.x_min, grid.x_max, h)
+        residual.check_nodes(rung.nx, opts["order"])
     _check_finite(opts, "t_center")
 
 
@@ -192,27 +211,27 @@ def _check_scatter(opts: dict, spectral: SpectralData) -> None:
     _positive([opts["tail_threshold"]], "tail_threshold")
     if len(opts["real_zetas"]) < 1:
         raise ValueError("real_zetas needs at least one entry")
-    for zeta in (*spectral.zetas(), *(float(z) for z in opts["real_zetas"])):
+    for zeta in (*spectral.zetas(), *opts["real_zetas"]):
         rh.check_phase_step(grid.spacing, complex(zeta))
 
 
-def _check_integer(opts: dict, key: str, least: int) -> None:
-    if int(opts[key]) != float(opts[key]) or int(opts[key]) < least:
+def _check_at_least(opts: dict, key: str, least: int) -> None:
+    if opts[key] < least:
         raise ValueError(f"{key} must be an integer >= {least}, got {opts[key]!r}")
 
 
 def _check_rh_check(opts: dict) -> None:
-    _check_integer(opts, "n_symmetry", 1)
-    _check_integer(opts, "n_product", 1)
-    _check_integer(opts, "seed", 0)
+    _check_at_least(opts, "n_symmetry", 1)
+    _check_at_least(opts, "n_product", 1)
+    _check_at_least(opts, "seed", 0)
     _check_finite(opts, "x", "t")
 
 
 def _check_propagate(opts: dict, params: SystemParams) -> None:
-    _check_integer(opts, "n", 2)
-    grid = propagator.SpectralGrid(float(opts["length"]), int(opts["n"]))
-    propagator.step_schedule(float(opts["t_final"]), float(opts["dt"]), _snapshot_times(opts))
-    propagator.check_stability(grid, params, float(opts["dt"]))
+    _check_at_least(opts, "n", 2)
+    grid = propagator.SpectralGrid(opts["length"], opts["n"])
+    propagator.step_schedule(opts["t_final"], opts["dt"], _snapshot_times(opts))
+    propagator.check_stability(grid, params, opts["dt"])
     _positive([opts["edge_threshold"]], "edge_threshold")
 
 
@@ -222,12 +241,10 @@ def parse_config(doc: dict) -> RunConfig:
     section = "params"
     try:
         pnode = doc["params"]
-        params = SystemParams(
-            epsilon=float(pnode["epsilon"]), k1=float(pnode["k1"]), a2=float(pnode["a2"])
-        )
+        params = SystemParams(**{k: _read(pnode[k], 0.0, k) for k in ("epsilon", "k1", "a2")})
         section = "spectral"
         data = []
-        for i, snode in enumerate(doc["spectral"]):
+        for i, snode in enumerate(_read(doc["spectral"], [], "spectral")):
             data.append(
                 SpectralDatum(
                     zeta=_complex_of(snode["zeta"], f"spectral[{i}].zeta"),
@@ -239,14 +256,14 @@ def parse_config(doc: dict) -> RunConfig:
         spectral = SpectralData(tuple(data))
         section = "grid"
         gnode = doc["grid"]
-        _check_integer(gnode, "nx", 2)
-        grid = Grid1D(float(gnode["x_min"]), float(gnode["x_max"]), int(gnode["nx"]))
+        likes = {"nx": 0, "x_min": 0.0, "x_max": 0.0}
+        gopts = {key: _read(gnode[key], like, key) for key, like in likes.items()}
+        _check_at_least(gopts, "nx", 2)
+        grid = Grid1D(**gopts)
         section = "times"
-        times = tuple(float(t) for t in doc.get("times", []))
+        times = tuple(_read(doc.get("times", []), [0.0], "times"))
     except KeyError as exc:
         raise ConfigError(f"missing config field {exc}") from exc
-    except ConfigError:
-        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
     if not all(np.isfinite(times)):
@@ -459,15 +476,14 @@ def _emit_plot_scripts(
 
 def cmd_residual(cfg: RunConfig, out: Path, quiet: bool) -> int:
     opts = cfg.residual
-    order = int(opts["order"])
-    spacings = tuple(float(h) for h in opts["spacings"])
+    order = opts["order"]
     rep1, rep2 = residual.soliton_residual_ladder(
         lambda x, t: nsoliton.fields_batch(cfg.spectral, cfg.params, x, t),
         cfg.params,
         cfg.grid.x_min,
         cfg.grid.x_max,
-        spacings,
-        float(opts["t_center"]),
+        opts["spacings"],
+        opts["t_center"],
         order,
     )
     ladder_lines = ["h,sup_norm_q1,sup_norm_q2"]
@@ -478,7 +494,7 @@ def cmd_residual(cfg: RunConfig, out: Path, quiet: bool) -> int:
     report = Report()
     # a slope above the nominal order is no more a pass than one below it:
     # a wrong field whose defect cancels part of the truncation error reads high
-    deficit = float(cfg.tolerances["residual_order_deficit"])
+    deficit = cfg.tolerances["residual_order_deficit"]
     report.check_band("residual_order_q1", rep1.estimated_order, order - deficit, order + deficit)
     report.check_band("residual_order_q2", rep2.estimated_order, order - deficit, order + deficit)
     report.write(out / "residual_report.csv", quiet)
@@ -487,18 +503,17 @@ def cmd_residual(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 def cmd_zero_curvature(cfg: RunConfig, out: Path, quiet: bool) -> int:
     opts = cfg.zero_curvature
-    x, t = float(opts["x"]), float(opts["t"])
+    x, t = opts["x"], opts["t"]
     zetas = laxpair.default_zeta_samples()
     report = Report()
     for order, key, band_key in (
         (2, "order2_spacings", "zc_order2_band"),
         (4, "order4_spacings", "zc_order4_band"),
     ):
-        spacings = [float(h) for h in opts[key]]
-        lo, hi = (float(v) for v in cfg.tolerances[band_key])
+        lo, hi = cfg.tolerances[band_key]
         # sups[j][iz]: sup norm of the residual at spacing j and sample iz
         res = laxpair.zero_curvature_residual(
-            cfg.spectral, cfg.params, zetas, x, t, spacings, order
+            cfg.spectral, cfg.params, zetas, x, t, opts[key], order
         )
         sups = np.abs(res).max(axis=(-2, -1)).tolist()
         for iz in range(len(zetas)):
@@ -511,14 +526,13 @@ def cmd_zero_curvature(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 def cmd_rh_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     opts = cfg.rh_check
-    x, t = float(opts["x"]), float(opts["t"])
+    x, t = opts["x"], opts["t"]
     tol = cfg.tolerances
-    rng = np.random.default_rng(int(opts["seed"]))
+    rng = np.random.default_rng(opts["seed"])
     data, params = cfg.spectral, cfg.params
     report = Report()
 
-    kr = rh.kernel_report(data, params, x, t)
-    report.check_le("kernel_max", kr.max_norm, float(tol["kernel"]))
+    report.check_le("kernel_max", rh.kernel_report(data, params, x, t), tol["kernel"])
 
     poles = np.concatenate([data.zetas(), np.conj(data.zetas())])
 
@@ -531,20 +545,19 @@ def cmd_rh_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
                 zs.append(z)
         return np.array(zs)
 
-    n_sym = int(opts["n_symmetry"])
-    zs = samples(n_sym, lambda i: complex(rng.uniform(-2, 2), rng.uniform(-2, -0.05)))
+    zs = samples(opts["n_symmetry"], lambda i: complex(rng.uniform(-2, 2), rng.uniform(-2, -0.05)))
     lhs = np.conj(rh.rh_plus(np.conj(zs), data, params, x, t)).swapaxes(-1, -2)
     sym = np.abs(lhs - rh.rh_minus(zs, data, params, x, t)).max(axis=(-2, -1))
-    report.check_le("symmetry_max", _worst(sym), float(tol["symmetry"]))
+    report.check_le("symmetry_max", _worst(sym), tol["symmetry"])
 
-    n_prod = int(opts["n_product"])
+    n_prod = opts["n_product"]
     zs = samples(
         n_prod,
         lambda i: complex(rng.uniform(-2, 2), 0.0 if i < n_prod // 2 else rng.uniform(-2, 2)),
     )
     m = rh.rh_minus(zs, data, params, x, t) @ rh.rh_plus(zs, data, params, x, t)
     prod = np.abs(m - np.eye(3)).max(axis=(-2, -1))
-    report.check_le("product_max", _worst(prod), float(tol["product"]))
+    report.check_le("product_max", _worst(prod), tol["product"])
 
     rec = []
     xs = np.linspace(cfg.grid.x_min, cfg.grid.x_max, 9)
@@ -553,7 +566,7 @@ def cmd_rh_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     qe1, qe2 = nsoliton.fields_batch(data, params, xs, t)
     for qr, e1, e2 in zip(qrs, qe1.tolist(), qe2.tolist()):
         rec += [abs(qr[0] - e1), abs(qr[1] - e2)]
-    report.check_le("reconstruct_max", _worst(rec), float(tol["reconstruct"]))
+    report.check_le("reconstruct_max", _worst(rec), tol["reconstruct"])
 
     report.write(out / "rh_report.csv", quiet)
     return EXIT_OK if report.all_pass else EXIT_VERIFICATION
@@ -564,19 +577,19 @@ def cmd_scatter(cfg: RunConfig, out: Path, quiet: bool) -> int:
     tol = cfg.tolerances
     grid = _scatter_grid(opts)
     (q1, q2), = nsoliton.sample(cfg.spectral, cfg.params, grid, [0.0])
-    tail = float(opts["tail_threshold"])
+    tail = opts["tail_threshold"]
 
     report = Report()
     for i, d in enumerate(cfg.spectral):
         s = rh.direct_scattering(q1, q2, complex(d.zeta), cfg.params, tail_threshold=tail)
-        report.check_le(f"s11_zero_{i}", abs(s[0, 0]), float(tol["s11_zero"]))
+        report.check_le(f"s11_zero_{i}", abs(s[0, 0]), tol["s11_zero"])
     refl, det = [], []
     for zr in opts["real_zetas"]:
-        s = rh.direct_scattering(q1, q2, complex(float(zr)), cfg.params, tail_threshold=tail)
+        s = rh.direct_scattering(q1, q2, complex(zr), cfg.params, tail_threshold=tail)
         refl += [abs(s[1, 0]), abs(s[2, 0])]
         det.append(abs(np.linalg.det(s) - 1.0))
-    report.check_le("reflection_max", _worst(refl), float(tol["reflection"]))
-    report.check_le("det_s_max_err", _worst(det), float(tol["det_s"]))
+    report.check_le("reflection_max", _worst(refl), tol["reflection"])
+    report.check_le("det_s_max_err", _worst(det), tol["det_s"])
     report.write(out / "scatter_report.csv", quiet)
     return EXIT_OK if report.all_pass else EXIT_VERIFICATION
 
@@ -584,11 +597,9 @@ def cmd_scatter(cfg: RunConfig, out: Path, quiet: bool) -> int:
 def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     opts = cfg.propagate
     tol = cfg.tolerances
-    sgrid = propagator.SpectralGrid(float(opts["length"]), int(opts["n"]))
+    sgrid = propagator.SpectralGrid(opts["length"], opts["n"])
     xs = sgrid.points()
     grid = Grid1D(float(xs[0]), float(xs[-1]), sgrid.n)
-    t_final = float(opts["t_final"])
-    dt = float(opts["dt"])
     snaps = _snapshot_times(opts)
 
     def analytic(tt: float) -> tuple[ComplexField, ComplexField]:
@@ -599,8 +610,8 @@ def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     report = Report()
     try:
         evolved = propagator.evolve(
-            q10, q20, cfg.params, t_final, dt, snaps,
-            edge_threshold=float(opts["edge_threshold"]),
+            q10, q20, cfg.params, opts["t_final"], opts["dt"], snaps,
+            edge_threshold=opts["edge_threshold"],
         )
     except (propagator.BlowupError, propagator.EdgeDecayError, propagator.StabilityBoundError) as exc:
         report.fail("propagation_completed", type(exc).__name__)
@@ -625,8 +636,8 @@ def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     mass0 = trapezoid_mass(q10, q20)
     mass1 = trapezoid_mass(*evolved[-1])
     drift = abs(mass1 - mass0) / mass0 if mass0 > 0 else 0.0
-    report.check_le("final_linf", final_err, float(tol["propagate_linf"]))
-    report.check_le("mass_drift", drift, float(tol["mass_drift"]))
+    report.check_le("final_linf", final_err, tol["propagate_linf"])
+    report.check_le("mass_drift", drift, tol["mass_drift"])
     report.write(out / "propagation_report.csv", quiet)
     return EXIT_OK if report.all_pass else EXIT_VERIFICATION
 

@@ -31,9 +31,6 @@ __all__ = [
     "fields_batch",
     "one_soliton",
     "sample",
-    "envelope_velocity",
-    "peak_position",
-    "peak_velocity",
 ]
 
 # Smallest |w_k|^2 / |v_k|^2 the dressing may leave.  Each factor G_j(zeta_k)
@@ -179,47 +176,3 @@ def sample(
         out.append((ComplexField(grid, float(t), q1), ComplexField(grid, float(t), q2)))
     return out
 
-
-def envelope_velocity(d: SpectralDatum, p: SystemParams) -> float:
-    """Closed-form speed of the one-soliton modulus envelope.
-
-    For zeta = a + i b the envelope argument is -b x + c t with
-    c = (3 a^2 b - b^3) eps - 2 a2 (a^2 - b^2), so the peak travels at c / b.
-    """
-    a, b = complex(d.zeta).real, complex(d.zeta).imag
-    c = (3 * a * a * b - b**3) * p.epsilon - 2 * p.a2 * (a * a - b * b)
-    return c / b
-
-
-def _refine_peak(xs: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """Parabolic refinement of the grid maximum; returns (x_peak, value)."""
-    i = int(np.argmax(vals))
-    if i == 0 or i == len(xs) - 1:
-        return float(xs[i]), float(vals[i])
-    ym, y0, yp = vals[i - 1], vals[i], vals[i + 1]
-    denom = ym - 2 * y0 + yp
-    if denom == 0:
-        return float(xs[i]), float(y0)
-    shift = 0.5 * (ym - yp) / denom
-    h = xs[1] - xs[0]
-    value = y0 - 0.25 * (ym - yp) * shift
-    return float(xs[i] + shift * h), float(value)
-
-
-def peak_position(data: SpectralData, p: SystemParams, grid: Grid1D, t: float) -> float:
-    """Location of the maximum of sqrt(|q1|^2 + |q2|^2) at time t."""
-    q1, q2 = fields_batch(data, p, grid.points(), t)
-    mod = np.sqrt(np.abs(q1) ** 2 + np.abs(q2) ** 2)
-    pos, _ = _refine_peak(grid.points(), mod)
-    return pos
-
-
-def peak_velocity(
-    data: SpectralData, p: SystemParams, grid: Grid1D, t0: float, t1: float
-) -> float:
-    """Envelope speed estimated by tracking the modulus peak from t0 to t1."""
-    if t1 == t0:
-        raise ValueError("need two distinct times")
-    x0 = peak_position(data, p, grid, t0)
-    x1 = peak_position(data, p, grid, t1)
-    return (x1 - x0) / (t1 - t0)

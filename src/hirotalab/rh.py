@@ -27,8 +27,6 @@ nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ComplexField, SpectralData, SystemParams, phase
@@ -37,7 +35,6 @@ __all__ = [
     "PoleHitError",
     "NonDecayingTailsError",
     "ScatteringStepError",
-    "KernelReport",
     "rh_plus",
     "rh_minus",
     "rh_plus_order1",
@@ -80,20 +77,6 @@ class ScatteringStepError(ValueError):
             f"need h * |zeta| <= {PHASE_STEP_LIMIT} to bound RK4's step error on "
             f"the e^(+-i zeta x) within a step, got {h * abs(zeta):.3g}"
         )
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    """Relative kernel norms per datum: right kernel of the upper factor at
-    zeta_j and left kernel of the lower factor at zeta_j*."""
-
-    right_norms: tuple[float, ...]
-    left_norms: tuple[float, ...]
-
-    @property
-    def max_norm(self) -> float:
-        # np.max, unlike max, propagates a NaN norm
-        return float(np.max(self.right_norms + self.left_norms, initial=0.0))
 
 
 def _scaled_vectors(data: SpectralData, p: SystemParams, x: float, t: float):
@@ -158,16 +141,19 @@ def rh_plus_order1(data: SpectralData, p: SystemParams, x: float, t: float) -> n
     return -(v.T @ z)
 
 
-def kernel_report(data: SpectralData, p: SystemParams, x: float, t: float) -> KernelReport:
-    """Relative norms of the factor-kernel conditions at every eigenvalue."""
+def kernel_report(data: SpectralData, p: SystemParams, x: float, t: float) -> float:
+    """Largest relative norm of the factor-kernel conditions at every eigenvalue:
+    the right kernel of the upper factor at zeta_j and the left kernel of the
+    lower factor at zeta_j*.  0.0 for no data; a NaN norm propagates."""
     if len(data) == 0:
-        return KernelReport((), ())
+        return 0.0
     v, vhat, _, zetas = _scaled_vectors(data, p, x, t)
     plus = rh_plus(zetas, data, p, x, t)
     minus = rh_minus(np.conj(zetas), data, p, x, t)
     right = [np.linalg.norm(p1 @ vj) / np.linalg.norm(vj) for p1, vj in zip(plus, v)]
     left = [np.linalg.norm(wj @ p2) / np.linalg.norm(wj) for p2, wj in zip(minus, vhat)]
-    return KernelReport(tuple(map(float, right)), tuple(map(float, left)))
+    # np.max, unlike max, propagates a NaN norm
+    return float(np.max(right + left))
 
 
 def reconstruct(data: SpectralData, p: SystemParams, x: float, t: float) -> tuple[complex, complex]:

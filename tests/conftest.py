@@ -38,6 +38,14 @@ def centre_perturbed(data: SpectralData, p: SystemParams, t_center: float):
     return fields
 
 
+def peak_x(xs: np.ndarray, values: np.ndarray) -> float:
+    """Grid maximum of values, moved to the vertex of the parabola through it
+    and its two neighbours (the maximum must be interior)."""
+    i = int(np.argmax(values))
+    ym, y0, yp = values[i - 1 : i + 2]
+    return float(xs[i] + 0.5 * (ym - yp) / (ym - 2 * y0 + yp) * (xs[1] - xs[0]))
+
+
 def make_random_data(n: int, seed: int) -> SpectralData:
     rng = np.random.default_rng(seed)
     items = []

@@ -430,6 +430,7 @@ def test_propagate_abort_line_names_step_and_growth_rate(tmp_path, capsys):
         {"edge_threshold": -1},
         {"edge_threshold": "abc"},
         {"dt": 0.02, "t_final": 0.04, "snapshots": [0.04]},
+        {"n": "1024"},
     ],
     ids=[
         "snapshot_off_dt",
@@ -441,6 +442,7 @@ def test_propagate_abort_line_names_step_and_growth_rate(tmp_path, capsys):
         "negative_edge_threshold",
         "string_edge_threshold",
         "unstable_dt",
+        "string_n",
     ],
 )
 def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
@@ -494,6 +496,14 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         ("zero_curvature", {"order2_spacings": [0.01]}),
         ("zero_curvature", {"order4_spacings": []}),
         ("scatter", {"real_zetas": []}),
+        ("residual", {"spacings": "421"}),
+        ("times", "12"),
+        ("spectral", ""),
+        ("spectral", [{"zeta": {"re": "0.3", "im": 0.2}, "alpha": 1.0, "beta": 1.0, "gamma": 2.0}]),
+        ("rh_check", {"seed": True}),
+        ("params", {"epsilon": True}),
+        ("grid", {"nx": "401"}),
+        ("tolerances", {"kernel": "1e-10"}),
     ],
     ids=[
         "residual_order_3",
@@ -534,6 +544,14 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         "zc_single_order2_spacing",
         "zc_empty_order4_spacings",
         "scatter_no_real_zetas",
+        "residual_string_spacings",
+        "times_string",
+        "spectral_string",
+        "spectral_string_re",
+        "rh_boolean_seed",
+        "params_boolean_epsilon",
+        "grid_string_nx",
+        "tolerances_numeric_string_kernel",
     ],
 )
 def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change):
@@ -541,7 +559,14 @@ def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change
     doc[section] = {**doc.get(section, {}), **change} if isinstance(change, dict) else change
     path = _write_config(tmp_path, doc)
     # a command that reads the section
-    readers = {"times": "sample", "grid": "sample", "emit_plots": "sample", "tolerances": "zero-curvature"}
+    readers = {
+        "params": "sample",
+        "spectral": "sample",
+        "times": "sample",
+        "grid": "sample",
+        "emit_plots": "sample",
+        "tolerances": "zero-curvature",
+    }
     command = readers.get(section, section.replace("_", "-"))
     code = cli.main([command, "--config", path, "--out", str(tmp_path / "bad"), "--quiet"])
     assert code == cli.EXIT_VALIDATION

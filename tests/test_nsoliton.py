@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams, phase, trapezoid_mass
 from hirotalab import cli, nsoliton
 
-from conftest import make_random_data
+from conftest import make_random_data, peak_x
 
 DATA_DIR = resources.files("hirotalab.data")
 moderate = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
@@ -180,9 +180,12 @@ def test_one_soliton_decays(default_datum, default_params):
 
 
 def test_traveling_wave_envelope(default_datum, default_params):
-    # the modulus is a function of -b x + c t alone, so advancing time by
-    # delta and the position by v delta (v = c / b) leaves it unchanged
-    v = nsoliton.envelope_velocity(default_datum, default_params)
+    # the modulus is a function of -b x + c t alone, with zeta = a + i b and
+    # c = (3 a^2 b - b^3) eps - 2 a2 (a^2 - b^2), so advancing time by delta
+    # and the position by v delta (v = c / b) leaves it unchanged
+    a, b = default_datum.zeta.real, default_datum.zeta.imag
+    eps, a2 = default_params.epsilon, default_params.a2
+    v = ((3 * a * a * b - b**3) * eps - 2 * a2 * (a * a - b * b)) / b
     assert v == pytest.approx(-0.27, abs=1e-12)
     xs = np.linspace(-15.0, 15.0, 301)
     for delta in (0.5, 2.0):
@@ -192,9 +195,12 @@ def test_traveling_wave_envelope(default_datum, default_params):
 
 
 def test_peak_tracking_velocity(default_data, default_params):
-    grid = Grid1D(-30.0, 30.0, 6001)
-    v = nsoliton.peak_velocity(default_data, default_params, grid, 0.0, 10.0)
-    assert v == pytest.approx(-0.27, abs=1e-3)
+    xs = np.linspace(-30.0, 30.0, 6001)
+    x0, x1 = (
+        peak_x(xs, np.hypot(*np.abs(nsoliton.fields_batch(default_data, default_params, xs, t))))
+        for t in (0.0, 10.0)
+    )
+    assert (x1 - x0) / 10.0 == pytest.approx(-0.27, abs=1e-3)
 
 
 @given(phi=st.floats(min_value=-np.pi, max_value=np.pi))
