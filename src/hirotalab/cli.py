@@ -154,6 +154,15 @@ def _snapshot_times(opts: dict) -> list[float]:
     return sorted(set(opts["snapshots"]) | {opts["t_final"]})
 
 
+def _check_distinct_tags(times, key: str) -> None:
+    """Distinct times must name distinct files."""
+    named = {}
+    for t in times:
+        other = named.setdefault(_time_tag(t), t)
+        if other != t:
+            raise ConfigError(f"{key}: {other!r} and {t!r} would both write the files of t={_time_tag(t)}")
+
+
 def _positive(values, key: str) -> None:
     if not all(v > 0 for v in values):
         raise ValueError(f"{key} must be positive, got {values!r}")
@@ -230,7 +239,9 @@ def _check_rh_check(opts: dict) -> None:
 def _check_propagate(opts: dict, params: SystemParams) -> None:
     _check_at_least(opts, "n", 2)
     grid = propagator.SpectralGrid(opts["length"], opts["n"])
-    propagator.step_schedule(opts["t_final"], opts["dt"], _snapshot_times(opts))
+    snaps = _snapshot_times(opts)
+    propagator.step_schedule(opts["t_final"], opts["dt"], snaps)
+    _check_distinct_tags(snaps, "snapshots")
     propagator.check_stability(grid, params, opts["dt"])
     _positive([opts["edge_threshold"]], "edge_threshold")
 
@@ -268,6 +279,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"{section}: {exc}") from exc
     if not all(np.isfinite(times)):
         raise ConfigError(f"times: every time must be finite, got {list(times)!r}")
+    _check_distinct_tags(times, "times")
     emit_plots = doc.get("emit_plots", False)
     if not isinstance(emit_plots, bool):
         raise ConfigError(f"emit_plots: must be true or false, got {emit_plots!r}")

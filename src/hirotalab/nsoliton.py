@@ -3,10 +3,12 @@
 The N-soliton fields come from the reflectionless Riemann-Hilbert problem,
 whose solution normalized at infinity is a product of N elementary dressing
 factors G_N(zeta) ... G_1(zeta) (Zakharov & Shabat 1979; Shchesnovich &
-Yang 2003).  Each factor is a rank-one update, so the fields need no linear
-solve: the only divisions are by squared norms of nonzero vectors.  Every
-evolved vector is scaled in log space by its largest component, so no
-exponential overflows and far-field values decay to exact zeros.
+Yang 2003).  Each factor is a rank-one update, made in place, so the fields
+need no linear solve: the only division is one real reciprocal of each
+dressed vector's squared norm.  Every evolved vector is one unit phasor
+e^(i Im theta) times real exponentials scaled in log space by its largest
+component, so no exponential overflows and far-field values decay to exact
+zeros.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ __all__ = [
 # system did.
 DRESSING_LIMIT = 1e-14
 # Points per pass of the dressing.  It bounds the temporaries of one call,
-# which hold about 6 N + 6 complex values per point.
+# about 6 N + 6 complex values per point: w_j and its dual per earlier datum,
+# w_k, the (3, m) and (m,) buffers of its rank-one updates, q1 and q2.
 CHUNK = 2048
 
 
@@ -65,21 +68,26 @@ def _evolved_vector(d: SpectralDatum, p: SystemParams, x, t) -> np.ndarray:
     """(alpha e^-theta, beta e^theta, gamma e^theta) / e^s as one (3, ...) array.
 
     s is the log of the largest component's modulus, so every entry has
-    modulus at most 1.  A zero entry stays exactly 0: it is never formed
-    as 0 * e^(+large).
+    modulus at most 1.  Each entry is a real factor e^(log|.| -+ Re theta - s),
+    at most 1, times one unit phasor e^(i Im theta) or its conjugate.  A zero
+    entry stays exactly 0: it is never formed as 0 * e^(+large).
     """
     th = phase(d, p, x, t)
     bg = max(abs(d.beta), abs(d.gamma))
     log_a = math.log(abs(d.alpha)) if d.alpha else -math.inf
     log_bg = math.log(bg) if bg else -math.inf
     s = np.maximum(log_a - th.real, log_bg + th.real)
+    turn = np.empty(th.shape, dtype=complex)  # e^(i Im theta)
+    np.cos(th.imag, out=turn.real)
+    np.sin(th.imag, out=turn.imag)
     v = np.zeros((3,) + th.shape, dtype=complex)
     if d.alpha:
-        v[0] = (d.alpha / abs(d.alpha)) * np.exp(log_a - th - s)
+        np.conjugate(turn, out=v[0])
+        v[0] *= (d.alpha / abs(d.alpha)) * np.exp(log_a - th.real - s)
     if bg:
-        grow = np.exp(log_bg + th - s)
-        v[1] = (d.beta / bg) * grow
-        v[2] = (d.gamma / bg) * grow
+        turn *= np.exp(log_bg + th.real - s)
+        np.multiply(d.beta / bg, turn, out=v[1])
+        np.multiply(d.gamma / bg, turn, out=v[2])
     return v
 
 
@@ -111,6 +119,8 @@ def fields_batch(
 def _dress(data: SpectralData, p: SystemParams, x: np.ndarray, t: np.ndarray):
     """(q1, q2) at the points (x, t), all of shape (m,)."""
     q1, q2 = np.zeros(x.size, dtype=complex), np.zeros(x.size, dtype=complex)
+    if len(data) > 1:  # one datum makes no rank-one update
+        prod, dot = np.empty((3, x.size), dtype=complex), np.empty(x.size, dtype=complex)
     dressed = []  # (zeta_j, w_j, conj(w_j) / |w_j|^2) of the earlier data
     for k, d in enumerate(data):
         zk = complex(d.zeta)
@@ -118,16 +128,20 @@ def _dress(data: SpectralData, p: SystemParams, x: np.ndarray, t: np.ndarray):
         if dressed:
             v_norm = _squared_norm(w)
             for zj, wj, dual in dressed:
-                c = (zj - zj.conjugate()) / (zk - zj.conjugate())
-                w = w - (c * (dual * w).sum(axis=0)) * wj
+                np.multiply(dual, w, out=prod)
+                prod.sum(axis=0, out=dot)
+                dot *= (zj - zj.conjugate()) / (zk - zj.conjugate())
+                np.multiply(wj, dot, out=prod)
+                w -= prod
         norm = _squared_norm(w)
         if dressed:
             _check(~(norm / v_norm >= DRESSING_LIMIT), x, t)
-        weight = (2.0 * zk.imag / p.k1) * w[0] / norm
+        inv = 1.0 / norm
+        weight = w[0] * ((2.0 * zk.imag / p.k1) * inv)
         q1 -= weight * w[1].conj()
         q2 -= weight * w[2].conj()
         if k + 1 < len(data):
-            dressed.append((zk, w, w.conj() / norm))
+            dressed.append((zk, w, w.conj() * inv))
     _check(~(np.isfinite(q1) & np.isfinite(q2)), x, t)
     return q1, q2
 

@@ -455,6 +455,15 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
     assert not (tmp_path / "bad").exists()
 
 
+def test_snapshots_sharing_a_file_tag_fail_at_load():
+    # both snapshots would write snapshot_t1.csv; only loaded, since the
+    # schedule is 10^7 steps
+    doc = _third_order_doc()
+    doc["propagate"] = {**doc["propagate"], "dt": 1e-7, "t_final": 1.0000002, "snapshots": [1.0000001]}
+    with pytest.raises(cli.ConfigError, match="^propagate: snapshots: "):
+        cli.parse_config(doc)
+
+
 @pytest.mark.parametrize(
     "section, change",
     [
@@ -504,6 +513,7 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         ("params", {"epsilon": True}),
         ("grid", {"nx": "401"}),
         ("tolerances", {"kernel": "1e-10"}),
+        ("times", [1.0000001, 1.0000002]),
     ],
     ids=[
         "residual_order_3",
@@ -552,6 +562,7 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
         "params_boolean_epsilon",
         "grid_string_nx",
         "tolerances_numeric_string_kernel",
+        "times_sharing_a_file_tag",
     ],
 )
 def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams, phase, trapezoid_mass
 from hirotalab import cli, nsoliton
 
-from conftest import make_random_data, peak_x
+from conftest import make_random_data, nsoliton_doc, peak_x
 
 DATA_DIR = resources.files("hirotalab.data")
 moderate = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
@@ -117,14 +117,56 @@ def test_fields_batch_matches_cauchy_solve():
             assert np.abs(got[1] - want[1]).max() < 1e-13
 
 
+def _reference_dress(data, p, x, t):
+    """The dressing product as complex exponentials, out-of-place updates and divisions."""
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    q1, q2 = np.zeros(x.shape, dtype=complex), np.zeros(x.shape, dtype=complex)
+    dressed = []
+    for d in data:
+        zk = complex(d.zeta)
+        th = phase(d, p, x, t)
+        bg = max(abs(d.beta), abs(d.gamma))
+        log_a = np.log(abs(d.alpha)) if d.alpha else -np.inf
+        log_bg = np.log(bg) if bg else -np.inf
+        s = np.maximum(log_a - th.real, log_bg + th.real)
+        w = np.zeros((3,) + th.shape, dtype=complex)
+        if d.alpha:
+            w[0] = (d.alpha / abs(d.alpha)) * np.exp(log_a - th - s)
+        if bg:
+            grow = np.exp(log_bg + th - s)
+            w[1], w[2] = (d.beta / bg) * grow, (d.gamma / bg) * grow
+        for zj, wj, dual in dressed:
+            c = (zj - zj.conjugate()) / (zk - zj.conjugate())
+            w = w - (c * (dual * w).sum(axis=0)) * wj
+        norm = (w.real**2 + w.imag**2).sum(axis=0)
+        weight = (2.0 * zk.imag / p.k1) * w[0] / norm
+        q1 -= weight * w[1].conj()
+        q2 -= weight * w[2].conj()
+        dressed.append((zk, w, w.conj() / norm))
+    return q1, q2
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13, 9701])
+def test_fields_batch_matches_reference_dressing_at_n8(seed):
+    cfg = cli.parse_config(nsoliton_doc(seed))
+    xs = cfg.grid.points()
+    for t in (-2.0, 0.0, 2.0):
+        got, want = nsoliton.fields_batch(cfg.spectral, cfg.params, xs, t), _reference_dress(cfg.spectral, cfg.params, xs, t)
+        assert np.abs(got[0] - want[0]).max() < 1e-13
+        assert np.abs(got[1] - want[1]).max() < 1e-13
+
+
 def test_fields_batch_is_pointwise(default_params):
-    # a batch of more than two passes equals calls on uneven pieces of it
+    # a batch of more than two passes equals calls on uneven pieces of it, bit for bit
+    cfg = cli.parse_config(nsoliton_doc(11))
     xs = np.linspace(-40.0, 40.0, 2 * nsoliton.CHUNK + 3)
-    whole = nsoliton.fields_batch(TWO_SOLITON, default_params, xs, 0.5)
     cuts = [0, 1000, nsoliton.CHUNK + 7, xs.size]
-    pieces = [nsoliton.fields_batch(TWO_SOLITON, default_params, xs[a:b], 0.5) for a, b in zip(cuts, cuts[1:])]
-    for i in range(2):
-        assert np.array_equal(whole[i], np.concatenate([piece[i] for piece in pieces]))
+    for data, p in ((TWO_SOLITON, default_params), (cfg.spectral, cfg.params)):
+        whole = nsoliton.fields_batch(data, p, xs, 0.5)
+        pieces = [nsoliton.fields_batch(data, p, xs[a:b], 0.5) for a, b in zip(cuts, cuts[1:])]
+        for i in range(2):
+            joined = np.concatenate([piece[i] for piece in pieces])
+            assert np.array_equal(whole[i].view(np.int64), joined.view(np.int64))
 
 
 def test_fields_batch_broadcasts_t_against_x(default_params):
