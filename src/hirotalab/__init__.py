@@ -8,8 +8,8 @@ potentials, and pseudo-spectral time propagation.
 """
 
 from .core import (
-    ComplexField,
     Grid1D,
+    SampledField,
     SpectralData,
     SpectralDatum,
     SystemParams,
@@ -21,8 +21,8 @@ from .core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexField",
     "Grid1D",
+    "SampledField",
     "SpectralData",
     "SpectralDatum",
     "SystemParams",

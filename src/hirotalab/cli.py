@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    ComplexField,
     Grid1D,
+    SampledField,
     SpectralData,
     SpectralDatum,
     SystemParams,
@@ -385,14 +385,14 @@ def _row_templates(leads: list[str], sep: str) -> list[str]:
     ]
 
 
-def _columns(q1: ComplexField, q2: ComplexField) -> np.ndarray:
+def _columns(q: SampledField) -> np.ndarray:
     """(nx, 6) columns re, im, abs of q1, then of q2.
 
     np.hypot is libm's hypot, which abs(complex) uses too, so each abs
     prints as _fmt(abs(z)) does; np.abs can differ in the last bit.
     """
-    cols = np.empty((q1.grid.nx, 6))
-    for k, v in ((0, q1.values), (3, q2.values)):
+    cols = np.empty((q.grid.nx, 6))
+    for k, v in zip((0, 3), q.values):
         cols[:, k], cols[:, k + 1] = v.real, v.imag
         cols[:, k + 2] = np.hypot(v.real, v.imag)
     return cols
@@ -410,11 +410,11 @@ def _x_column(grid: Grid1D) -> list[str]:
     return [_fmt(x) for x in grid.points().tolist()]
 
 
-def _write_fields(path: Path, templates: list[str], q1: ComplexField, q2: ComplexField) -> None:
-    """Write the field CSV of q1, q2; templates is _row_templates(_x_column(grid), ",")."""
+def _write_fields(path: Path, templates: list[str], q: SampledField) -> None:
+    """Write the field CSV of q; templates is _row_templates(_x_column(grid), ",")."""
     with _open_text(path) as handle:
         handle.write("x,re_q1,im_q1,abs_q1,re_q2,im_q2,abs_q2\n")
-        _write_blocks(handle, templates, _columns(q1, q2))
+        _write_blocks(handle, templates, _columns(q))
 
 
 def _worst(values) -> float:
@@ -427,18 +427,18 @@ def _time_tag(t: float) -> str:
 
 
 def cmd_sample(cfg: RunConfig, out: Path, quiet: bool) -> int:
-    pairs = nsoliton.sample(cfg.spectral, cfg.params, cfg.grid, cfg.times)
+    fields = nsoliton.sample(cfg.spectral, cfg.params, cfg.grid, cfg.times)
     xcol = _x_column(cfg.grid)
     templates = _row_templates(xcol, ",")
     names = []
-    for (q1, q2), t in zip(pairs, cfg.times):
+    for q, t in zip(fields, cfg.times):
         name = f"fields_t{_time_tag(t)}.csv"
-        _write_fields(out / name, templates, q1, q2)
+        _write_fields(out / name, templates, q)
         names.append(name)
         if not quiet:
             print(f"  wrote {name}")
     if cfg.emit_plots and names:
-        _emit_plot_scripts(cfg, out, names, pairs, xcol)
+        _emit_plot_scripts(cfg, out, names, fields, xcol)
     return EXIT_OK
 
 
@@ -446,7 +446,7 @@ def _emit_plot_scripts(
     cfg: RunConfig,
     out: Path,
     names: list[str],
-    pairs: list[tuple[ComplexField, ComplexField]],
+    fields: list[SampledField],
     xcol: list[str],
 ) -> None:
     slice_lines = [
@@ -468,11 +468,11 @@ def _emit_plot_scripts(
 
     with _open_text(out / "surface.dat") as handle:
         handle.write("# x t abs_q1 abs_q2 re_q1 re_q2 im_q1 im_q2\n")
-        for (q1, q2), t in zip(pairs, cfg.times):
+        for q, t in zip(fields, cfg.times):
             lead = " " + _fmt(t)
             templates = _row_templates([x + lead for x in xcol], " ")
             # abs, re, im, each of q1 then of q2
-            _write_blocks(handle, templates, _columns(q1, q2)[:, [2, 5, 0, 3, 1, 4]])
+            _write_blocks(handle, templates, _columns(q)[:, [2, 5, 0, 3, 1, 4]])
             handle.write("\n")
     surf_lines = [
         "set xlabel 'x'",
@@ -588,16 +588,16 @@ def cmd_scatter(cfg: RunConfig, out: Path, quiet: bool) -> int:
     opts = cfg.scatter
     tol = cfg.tolerances
     grid = _scatter_grid(opts)
-    (q1, q2), = nsoliton.sample(cfg.spectral, cfg.params, grid, [0.0])
+    q, = nsoliton.sample(cfg.spectral, cfg.params, grid, [0.0])
     tail = opts["tail_threshold"]
 
     report = Report()
     for i, d in enumerate(cfg.spectral):
-        s = rh.direct_scattering(q1, q2, complex(d.zeta), cfg.params, tail_threshold=tail)
+        s = rh.direct_scattering(q, complex(d.zeta), cfg.params, tail_threshold=tail)
         report.check_le(f"s11_zero_{i}", abs(s[0, 0]), tol["s11_zero"])
     refl, det = [], []
     for zr in opts["real_zetas"]:
-        s = rh.direct_scattering(q1, q2, complex(zr), cfg.params, tail_threshold=tail)
+        s = rh.direct_scattering(q, complex(zr), cfg.params, tail_threshold=tail)
         refl += [abs(s[1, 0]), abs(s[2, 0])]
         det.append(abs(np.linalg.det(s) - 1.0))
     report.check_le("reflection_max", _worst(refl), tol["reflection"])
@@ -614,15 +614,14 @@ def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     grid = Grid1D(float(xs[0]), float(xs[-1]), sgrid.n)
     snaps = _snapshot_times(opts)
 
-    def analytic(tt: float) -> tuple[ComplexField, ComplexField]:
-        av1, av2 = nsoliton.fields_batch(cfg.spectral, cfg.params, xs, tt)
-        return ComplexField(grid, tt, av1), ComplexField(grid, tt, av2)
+    def analytic(tt: float) -> SampledField:
+        return SampledField(grid, tt, nsoliton.fields_batch(cfg.spectral, cfg.params, xs, tt))
 
-    q10, q20 = analytic(0.0)
+    q0 = analytic(0.0)
     report = Report()
     try:
         evolved = propagator.evolve(
-            q10, q20, cfg.params, opts["t_final"], opts["dt"], snaps,
+            q0, cfg.params, opts["t_final"], opts["dt"], snaps,
             edge_threshold=opts["edge_threshold"],
         )
     except (propagator.BlowupError, propagator.EdgeDecayError, propagator.StabilityBoundError) as exc:
@@ -635,18 +634,16 @@ def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     table = ["t,linf_error_q1,linf_error_q2"]
     templates = _row_templates(_x_column(grid), ",")
     final_err = 0.0
-    for (e1, e2), tt in zip(evolved, snaps):
-        a1, a2 = analytic(tt)
-        err1 = float(np.abs(e1.values - a1.values).max())
-        err2 = float(np.abs(e2.values - a2.values).max())
+    for q, tt in zip(evolved, snaps):
+        err1, err2 = np.abs(q.values - analytic(tt).values).max(axis=1).tolist()
         table.append(f"{_fmt(tt)},{_fmt(err1)},{_fmt(err2)}")
-        _write_fields(out / f"snapshot_t{_time_tag(tt)}.csv", templates, e1, e2)
+        _write_fields(out / f"snapshot_t{_time_tag(tt)}.csv", templates, q)
         if tt == snaps[-1]:
             final_err = max(err1, err2)
     _write_text(out / "propagation_table.csv", "\n".join(table) + "\n")
 
-    mass0 = trapezoid_mass(q10, q20)
-    mass1 = trapezoid_mass(*evolved[-1])
+    mass0 = trapezoid_mass(q0)
+    mass1 = trapezoid_mass(evolved[-1])
     drift = abs(mass1 - mass0) / mass0 if mass0 > 0 else 0.0
     report.check_le("final_linf", final_err, tol["propagate_linf"])
     report.check_le("mass_drift", drift, tol["mass_drift"])

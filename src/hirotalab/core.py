@@ -1,5 +1,8 @@
 """Domain types that check their own invariants, and the shared phase exponent.
 
+A sampled field is one SampledField: the two components (q1, q2) as the
+rows of one read-only (2, nx) array on a Grid1D at one time.
+
 Everything here is immutable after construction and every operation is a
 pure function, so all of it is safe to evaluate concurrently on shared data.
 """
@@ -16,7 +19,7 @@ __all__ = [
     "SpectralDatum",
     "SpectralData",
     "Grid1D",
-    "ComplexField",
+    "SampledField",
     "ValidationError",
     "ZeroK1Error",
     "NonUpperHalfPlaneZeroError",
@@ -169,8 +172,12 @@ class Grid1D:
 
 
 @dataclass(frozen=True, eq=False)
-class ComplexField:
-    """One complex-valued field sampled on a grid at a fixed time."""
+class SampledField:
+    """The two-component field q = (q1, q2) sampled on a grid at one time.
+
+    values is a read-only (2, nx) complex array whose rows are q1 and q2.
+    A complex array passed in is made read-only in place, not copied.
+    """
 
     grid: Grid1D
     t: float
@@ -178,14 +185,21 @@ class ComplexField:
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 1 or vals.shape[0] != self.grid.nx:
+        if vals.shape != (2, self.grid.nx):
             raise ValidationError(
-                f"field must hold exactly nx = {self.grid.nx} values, got shape {vals.shape}"
+                f"field must hold (2, nx) = (2, {self.grid.nx}) values, got shape {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise ValidationError("field values must all be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    def edge_magnitude(self) -> float:
+        """Largest |q1| or |q2| at the grid's two end nodes.
+
+        Python's abs of a complex is libm's hypot.
+        """
+        return max(abs(v) for v in self.values[:, [0, -1]].ravel().tolist())
 
 
 def phase(d: SpectralDatum, p: SystemParams, x, t):
@@ -198,9 +212,7 @@ def phase(d: SpectralDatum, p: SystemParams, x, t):
     return 0.5j * z * np.asarray(x) - (0.5j * z**3 * p.epsilon + z**2 * p.a2) * np.asarray(t)
 
 
-def trapezoid_mass(q1: ComplexField, q2: ComplexField) -> float:
-    """Trapezoid quadrature of |q1|^2 + |q2|^2 over the common grid."""
-    if q1.grid != q2.grid:
-        raise ValidationError("fields must share one grid")
-    density = np.abs(q1.values) ** 2 + np.abs(q2.values) ** 2
-    return float(np.trapezoid(density, dx=q1.grid.spacing))
+def trapezoid_mass(q: SampledField) -> float:
+    """Trapezoid quadrature of |q1|^2 + |q2|^2 over the field's grid."""
+    density = (np.abs(q.values) ** 2).sum(axis=0)
+    return float(np.trapezoid(density, dx=q.grid.spacing))

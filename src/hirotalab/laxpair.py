@@ -147,7 +147,7 @@ def jet_at(
     mid = len(w1) // 2
     h = np.asarray(h, dtype=float)
     xs = np.asarray(x, dtype=float)[..., None] + h[..., None] * np.arange(-mid, mid + 1)
-    q = np.stack(fields_batch(data, p, xs, np.asarray(t, dtype=float)[..., None]))
+    q = fields_batch(data, p, xs, np.asarray(t, dtype=float)[..., None])
 
     def derivative(weights, scale):
         return sum(c / scale * q[..., i] for i, c in enumerate(weights) if c)

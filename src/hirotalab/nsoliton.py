@@ -8,7 +8,8 @@ need no linear solve: the only division is one real reciprocal of each
 dressed vector's squared norm.  Every evolved vector is one unit phasor
 e^(i Im theta) times real exponentials scaled in log space by its largest
 component, so no exponential overflows and far-field values decay to exact
-zeros.
+zeros.  fields_batch writes both components into one (2, ...) array, and
+sample wraps it, per time, in a core.SampledField.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import math
 import numpy as np
 
 from .core import (
-    ComplexField,
     Grid1D,
+    SampledField,
     SpectralData,
     SpectralDatum,
     SystemParams,
@@ -44,7 +45,7 @@ __all__ = [
 DRESSING_LIMIT = 1e-14
 # Points per pass of the dressing.  It bounds the temporaries of one call,
 # about 6 N + 6 complex values per point: w_j and its dual per earlier datum,
-# w_k, the (3, m) and (m,) buffers of its rank-one updates, q1 and q2.
+# w_k, and the (3, m) and (m,) buffers of its rank-one updates.
 CHUNK = 2048
 
 
@@ -93,9 +94,10 @@ def _evolved_vector(d: SpectralDatum, p: SystemParams, x, t) -> np.ndarray:
 
 def fields_batch(
     data: SpectralData, p: SystemParams, x: np.ndarray | float, t: np.ndarray | float
-):
+) -> np.ndarray:
     """(q1, q2) at the points (x, t), broadcast together, via the dressing product.
 
+    Returns one (2,) + broadcast-shape array whose rows are q1 and q2.
     Datum k's evolved vector v_k is dressed by the earlier factors,
     w_k = G_{k-1}(zeta_k) ... G_1(zeta_k) v_k, one rank-one update
     w <- w - c_kj (w_j^H w / |w_j|^2) w_j per pair with
@@ -109,16 +111,16 @@ def fields_batch(
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     xs, ts = x.ravel(), t.ravel()
-    q1, q2 = np.empty(xs.size, dtype=complex), np.empty(xs.size, dtype=complex)
+    q = np.empty((2, xs.size), dtype=complex)
     for lo in range(0, xs.size, CHUNK):
         part = slice(lo, lo + CHUNK)
-        q1[part], q2[part] = _dress(data, p, xs[part], ts[part])
-    return q1.reshape(x.shape), q2.reshape(x.shape)
+        _dress(data, p, xs[part], ts[part], q[:, part])
+    return q.reshape((2,) + x.shape)
 
 
-def _dress(data: SpectralData, p: SystemParams, x: np.ndarray, t: np.ndarray):
-    """(q1, q2) at the points (x, t), all of shape (m,)."""
-    q1, q2 = np.zeros(x.size, dtype=complex), np.zeros(x.size, dtype=complex)
+def _dress(data: SpectralData, p: SystemParams, x: np.ndarray, t: np.ndarray, q: np.ndarray):
+    """Write (q1, q2) at the points (x, t), of shape (m,), into the (2, m) q."""
+    q.fill(0.0)
     if len(data) > 1:  # one datum makes no rank-one update
         prod, dot = np.empty((3, x.size), dtype=complex), np.empty(x.size, dtype=complex)
     dressed = []  # (zeta_j, w_j, conj(w_j) / |w_j|^2) of the earlier data
@@ -138,12 +140,11 @@ def _dress(data: SpectralData, p: SystemParams, x: np.ndarray, t: np.ndarray):
             _check(~(norm / v_norm >= DRESSING_LIMIT), x, t)
         inv = 1.0 / norm
         weight = w[0] * ((2.0 * zk.imag / p.k1) * inv)
-        q1 -= weight * w[1].conj()
-        q2 -= weight * w[2].conj()
+        q[0] -= weight * w[1].conj()
+        q[1] -= weight * w[2].conj()
         if k + 1 < len(data):
             dressed.append((zk, w, w.conj() * inv))
-    _check(~(np.isfinite(q1) & np.isfinite(q2)), x, t)
-    return q1, q2
+    _check(~np.isfinite(q).all(axis=0), x, t)
 
 
 def _squared_norm(w: np.ndarray) -> np.ndarray:
@@ -179,14 +180,7 @@ def one_soliton(d: SpectralDatum, p: SystemParams, x, t):
     return np.conj(d.beta) * common, np.conj(d.gamma) * common
 
 
-def sample(
-    data: SpectralData, p: SystemParams, grid: Grid1D, times
-) -> list[tuple[ComplexField, ComplexField]]:
-    """Field pairs on the grid, one per requested time, via the batched evaluator."""
+def sample(data: SpectralData, p: SystemParams, grid: Grid1D, times) -> list[SampledField]:
+    """Fields on the grid, one per requested time, via the batched evaluator."""
     xs = grid.points()
-    out = []
-    for t in times:
-        q1, q2 = fields_batch(data, p, xs, float(t))
-        out.append((ComplexField(grid, float(t), q1), ComplexField(grid, float(t), q2)))
-    return out
-
+    return [SampledField(grid, float(t), fields_batch(data, p, xs, float(t))) for t in times]

@@ -3,11 +3,12 @@
 The linear part of the evolution (second- plus third-order dispersion) is
 applied exactly in Fourier space through an integrating factor; the
 nonlinear terms are evaluated pseudo-spectrally with 2/3-rule dealiasing
-and advanced by classical RK4.  Any point count n >= 2 is supported.  Both
-fields travel as one (2, n) array, so each transform covers both; each
-nonlinear evaluation runs one inverse transform over a (4, n) buffer that
-stacks the two spectra v on their derivatives ik v, and one forward
-transform of the (2, n) nonlinear term.
+and advanced by classical RK4.  Any point count n >= 2 is supported.  The
+field q = (q1, q2) travels as one (2, n) array, a core.SampledField
+between calls, so each transform covers both components; each nonlinear
+evaluation runs one inverse transform over a (4, n) buffer that stacks the
+two spectra v on their derivatives ik v, and one forward transform of the
+(2, n) nonlinear term.
 
 One kernel, _advance, steps the stacked spectra in place on a workspace
 that its caller passes in.  evolve(), the one entry point, checks the
@@ -34,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ComplexField, Grid1D, SystemParams
+from .core import Grid1D, SampledField, SystemParams
 
 __all__ = [
     "StabilityBoundError",
@@ -122,23 +123,19 @@ def linear_symbol(k: np.ndarray, p: SystemParams) -> np.ndarray:
     return 2.0 * p.a2 * k**2 - 1j * p.epsilon * k**3
 
 
-def _spectra(q1: ComplexField, q2: ComplexField) -> tuple[SpectralGrid, np.ndarray]:
-    """The spectral grid of two fields and their stacked (2, n) spectra.
+def _spectra(q: SampledField) -> tuple[SpectralGrid, np.ndarray]:
+    """The spectral grid of a field and its (2, n) spectra.
 
     The field grid must exclude the periodic wrap point (spacing * nx ==
     domain length).  Mode m lands in bin m with weight nx.
     """
-    if q1.grid != q2.grid or q1.t != q2.t:
-        raise ValueError("fields must share grid and time")
-    g = q1.grid
-    hat = np.fft.fft(np.stack((q1.values, q2.values)))
-    return SpectralGrid(length=g.spacing * g.nx, n=g.nx), hat
+    g = q.grid
+    return SpectralGrid(length=g.spacing * g.nx, n=g.nx), np.fft.fft(q.values)
 
 
-def _fields(hat: np.ndarray, t: float, grid: Grid1D) -> tuple[ComplexField, ComplexField]:
-    """Both fields at time t from stacked (2, n) spectra, in new arrays."""
-    q = np.fft.ifft(hat)
-    return ComplexField(grid, t, q[0]), ComplexField(grid, t, q[1])
+def _fields(hat: np.ndarray, t: float, grid: Grid1D) -> SampledField:
+    """The field at time t from its (2, n) spectra, in a new array."""
+    return SampledField(grid, t, np.fft.ifft(hat))
 
 
 def check_stability(grid: SpectralGrid, p: SystemParams, dt: float) -> None:
@@ -192,15 +189,28 @@ def _step_factors(grid: SpectralGrid, p: SystemParams, dt: float) -> tuple:
     return arrays + (3.0 * p.epsilon * ksq, -4.0 * ksq * p.a2)
 
 
+def _aligned(shape: tuple[int, int], dtype) -> np.ndarray:
+    """An uninitialized array whose data start on a 64-byte boundary.
+
+    np.empty only promises 16 bytes, so the speed of the transforms and
+    ufuncs that run on the workspace would otherwise depend on where the
+    heap happens to place it.
+    """
+    nbytes = shape[0] * shape[1] * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
+
+
 def _workspace(n: int) -> tuple:
     """Scratch for _advance at n points: views into one complex and one real
-    block, and a bool buffer for the finiteness check.
+    block, each 64-byte aligned, and a bool buffer for the finiteness check.
 
     In order: the (4, n) buffer w, e_full v, the four stage slopes a, b, c,
     d, the scratch tuple of _nonlinear_hat, and the bools.
     """
-    cplx = np.empty((17, n), complex)
-    real = np.empty((5, n))
+    cplx = _aligned((17, n), complex)
+    real = _aligned((5, n), float)
     scratch = (real[0:2], real[2:4], cplx[14:16], real[4], cplx[16])
     return (cplx[0:4], cplx[4:6], *cplx[6:14].reshape(4, 2, n), scratch, np.empty((2, n), bool))
 
@@ -320,50 +330,43 @@ def step_schedule(t_final: float, dt: float, snapshots) -> tuple[int, list[int]]
 
 
 def evolve(
-    q1_0: ComplexField,
-    q2_0: ComplexField,
+    q0: SampledField,
     p: SystemParams,
     t_final: float,
     dt: float,
     snapshots,
     edge_threshold: float = EDGE_THRESHOLD,
-) -> list[tuple[ComplexField, ComplexField]]:
-    """Repeated stepping from the inputs' time with snapshot capture.
+) -> list[SampledField]:
+    """Repeated stepping from the input's time with snapshot capture.
 
     Snapshot times must lie in [0, t_final] and be integer multiples of dt.
-    t_final = 0 returns the inputs unchanged.  Every step shares (grid, p,
+    t_final = 0 returns the input unchanged.  Every step shares (grid, p,
     dt), so the stability bound and the integrating factor are checked once;
     the spectra are then advanced in place on one workspace for the whole
     call.  Each snapshot is a fresh inverse transform, sharing no memory
     with the workspace.  Raises BlowupError at the first step whose result
     is not finite, or at step 1 when the integrating factor overflows.
     """
-    edge = max(
-        abs(q1_0.values[0]), abs(q1_0.values[-1]), abs(q2_0.values[0]), abs(q2_0.values[-1])
-    )
+    edge = q0.edge_magnitude()
     if edge > edge_threshold:
-        raise EdgeDecayError(float(edge), edge_threshold)
+        raise EdgeDecayError(edge, edge_threshold)
     n_steps, snap_steps = step_schedule(t_final, dt, snapshots)
     if t_final == 0.0:
-        return [(q1_0, q2_0) for _ in snap_steps] or [(q1_0, q2_0)]
+        return [q0 for _ in snap_steps] or [q0]
 
-    sgrid, v = _spectra(q1_0, q2_0)
-    t = q1_0.t
+    sgrid, v = _spectra(q0)
+    t = q0.t
     check_stability(sgrid, p, dt)
     try:
         factors = _step_factors(sgrid, p, dt)
     except FloatingPointError as exc:
         raise BlowupError(t, 1, _growth_rate(sgrid, p)) from exc
     ws = _workspace(sgrid.n)
-    grid = q1_0.grid
-    out = []
-    if 0 in snap_steps:
-        out.extend([(q1_0, q2_0)] * snap_steps.count(0))
+    out = [q0] * snap_steps.count(0)
     for i in range(1, n_steps + 1):
         if not _advance(v, ws, factors, dt):
             raise BlowupError(t + dt, i, _growth_rate(sgrid, p))
         t = t + dt
         if i in snap_steps:
-            pair = _fields(v, t, grid)
-            out.extend([pair] * snap_steps.count(i))
+            out.extend([_fields(v, t, q0.grid)] * snap_steps.count(i))
     return out

@@ -16,9 +16,10 @@ The factors take one spectral parameter (result 3x3) or an array of them
 (result zeta.shape + (3, 3)) and build the scaled vectors once per call, so
 a check of many zeta at one (x, t) is one pass: one stacked solve.
 
-Direct scattering integrates the spectral ODE of the sampled potentials by
-RK4 in an interaction picture, where the free phase e^{+-i zeta x} is exact
-and only the potential's step error is left.  Each step takes its own
+Direct scattering integrates the spectral ODE of a sampled field (a
+core.SampledField, whose two rows are the potentials q1 and q2) by RK4 in
+an interaction picture, where the free phase e^{+-i zeta x} is exact and
+only the potential's step error is left.  Each step takes its own
 picture at its first node, so no coefficient grows like e^{Im zeta |x|} off
 the real axis; the coefficient has a zero diagonal, and each RK4 step
 matrix is built in closed form from the potentials at the step's three
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ComplexField, SpectralData, SystemParams, phase
+from .core import SampledField, SpectralData, SystemParams, phase
 
 __all__ = [
     "PoleHitError",
@@ -221,13 +222,12 @@ def _fold(steps: np.ndarray) -> np.ndarray:
 
 
 def direct_scattering(
-    q1: ComplexField,
-    q2: ComplexField,
+    q: SampledField,
     zeta: complex,
     p: SystemParams,
     tail_threshold: float = TAIL_THRESHOLD,
 ) -> np.ndarray:
-    """Scattering matrix of the sampled potentials at spectral parameter zeta.
+    """Scattering matrix of the sampled potential q at spectral parameter zeta.
 
     Integrates the 3x3 spectral ODE psi' = ((i/2) zeta sigma + Q) psi,
     sigma = diag(-1, 1, 1), over the grid and reads off S at the right end.
@@ -257,28 +257,21 @@ def direct_scattering(
     potentials, phases and step matrices of one block exist at a time,
     however long the grid is.
     """
-    if q1.grid != q2.grid:
-        raise ValueError("fields must share one grid")
-    grid = q1.grid
+    grid = q.grid
     h = grid.spacing
     check_phase_step(h, zeta)
-    edge = max(
-        abs(q1.values[0]), abs(q1.values[-1]), abs(q2.values[0]), abs(q2.values[-1])
-    )
+    edge = q.edge_magnitude()
     if edge > tail_threshold:
-        raise NonDecayingTailsError(float(edge), tail_threshold)
+        raise NonDecayingTailsError(edge, tail_threshold)
 
-    v1, v2 = q1.values, q2.values
     # node j of a step carries ahead[j] = e^{i zeta j h} in its row and
     # behind[j] = e^{-i zeta j h} in its column
     ahead = np.exp(1j * zeta * h * np.arange(3))
     behind = np.exp(-1j * zeta * h * np.arange(3))
 
     def stage(nodes: slice, j: int):
-        # rows and columns at grid nodes that lie j nodes into their steps;
-        # np.stack here leaves small cached buffers behind per call, which
-        # made the traced peak of a call grow with the number of blocks
-        r = -p.k1 * np.array((v1[nodes], v2[nodes]))
+        # rows and columns at grid nodes that lie j nodes into their steps
+        r = -p.k1 * q.values[:, nodes]
         return ahead[j] * r, behind[j] * -np.conj(r)
 
     def free(s: float) -> np.ndarray:

@@ -22,8 +22,8 @@ import pytest
 
 from hirotalab import cli, laxpair, nsoliton, propagator, residual, rh
 from hirotalab.core import (
-    ComplexField,
     Grid1D,
+    SampledField,
     SpectralData,
     SpectralDatum,
     SystemParams,
@@ -47,9 +47,9 @@ def test_criterion_1_closed_form_equivalence():
     grid = Grid1D(-20.0, 20.0, 401)
     worst = 0.0
     for t in (-15.0, 0.0, 15.0):
-        (q1, q2), = nsoliton.sample(DATA, DEFAULT_PARAMS, grid, [t])
+        q, = nsoliton.sample(DATA, DEFAULT_PARAMS, grid, [t])
         c1, c2 = nsoliton.one_soliton(DATUM, DEFAULT_PARAMS, grid.points(), t)
-        worst = max(worst, np.abs(q1.values - c1).max(), np.abs(q2.values - c2).max())
+        worst = max(worst, np.abs(q.values[0] - c1).max(), np.abs(q.values[1] - c2).max())
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
     _line(1, ok, f"general vs closed form, max diff {worst:.3e} (<=1e-12), {elapsed:.2f} s")
@@ -204,11 +204,11 @@ def test_criterion_5_direct_scattering_closure():
     h = 0.01
     nx = int(round(120.0 / h)) + 1
     grid = Grid1D(-60.0, 60.0, nx)
-    (q1, q2), = nsoliton.sample(DATA, DEFAULT_PARAMS, grid, [0.0])
-    s_zero = abs(rh.direct_scattering(q1, q2, DATUM.zeta, DEFAULT_PARAMS)[0, 0])
+    q, = nsoliton.sample(DATA, DEFAULT_PARAMS, grid, [0.0])
+    s_zero = abs(rh.direct_scattering(q, DATUM.zeta, DEFAULT_PARAMS)[0, 0])
     refl_worst = det_worst = 0.0
     for zr in (0.3, 0.5, 0.7, 0.9, 1.1):
-        s = rh.direct_scattering(q1, q2, zr, DEFAULT_PARAMS)
+        s = rh.direct_scattering(q, zr, DEFAULT_PARAMS)
         refl_worst = max(refl_worst, abs(s[1, 0]), abs(s[2, 0]))
         det_worst = max(det_worst, abs(np.linalg.det(s) - 1.0))
     elapsed = time.perf_counter() - start
@@ -266,12 +266,11 @@ def test_criterion_7_propagation(tmp_path):
         sg = propagator.SpectralGrid(80.0, n)
         xs = sg.points()
         g = Grid1D(float(xs[0]), float(xs[-1]), n)
-        w1, w2 = nsoliton.one_soliton(narrow, THIRD_ORDER_PARAMS, xs, 0.0)
-        f1, f2 = ComplexField(g, 0.0, w1), ComplexField(g, 0.0, w2)
-        (e1, e2), = propagator.evolve(f1, f2, THIRD_ORDER_PARAMS, t_final, dt, [t_final])
+        f = SampledField(g, 0.0, nsoliton.one_soliton(narrow, THIRD_ORDER_PARAMS, xs, 0.0))
+        e, = propagator.evolve(f, THIRD_ORDER_PARAMS, t_final, dt, [t_final])
         a1, a2 = nsoliton.one_soliton(narrow, THIRD_ORDER_PARAMS, xs, t_final)
-        err = max(np.abs(e1.values - a1).max(), np.abs(e2.values - a2).max())
-        drift = abs(trapezoid_mass(e1, e2) - trapezoid_mass(f1, f2)) / trapezoid_mass(f1, f2)
+        err = max(np.abs(e.values[0] - a1).max(), np.abs(e.values[1] - a2).max())
+        drift = abs(trapezoid_mass(e) - trapezoid_mass(f)) / trapezoid_mass(f)
         return err, drift
 
     err_base, drift_base = run(1024, 1e-3, 1.0)
@@ -284,11 +283,10 @@ def test_criterion_7_propagation(tmp_path):
     sg = propagator.SpectralGrid(160.0, 2048)
     xs = sg.points()
     g = Grid1D(float(xs[0]), float(xs[-1]), sg.n)
-    w1, w2 = nsoliton.fields_batch(pair, THIRD_ORDER_PARAMS, xs, 0.0)
-    f1, f2 = ComplexField(g, 0.0, w1), ComplexField(g, 0.0, w2)
-    (c1, c2), = propagator.evolve(f1, f2, THIRD_ORDER_PARAMS, 35.0, 2e-3, [35.0])
-    drift_coll = abs(trapezoid_mass(c1, c2) - trapezoid_mass(f1, f2)) / trapezoid_mass(f1, f2)
-    mod = np.sqrt(np.abs(c1.values) ** 2 + np.abs(c2.values) ** 2)
+    f = SampledField(g, 0.0, nsoliton.fields_batch(pair, THIRD_ORDER_PARAMS, xs, 0.0))
+    c, = propagator.evolve(f, THIRD_ORDER_PARAMS, 35.0, 2e-3, [35.0])
+    drift_coll = abs(trapezoid_mass(c) - trapezoid_mass(f)) / trapezoid_mass(f)
+    mod = np.sqrt(np.abs(c.values[0]) ** 2 + np.abs(c.values[1]) ** 2)
     peaks = []
     for i in range(1, len(mod) - 1):
         if mod[i] > mod[i - 1] and mod[i] > mod[i + 1] and mod[i] > 0.1:
@@ -316,7 +314,7 @@ def test_criterion_7_propagation(tmp_path):
         f"{peak_defect:.2e} (<=1e-3), {elapsed:.0f} s",
     )
 
-    wide1, wide2 = nsoliton.one_soliton(
+    wide = nsoliton.one_soliton(
         DATUM, DEFAULT_PARAMS, propagator.SpectralGrid(80.0, 1024).points(), 0.0
     )
     gw = Grid1D(
@@ -326,8 +324,7 @@ def test_criterion_7_propagation(tmp_path):
     )
     try:
         propagator.evolve(
-            ComplexField(gw, 0.0, wide1),
-            ComplexField(gw, 0.0, wide2),
+            SampledField(gw, 0.0, wide),
             DEFAULT_PARAMS,
             1.0,
             1e-3,

@@ -142,10 +142,10 @@ def test_sample_emits_plot_scripts(tmp_path, monkeypatch):
     assert surface.startswith("# x t abs_q1")
 
 
-def _written_fields(tmp_path, q1, q2):
+def _written_fields(tmp_path, q):
     path = tmp_path / "fields.csv"
-    templates = cli._row_templates(cli._x_column(q1.grid), ",")
-    cli._write_fields(path, templates, q1, q2)
+    templates = cli._row_templates(cli._x_column(q.grid), ",")
+    cli._write_fields(path, templates, q)
     return path.read_text()
 
 
@@ -154,14 +154,14 @@ def test_field_csv_rows_match_per_value_format(tmp_path):
     grid = cli.Grid1D(-1.0, 1.0, cli.FIELD_BLOCK + 3)
     edges1 = [complex(-0.0, 5e-324), complex(1e308, -0.0), 0.1 + 0.2j, complex(-3e-310, 1e308)]
     edges2 = [complex(5e-324, -0.0), 1.0 / 3.0, complex(-1e308, -1e-300), 2.5 - 7.0j]
-    q1 = cli.ComplexField(grid, 0.0, (edges1 * grid.nx)[: grid.nx])
-    q2 = cli.ComplexField(grid, 0.0, (edges2 * grid.nx)[::-1][: grid.nx])
+    rows = [(edges1 * grid.nx)[: grid.nx], (edges2 * grid.nx)[::-1][: grid.nx]]
+    q = cli.SampledField(grid, 0.0, rows)
     lines = ["x,re_q1,im_q1,abs_q1,re_q2,im_q2,abs_q2"]
-    for x, a, b in zip(grid.points(), q1.values, q2.values):
+    for x, a, b in zip(grid.points(), *q.values):
         lines.append(
             ",".join(cli._fmt(v) for v in (x, a.real, a.imag, abs(a), b.real, b.imag, abs(b)))
         )
-    text = _written_fields(tmp_path, q1, q2)
+    text = _written_fields(tmp_path, q)
     assert text == "\n".join(lines) + "\n"
     assert ",-0," in text and "4.9406564584124654e-324" in text and "1e+308" in text
 
@@ -172,11 +172,10 @@ def test_field_csv_abs_columns_match_abs_of_each_value(tmp_path):
     rng = np.random.default_rng(20261019)
     grid = cli.Grid1D(0.0, 1.0, 5000)
     parts = rng.normal(size=(4, grid.nx)) * 10.0 ** rng.uniform(-300, 300, size=(4, grid.nx))
-    q1 = cli.ComplexField(grid, 0.0, parts[0] + 1j * parts[1])
-    q2 = cli.ComplexField(grid, 0.0, parts[2] + 1j * parts[3])
-    rows = [r.split(",") for r in _written_fields(tmp_path, q1, q2).split("\n")[1:-1]]
-    assert [r[3] for r in rows] == [cli._fmt(abs(z)) for z in q1.values.tolist()]
-    assert [r[6] for r in rows] == [cli._fmt(abs(z)) for z in q2.values.tolist()]
+    q = cli.SampledField(grid, 0.0, parts[0::2] + 1j * parts[1::2])
+    rows = [r.split(",") for r in _written_fields(tmp_path, q).split("\n")[1:-1]]
+    assert [r[3] for r in rows] == [cli._fmt(abs(z)) for z in q.values[0].tolist()]
+    assert [r[6] for r in rows] == [cli._fmt(abs(z)) for z in q.values[1].tolist()]
 
 
 def test_unwritable_output_is_io_error(tmp_path, capsys):
@@ -238,10 +237,10 @@ def test_rh_check_nan_fails_its_rows(tmp_path, monkeypatch, target, value, faili
 def test_scatter_nan_fails_real_axis_rows(tmp_path, monkeypatch):
     scattering = rh.direct_scattering
 
-    def nan_on_real_axis(q1, q2, zeta, *args, **kwargs):
+    def nan_on_real_axis(q, zeta, *args, **kwargs):
         if zeta.imag == 0.0:
             return np.full((3, 3), complex(np.nan))
-        return scattering(q1, q2, zeta, *args, **kwargs)
+        return scattering(q, zeta, *args, **kwargs)
 
     monkeypatch.setattr(rh, "direct_scattering", nan_on_real_axis)
     out = tmp_path / "sc"

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hirotalab.core import (
-    ComplexField,
     DuplicateZeroError,
     Grid1D,
     NonUpperHalfPlaneZeroError,
+    SampledField,
     SpectralData,
     SpectralDatum,
     SystemParams,
@@ -145,17 +145,46 @@ def test_grid_invariants():
 
 def test_field_shape_checks():
     g = Grid1D(0.0, 1.0, 5)
-    with pytest.raises(ValidationError):
-        ComplexField(g, 0.0, np.zeros(4, complex))
-    with pytest.raises(ValidationError):
-        ComplexField(g, 0.0, np.array([0, 0, np.inf, 0, 0], complex))
-    f = ComplexField(g, 0.0, np.ones(5, complex))
+    for shape in ((5,), (3, 5), (2, 4), (1, 5), (5, 2)):
+        with pytest.raises(ValidationError):
+            SampledField(g, 0.0, np.zeros(shape, complex))
+    for bad in (np.inf, np.nan, complex(0.0, -np.inf)):
+        values = np.zeros((2, 5), complex)
+        values[1, 2] = bad
+        with pytest.raises(ValidationError):
+            SampledField(g, 0.0, values)
+    f = SampledField(g, 0.0, np.ones((2, 5), complex))
     with pytest.raises(ValueError):
-        f.values[0] = 2.0  # frozen buffer
+        f.values[0, 0] = 2.0  # frozen buffer
+    with pytest.raises(ValueError):
+        f.values[1] += 1.0
+
+
+def test_field_takes_real_values_as_complex():
+    f = SampledField(Grid1D(0.0, 1.0, 3), 0.5, [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    assert f.values.dtype == complex and f.values.shape == (2, 3)
+
+
+def test_field_freezes_a_complex_array_in_place():
+    values = np.ones((2, 3), complex)
+    f = SampledField(Grid1D(0.0, 1.0, 3), 0.0, values)
+    assert f.values is values and not values.flags.writeable
+
+
+def test_field_edge_magnitude_reads_both_ends_of_both_rows():
+    g = Grid1D(0.0, 1.0, 4)
+    values = np.zeros((2, 4), complex)
+    assert SampledField(g, 0.0, values.copy()).edge_magnitude() == 0.0
+    values[:, 1:3] = 9.0  # interior nodes do not count
+    for i, j in ((0, 0), (0, -1), (1, 0), (1, -1)):
+        edged = values.copy()
+        edged[i, j] = 3.0 - 4.0j
+        assert SampledField(g, 0.0, edged).edge_magnitude() == 5.0
 
 
 def test_trapezoid_mass_constant_field():
     g = Grid1D(0.0, 2.0, 101)
-    f1 = ComplexField(g, 0.0, np.full(101, 1.0 + 1.0j))
-    f2 = ComplexField(g, 0.0, np.zeros(101, complex))
-    assert trapezoid_mass(f1, f2) == pytest.approx(4.0, rel=1e-12)
+    values = np.zeros((2, 101), complex)
+    values[0] = 1.0 + 1.0j
+    assert trapezoid_mass(SampledField(g, 0.0, values)) == pytest.approx(4.0, rel=1e-12)
+    assert trapezoid_mass(SampledField(g, 0.0, values[::-1])) == pytest.approx(4.0, rel=1e-12)

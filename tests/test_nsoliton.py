@@ -179,6 +179,21 @@ def test_fields_batch_broadcasts_t_against_x(default_params):
         assert np.array_equal(q1[row], r1) and np.array_equal(q2[row], r2)
 
 
+@pytest.mark.parametrize(
+    "x, t, shape",
+    [
+        (0.3, 0.5, ()),
+        (np.linspace(-2.0, 2.0, 5), 0.5, (5,)),
+        (np.linspace(-2.0, 2.0, 5), np.array([[0.0], [1.0], [2.0]]), (3, 5)),
+        (np.zeros((0,)), 0.5, (0,)),
+    ],
+)
+def test_fields_batch_returns_one_two_row_array(default_params, x, t, shape):
+    q = nsoliton.fields_batch(TWO_SOLITON, default_params, x, t)
+    assert isinstance(q, np.ndarray) and q.dtype == complex and q.shape == (2,) + shape
+    assert q.flags.c_contiguous  # both rows in one buffer
+
+
 def test_one_soliton_normalization_errors(default_params):
     with pytest.raises(nsoliton.AlphaNotOneError):
         nsoliton.one_soliton(SpectralDatum(0.3 + 0.2j, 2.0, 1.0, 1.0), default_params, 0.0, 0.0)
@@ -283,7 +298,7 @@ def test_l2_mass_is_time_independent(default_datum, default_params):
     data = SpectralData((default_datum, other))
     grid = Grid1D(-80.0, 80.0, 4001)
     masses = [
-        trapezoid_mass(*nsoliton.sample(data, default_params, grid, [t])[0])
+        trapezoid_mass(nsoliton.sample(data, default_params, grid, [t])[0])
         for t in (-20.0, -5.0, 0.0, 7.0, 20.0)
     ]
     spread = (max(masses) - min(masses)) / np.mean(masses)
@@ -299,12 +314,12 @@ def test_sample_empty_times(default_data, default_params):
 
 def test_sample_degenerate_grid_matches_evaluate(default_data, default_params):
     grid = Grid1D(-3.0, 5.0, 2)
-    (q1, q2), = nsoliton.sample(default_data, default_params, grid, [0.7])
-    assert q1.grid.nx == 2
+    q, = nsoliton.sample(default_data, default_params, grid, [0.7])
+    assert q.grid.nx == 2 and q.t == 0.7
     for i, x in enumerate(grid.points()):
         e1, e2 = nsoliton.fields_batch(default_data, default_params, float(x), 0.7)
-        assert abs(q1.values[i] - e1) < 1e-15
-        assert abs(q2.values[i] - e2) < 1e-15
+        assert abs(q.values[0, i] - e1) < 1e-15
+        assert abs(q.values[1, i] - e2) < 1e-15
 
 
 def test_two_soliton_elastic_amplitudes(default_datum, default_params):
@@ -313,8 +328,8 @@ def test_two_soliton_elastic_amplitudes(default_datum, default_params):
     data = SpectralData((default_datum, other))
     grid = Grid1D(-45.0, 45.0, 9001)
     for t in (-80.0, 80.0):
-        (f1, f2), = nsoliton.sample(data, default_params, grid, [t])
-        mod = np.sqrt(np.abs(f1.values) ** 2 + np.abs(f2.values) ** 2)
+        q, = nsoliton.sample(data, default_params, grid, [t])
+        mod = np.sqrt((np.abs(q.values) ** 2).sum(axis=0))
         peaks = sorted(_local_maxima(grid.points(), mod))
         assert len(peaks) == 2
         assert sorted(peaks) == pytest.approx([0.2, 0.35], abs=1e-3)

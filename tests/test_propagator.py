@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hirotalab.core import ComplexField, Grid1D, SpectralData, SpectralDatum, SystemParams, trapezoid_mass
+from hirotalab.core import Grid1D, SampledField, SpectralData, SpectralDatum, SystemParams, trapezoid_mass
 from hirotalab import nsoliton, propagator, residual
 
 
 def _fields_on(grid: propagator.SpectralGrid, v1, v2, t=0.0):
     xs = grid.points()
     g = Grid1D(float(xs[0]), float(xs[-1]), grid.n)
-    return ComplexField(g, t, v1), ComplexField(g, t, v2)
+    return SampledField(g, t, np.stack((v1, v2)))
 
 
 def _direct_dft(v):
@@ -20,9 +20,8 @@ def _direct_dft(v):
 
 
 def _hat_of(v1, v2):
-    """The stacked (2, n) spectra evolve transforms the two fields into."""
-    q1, q2 = _fields_on(propagator.SpectralGrid(80.0, len(v1)), v1, v2)
-    return propagator._spectra(q1, q2)[1]
+    """The (2, n) spectra evolve transforms the field (v1, v2) into."""
+    return propagator._spectra(_fields_on(propagator.SpectralGrid(80.0, len(v1)), v1, v2))[1]
 
 
 def test_fft_delta():
@@ -45,10 +44,9 @@ def test_fft_matches_direct_transform(n):
 def test_fft_roundtrip(n):
     rng = np.random.default_rng(n + 1)
     v = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-    q1, q2 = _fields_on(propagator.SpectralGrid(80.0, n), v[0], v[1])
-    b1, b2 = propagator._fields(propagator._spectra(q1, q2)[1], 0.0, q1.grid)
-    assert np.abs(b1.values - v[0]).max() < 1e-13 * np.abs(v[0]).max()
-    assert np.abs(b2.values - v[1]).max() < 1e-13 * np.abs(v[1]).max()
+    q = _fields_on(propagator.SpectralGrid(80.0, n), v[0], v[1])
+    back = propagator._fields(propagator._spectra(q)[1], 0.0, q.grid)
+    assert (np.abs(back.values - v).max(axis=1) < 1e-13 * np.abs(v).max(axis=1)).all()
 
 
 def test_fft_parseval():
@@ -67,14 +65,14 @@ def test_fft_pure_mode_single_bin():
     xs = grid.points()
     m = 9
     wave = np.exp(2j * np.pi * m * (xs + 20.0) / 40.0)
-    q1, q2 = _fields_on(grid, wave, np.conj(wave))
-    hats = propagator._spectra(q1, q2)[1]
+    q = _fields_on(grid, wave, np.conj(wave))
+    hats = propagator._spectra(q)[1]
     for hat, b in ((hats[0], m), (hats[1], 128 - m)):
         assert abs(hat[b]) == pytest.approx(128.0, rel=1e-12)
         rest = np.delete(np.abs(hat), b)
         assert rest.max() < 1e-9
-    back, _ = propagator._fields(hats, 0.0, q1.grid)
-    assert np.abs(back.values - wave).max() < 1e-13
+    back = propagator._fields(hats, 0.0, q.grid)
+    assert np.abs(back.values[0] - wave).max() < 1e-13
 
 
 @given(
@@ -103,11 +101,11 @@ def test_fft_batched_rows_match():
     assert np.array_equal(both[0], _hat_of(vb[0], zero)[0])
     assert np.array_equal(both[1], _hat_of(zero, vb[1])[1])
     grid = Grid1D(-40.0, 40.0 - 80.0 / 256, 256)
-    b1, b2 = propagator._fields(both, 0.0, grid)
-    alone1, _ = propagator._fields(_hat_of(vb[0], zero), 0.0, grid)
-    _, alone2 = propagator._fields(_hat_of(zero, vb[1]), 0.0, grid)
-    assert np.array_equal(b1.values, alone1.values)
-    assert np.array_equal(b2.values, alone2.values)
+    b = propagator._fields(both, 0.0, grid)
+    alone1 = propagator._fields(_hat_of(vb[0], zero), 0.0, grid)
+    alone2 = propagator._fields(_hat_of(zero, vb[1]), 0.0, grid)
+    assert np.array_equal(b.values[0], alone1.values[0])
+    assert np.array_equal(b.values[1], alone2.values[1])
 
 
 def test_spectral_grid_properties():
@@ -153,10 +151,10 @@ def test_single_mode_matches_linear_multiplier(default_params, third_order_param
         grid = propagator.SpectralGrid(80.0, 256)
         hat1 = np.zeros(256, complex)
         hat1[7] = 1e-6 * 256
-        q1, q2 = _fields_on(grid, np.fft.ifft(hat1), np.zeros(256, complex))
+        q = _fields_on(grid, np.fft.ifft(hat1), np.zeros(256, complex))
         # a pure mode does not decay at the edges
-        (s1, s2), = propagator.evolve(q1, q2, p, 1e-3, 1e-3, [1e-3], edge_threshold=1.0)
-        stepped = propagator._spectra(s1, s2)[1]
+        stepped_field, = propagator.evolve(q, p, 1e-3, 1e-3, [1e-3], edge_threshold=1.0)
+        stepped = propagator._spectra(stepped_field)[1]
         exact = hat1 * np.exp(propagator.linear_symbol(grid.wavenumbers(), p) * 1e-3)
         err = np.abs(stepped[0] - exact).max() / np.abs(exact).max()
         assert err < 1e-10
@@ -172,11 +170,10 @@ NARROW = SpectralDatum(0.3 + 0.9j, 1.0, 1.0 / np.sqrt(5.0), 2.0 / np.sqrt(5.0))
 def test_soliton_short_run_matches_analytic(third_order_params):
     for n in (1024, 1000, 1023):
         grid = propagator.SpectralGrid(80.0, n)
-        q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
-        (q1, q2), = propagator.evolve(q10, q20, third_order_params, 0.25, 1e-3, [0.25])
-        a1, a2 = _soliton_fields(NARROW, third_order_params, grid, 0.25)
-        assert np.abs(q1.values - a1.values).max() < 1e-9
-        assert np.abs(q2.values - a2.values).max() < 1e-9
+        q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
+        q, = propagator.evolve(q0, third_order_params, 0.25, 1e-3, [0.25])
+        a = _soliton_fields(NARROW, third_order_params, grid, 0.25)
+        assert (np.abs(q.values - a.values).max(axis=1) < 1e-9).all()
 
 
 def test_step_is_symmetric_in_the_two_fields(default_params, third_order_params):
@@ -185,44 +182,44 @@ def test_step_is_symmetric_in_the_two_fields(default_params, third_order_params)
     grid = propagator.SpectralGrid(80.0, 512)
     other = SpectralDatum(-0.4 + 0.6j, 1.0, 0.3 - 0.5j, 1.1)
     for p in (default_params, third_order_params):
-        q1, _ = _soliton_fields(NARROW, p, grid, 0.0)
-        _, q2 = _soliton_fields(other, p, grid, 0.0)
+        v1 = _soliton_fields(NARROW, p, grid, 0.0).values[0]
+        v2 = _soliton_fields(other, p, grid, 0.0).values[1]
         args = (p, 1e-3, 1e-3, [1e-3])
-        (a1, a2), = propagator.evolve(q1, q2, *args, edge_threshold=1.0)
-        (b1, b2), = propagator.evolve(q2, q1, *args, edge_threshold=1.0)
-        assert np.array_equal(a1.values, b2.values)
-        assert np.array_equal(a2.values, b1.values)
+        a, = propagator.evolve(_fields_on(grid, v1, v2), *args, edge_threshold=1.0)
+        b, = propagator.evolve(_fields_on(grid, v2, v1), *args, edge_threshold=1.0)
+        assert np.array_equal(a.values[0], b.values[1])
+        assert np.array_equal(a.values[1], b.values[0])
 
 
 def test_temporal_convergence_is_fourth_order(third_order_params):
     grid = propagator.SpectralGrid(80.0, 1024)
-    q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
-    a1, _ = _soliton_fields(NARROW, third_order_params, grid, 0.5)
+    q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
+    a1 = _soliton_fields(NARROW, third_order_params, grid, 0.5).values[0]
     errs = []
     for dt in (2e-3, 1e-3, 5e-4):
-        (q1, _), = propagator.evolve(q10, q20, third_order_params, 0.5, dt, [0.5])
-        errs.append(np.abs(q1.values - a1.values).max())
+        q, = propagator.evolve(q0, third_order_params, 0.5, dt, [0.5])
+        errs.append(np.abs(q.values[0] - a1).max())
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(3.6 <= o <= 4.4 for o in orders)
 
 
 def test_conservation_and_dealiasing(third_order_params):
     grid = propagator.SpectralGrid(80.0, 1024)
-    q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
-    (q1, q2), = propagator.evolve(q10, q20, third_order_params, 5.0, 2e-3, [5.0])
-    m0 = trapezoid_mass(q10, q20)
-    m1 = trapezoid_mass(q1, q2)
+    q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
+    q, = propagator.evolve(q0, third_order_params, 5.0, 2e-3, [5.0])
+    m0 = trapezoid_mass(q0)
+    m1 = trapezoid_mass(q)
     assert abs(m1 - m0) / m0 < 1e-8
-    hat1 = propagator._spectra(q1, q2)[1][0]
+    hat1 = propagator._spectra(q)[1][0]
     mask = grid.dealias_mask()
     top = np.abs(hat1[mask == 0.0]).max()
     assert top < 1e-10 * np.abs(hat1).max()
     # edge stays quiet over the run
-    assert abs(q1.values[0]) < 1e-9 and abs(q1.values[-1]) < 1e-9
+    assert abs(q.values[0, 0]) < 1e-9 and abs(q.values[0, -1]) < 1e-9
     # propagated peak sits where the closed-form envelope velocity puts it
     # envelope speed c / b at a2 = 0 and eps = 1: 3 a^2 - b^2 for zeta = a + i b
     v = 3 * 0.3**2 - 0.9**2
-    mod = np.abs(q1.values)
+    mod = np.abs(q.values[0])
     peak_x = grid.points()[int(np.argmax(mod))]
     assert peak_x == pytest.approx(v * 5.0, abs=0.1)
 
@@ -234,43 +231,40 @@ def test_collision_matches_analytic_formula(third_order_params):
     grid = propagator.SpectralGrid(160.0, 1024)
     xs = grid.points()
     g = Grid1D(float(xs[0]), float(xs[-1]), grid.n)
-    q1v, q2v = nsoliton.fields_batch(data, third_order_params, xs, 0.0)
-    q10 = ComplexField(g, 0.0, q1v)
-    q20 = ComplexField(g, 0.0, q2v)
-    (q1, q2), = propagator.evolve(q10, q20, third_order_params, 2.0, 2e-3, [2.0])
-    a1, a2 = nsoliton.fields_batch(data, third_order_params, xs, 2.0)
-    assert np.abs(q1.values - a1).max() < 1e-8
-    assert np.abs(q2.values - a2).max() < 1e-8
+    q0 = SampledField(g, 0.0, nsoliton.fields_batch(data, third_order_params, xs, 0.0))
+    q, = propagator.evolve(q0, third_order_params, 2.0, 2e-3, [2.0])
+    a = nsoliton.fields_batch(data, third_order_params, xs, 2.0)
+    assert (np.abs(q.values - a).max(axis=1) < 1e-8).all()
 
 
 def test_evolve_t0_returns_input(third_order_params):
     grid = propagator.SpectralGrid(80.0, 256)
-    q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
-    out = propagator.evolve(q10, q20, third_order_params, 0.0, 1e-3, [])
-    assert out[0][0] is q10 and out[0][1] is q20
+    q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
+    out = propagator.evolve(q0, third_order_params, 0.0, 1e-3, [])
+    assert len(out) == 1 and out[0] is q0
 
 
 def test_evolve_snapshot_validation(third_order_params):
     grid = propagator.SpectralGrid(80.0, 256)
-    q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
+    q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
     with pytest.raises(ValueError):
-        propagator.evolve(q10, q20, third_order_params, 0.1, 1e-3, [0.0505])
+        propagator.evolve(q0, third_order_params, 0.1, 1e-3, [0.0505])
     with pytest.raises(ValueError):
-        propagator.evolve(q10, q20, third_order_params, 0.1, 1e-3, [0.2])
+        propagator.evolve(q0, third_order_params, 0.1, 1e-3, [0.2])
     # t_final = 0 returns the inputs, but only for a valid schedule
     with pytest.raises(ValueError):
-        propagator.evolve(q10, q20, third_order_params, 0.0, -1.0, [7.0, -3.0])
+        propagator.evolve(q0, third_order_params, 0.0, -1.0, [7.0, -3.0])
 
 
 def test_stability_guard(third_order_params):
     grid = propagator.SpectralGrid(80.0, 1024)
-    q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
+    q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
     with pytest.raises(propagator.StabilityBoundError):
-        propagator.evolve(q10, q20, third_order_params, 1.0, 2e-2, [1.0])
+        propagator.evolve(q0, third_order_params, 1.0, 2e-2, [1.0])
     # the guard is not cached away: a valid run does not exempt the next call
-    propagator.evolve(q10, q20, third_order_params, 1e-3, 1e-3, [1e-3])
+    propagator.evolve(q0, third_order_params, 1e-3, 1e-3, [1e-3])
     with pytest.raises(propagator.StabilityBoundError):
-        propagator.evolve(q10, q20, third_order_params, 2e-2, 2e-2, [2e-2])
+        propagator.evolve(q0, third_order_params, 2e-2, 2e-2, [2e-2])
     # evolve's schedule rejects dt <= 0 first; the bound rejects it too
     with pytest.raises(propagator.StabilityBoundError):
         propagator.check_stability(grid, third_order_params, -1e-3)
@@ -279,9 +273,9 @@ def test_stability_guard(third_order_params):
 def test_edge_guard(third_order_params):
     wide = SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0)
     grid = propagator.SpectralGrid(80.0, 1024)
-    q10, q20 = _soliton_fields(wide, third_order_params, grid, 0.0)
+    q0 = _soliton_fields(wide, third_order_params, grid, 0.0)
     with pytest.raises(propagator.EdgeDecayError):
-        propagator.evolve(q10, q20, third_order_params, 0.1, 1e-3, [0.1])
+        propagator.evolve(q0, third_order_params, 0.1, 1e-3, [0.1])
 
 
 def test_second_order_dispersion_run_blows_up(default_params):
@@ -289,9 +283,9 @@ def test_second_order_dispersion_run_blows_up(default_params):
     # the run must abort with a diagnosable error instead of returning NaN
     wide = SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0)
     grid = propagator.SpectralGrid(80.0, 1024)
-    q10, q20 = _soliton_fields(wide, default_params, grid, 0.0)
+    q0 = _soliton_fields(wide, default_params, grid, 0.0)
     with pytest.raises(propagator.BlowupError) as info:
-        propagator.evolve(q10, q20, default_params, 1.0, 1e-3, [1.0], edge_threshold=1e-2)
+        propagator.evolve(q0, default_params, 1.0, 1e-3, [1.0], edge_threshold=1e-2)
     # pinned abort step and time: a change of transform must not move them
     assert info.value.step == 7 and info.value.t == pytest.approx(7e-3)
     # 2 a2 k_max^2 with k_max = 2 pi 341 / 80, the largest retained mode
@@ -352,10 +346,10 @@ def test_integrating_factor_overflow_is_not_cached():
     # overflows for k up to 2 pi 1365 / 80
     p = SystemParams(0.0, 1.0, 1.0)
     grid = propagator.SpectralGrid(80.0, 4096)
-    q10, q20 = _fields_on(grid, np.zeros(4096, complex), np.zeros(4096, complex), t=0.5)
+    q0 = _fields_on(grid, np.zeros(4096, complex), np.zeros(4096, complex), t=0.5)
     for _ in range(2):
         with pytest.raises(propagator.BlowupError) as info:
-            propagator.evolve(q10, q20, p, 1.0, 1.0, [1.0])
+            propagator.evolve(q0, p, 1.0, 1.0, [1.0])
         # the first step fails, before it leaves its start time
         assert info.value.step == 1 and info.value.t == 0.5
         assert isinstance(info.value.__cause__, FloatingPointError)
@@ -369,21 +363,21 @@ def test_cached_step_factors_are_read_only(third_order_params):
 
 
 def _case_fields(case, n, third_order_params, default_params):
-    """(p, dt, q10, q20) of a bit-for-bit case."""
+    """(p, dt, q0) of a bit-for-bit case."""
     if case == "soliton":
         grid = propagator.SpectralGrid(80.0, n)
-        return (third_order_params, 1e-3, *_soliton_fields(NARROW, third_order_params, grid, 0.0))
+        return (third_order_params, 1e-3, _soliton_fields(NARROW, third_order_params, grid, 0.0))
     if case == "pair":
         grid = propagator.SpectralGrid(160.0, n)
         fields = nsoliton.fields_batch(PAIR, third_order_params, grid.points(), 0.0)
-        return (third_order_params, 2e-3, *_fields_on(grid, *fields))
+        return (third_order_params, 2e-3, _fields_on(grid, *fields))
     grid = propagator.SpectralGrid(80.0, n)
     wide = SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0)
-    return (default_params, 1e-3, *_soliton_fields(wide, default_params, grid, 0.0))
+    return (default_params, 1e-3, _soliton_fields(wide, default_params, grid, 0.0))
 
 
-def _bits(pair):
-    return tuple(f.values.view(np.int64).tobytes() for f in pair)
+def _bits(q):
+    return q.values.view(np.int64).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -396,20 +390,20 @@ def test_evolve_matches_repeated_steps_bit_for_bit(case, n, steps, third_order_p
     # spectra transformed back, compared as int64 so that a flipped signed
     # zero or a NaN payload fails; a run that blows up must fail at the
     # reference's step, time and rate
-    p, dt, q10, q20 = _case_fields(case, n, third_order_params, default_params)
+    p, dt, q0 = _case_fields(case, n, third_order_params, default_params)
 
     def run(n_steps):
         # the edge guard is not under test: n = 3 samples no decaying tail
         times = [i * dt for i in range(n_steps + 1)]
-        return propagator.evolve(q10, q20, p, times[-1], dt, times, edge_threshold=1.0)
+        return propagator.evolve(q0, p, times[-1], dt, times, edge_threshold=1.0)
 
-    grid, v = propagator._spectra(q10, q20)
-    state = (grid, q10.t, 0, v)
-    want = [(q10, q20)]
+    grid, v = propagator._spectra(q0)
+    state = (grid, q0.t, 0, v)
+    want = [q0]
     try:
         for _ in range(steps):
             state = _reference_step(state, p, dt)
-            want.append(propagator._fields(state[3], state[1], q10.grid))
+            want.append(propagator._fields(state[3], state[1], q0.grid))
     except propagator.BlowupError as ref_err:
         with pytest.raises(propagator.BlowupError) as info:
             run(steps)
@@ -422,18 +416,18 @@ def test_evolve_matches_repeated_steps_bit_for_bit(case, n, steps, third_order_p
         assert case != "blowup", "the a2 = 1 run was expected to blow up"
     got = run(steps)
     assert len(got) == len(want) == steps + 1
-    for (g1, g2), (w1, w2) in zip(got, want):
-        assert (g1.t, g2.t) == (w1.t, w2.t)
-        assert _bits((g1, g2)) == _bits((w1, w2))
+    for g, w in zip(got, want):
+        assert g.t == w.t
+        assert _bits(g) == _bits(w)
 
 
 def test_evolve_snapshots_share_no_memory(third_order_params):
     grid = propagator.SpectralGrid(80.0, 256)
-    q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
-    before = _bits((q10, q20))
-    snaps = propagator.evolve(q10, q20, third_order_params, 0.01, 1e-3, [0.005, 0.008, 0.01])
-    assert _bits((q10, q20)) == before
-    arrays = [q10.values, q20.values] + [f.values for pair in snaps for f in pair]
+    q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
+    before = _bits(q0)
+    snaps = propagator.evolve(q0, third_order_params, 0.01, 1e-3, [0.005, 0.008, 0.01])
+    assert _bits(q0) == before
+    arrays = [q0.values] + [f.values for f in snaps]
     for i, x in enumerate(arrays):
         for y in arrays[i + 1:]:
             assert not np.shares_memory(x, y)
@@ -441,9 +435,20 @@ def test_evolve_snapshots_share_no_memory(third_order_params):
 
 def test_evolve_keeps_no_state_between_calls(third_order_params):
     grid = propagator.SpectralGrid(80.0, 512)
-    q10, q20 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
-    args = (q10, q20, third_order_params, 0.05, 1e-3, [0.02, 0.05])
-    first = [_bits(pair) for pair in propagator.evolve(*args)]
+    q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
+    args = (q0, third_order_params, 0.05, 1e-3, [0.02, 0.05])
+    first = [_bits(q) for q in propagator.evolve(*args)]
     other = _soliton_fields(NARROW, third_order_params, propagator.SpectralGrid(40.0, 128), 0.0)
-    propagator.evolve(*other, third_order_params, 4e-3, 2e-3, [2e-3], edge_threshold=1.0)
-    assert [_bits(pair) for pair in propagator.evolve(*args)] == first
+    propagator.evolve(other, third_order_params, 4e-3, 2e-3, [2e-3], edge_threshold=1.0)
+    assert [_bits(q) for q in propagator.evolve(*args)] == first
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 64, 1000, 1023, 1024, 2048])
+def test_workspace_blocks_are_64_byte_aligned(n):
+    # the complex block starts at w, the real one at the first scratch array
+    for _ in range(3):
+        ws = propagator._workspace(n)
+        w, real = ws[0], ws[6][0]
+        assert w.ctypes.data % 64 == 0 and real.ctypes.data % 64 == 0
+        assert w.flags.c_contiguous and real.flags.c_contiguous
+        assert w.shape == (4, n) and real.shape == (2, n)

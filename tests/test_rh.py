@@ -145,8 +145,8 @@ def _sampled_soliton(params, span=60.0, h=0.01, datum=None):
     nx = int(round(2 * span / h)) + 1
     grid = Grid1D(-span, span, nx)
     data = SpectralData((d,))
-    (q1, q2), = nsoliton.sample(data, params, grid, [0.0])
-    return d, q1, q2
+    q, = nsoliton.sample(data, params, grid, [0.0])
+    return d, q
 
 
 def test_scattering_of_zero_fields(default_params):
@@ -154,60 +154,60 @@ def test_scattering_of_zero_fields(default_params):
     # the per-step free factors (here at most 6.6e-14 on the real axis and
     # 1.4e-13 off it), and exactly I at zeta = 0, with an even or odd
     # interval count
-    from hirotalab.core import ComplexField
+    from hirotalab.core import SampledField
 
     for nx in (2001, 2002):
-        f = ComplexField(Grid1D(-10.0, 10.0, nx), 0.0, np.zeros(nx, complex))
-        assert np.array_equal(rh.direct_scattering(f, f, 0.0, default_params), np.eye(3))
+        f = SampledField(Grid1D(-10.0, 10.0, nx), 0.0, np.zeros((2, nx), complex))
+        assert np.array_equal(rh.direct_scattering(f, 0.0, default_params), np.eye(3))
         for zeta in (0.5, 1.2, -3.0, 0.3 + 0.2j):
-            s = rh.direct_scattering(f, f, zeta, default_params)
+            s = rh.direct_scattering(f, zeta, default_params)
             assert np.abs(s - np.eye(3)).max() <= 1e-12
 
 
 def test_scattering_determinant_third_order(third_order_params):
     # h = 0.01 on [-60, 60]: with the free phase in the RK4 coefficient
     # |det S - 1| read 8.06e-9 here, all of it the free part's step error
-    _, q1, q2 = _sampled_soliton(third_order_params)
+    _, q = _sampled_soliton(third_order_params)
     for zeta in (0.3, 0.5, 0.7, 0.9, 1.1):
-        s = rh.direct_scattering(q1, q2, zeta, third_order_params)
+        s = rh.direct_scattering(q, zeta, third_order_params)
         assert abs(np.linalg.det(s) - 1.0) <= 1e-10
 
 
 def test_scattering_tail_guard(default_params, default_datum):
-    _, q1, q2 = _sampled_soliton(default_params, span=15.0, h=0.01)
+    _, q = _sampled_soliton(default_params, span=15.0, h=0.01)
     with pytest.raises(rh.NonDecayingTailsError):
-        rh.direct_scattering(q1, q2, 0.5, default_params)
+        rh.direct_scattering(q, 0.5, default_params)
 
 
 def test_scattering_step_guard(default_params):
-    _, q1, q2 = _sampled_soliton(default_params, span=30.0, h=0.05)
+    _, q = _sampled_soliton(default_params, span=30.0, h=0.05)
     with pytest.raises(rh.ScatteringStepError):
-        rh.direct_scattering(q1, q2, 4.0, default_params)
+        rh.direct_scattering(q, 4.0, default_params)
 
 
 def test_scattering_detects_prescribed_zero(default_params):
-    d, q1, q2 = _sampled_soliton(default_params)
-    s = rh.direct_scattering(q1, q2, d.zeta, default_params)
+    d, q = _sampled_soliton(default_params)
+    s = rh.direct_scattering(q, d.zeta, default_params)
     assert abs(s[0, 0]) <= 1e-4
 
 
 def test_scattering_reflectionless(default_params):
-    _, q1, q2 = _sampled_soliton(default_params)
-    s = rh.direct_scattering(q1, q2, 0.5, default_params)
+    _, q = _sampled_soliton(default_params)
+    s = rh.direct_scattering(q, 0.5, default_params)
     assert abs(s[1, 0]) <= 1e-4
     assert abs(s[2, 0]) <= 1e-4
 
 
 def test_scattering_determinant_and_involution(default_params):
-    _, q1, q2 = _sampled_soliton(default_params)
+    _, q = _sampled_soliton(default_params)
     for zeta in (0.5, 1.1):
-        s = rh.direct_scattering(q1, q2, zeta, default_params)
+        s = rh.direct_scattering(q, zeta, default_params)
         assert abs(np.linalg.det(s) - 1.0) <= 1e-8
         # on the real axis the involution reads S^dagger = S^{-1}
         assert np.abs(np.conj(s.T) @ s - np.eye(3)).max() <= 1e-6
     zeta = 0.4 + 0.15j
-    s_up = rh.direct_scattering(q1, q2, zeta, default_params)
-    s_dn = rh.direct_scattering(q1, q2, np.conj(zeta), default_params)
+    s_up = rh.direct_scattering(q, zeta, default_params)
+    s_dn = rh.direct_scattering(q, np.conj(zeta), default_params)
     assert np.abs(np.conj(s_dn.T) @ s_up - np.eye(3)).max() <= 1e-6
     # first entry of the inverse agrees with the conjugated (1,1) entry
     r = np.linalg.inv(s_up)
@@ -217,19 +217,19 @@ def test_scattering_determinant_and_involution(default_params):
 def test_scattering_refinement_oracle(default_params):
     # reflection magnitudes are truncation-dominated: widening the domain
     # must shrink them; halving h must shrink the determinant error ~16x
-    _, q1a, q2a = _sampled_soliton(default_params, span=60.0, h=0.01)
-    _, q1b, q2b = _sampled_soliton(default_params, span=80.0, h=0.01)
-    refl_a = abs(rh.direct_scattering(q1a, q2a, 0.5, default_params)[1, 0])
-    refl_b = abs(rh.direct_scattering(q1b, q2b, 0.5, default_params)[1, 0])
+    _, qa = _sampled_soliton(default_params, span=60.0, h=0.01)
+    _, qb = _sampled_soliton(default_params, span=80.0, h=0.01)
+    refl_a = abs(rh.direct_scattering(qa, 0.5, default_params)[1, 0])
+    refl_b = abs(rh.direct_scattering(qb, 0.5, default_params)[1, 0])
     assert refl_b < 0.1 * refl_a
 
-    _, q1c, q2c = _sampled_soliton(default_params, span=60.0, h=0.02)
-    det_c = abs(np.linalg.det(rh.direct_scattering(q1c, q2c, 1.1, default_params)) - 1.0)
-    det_a = abs(np.linalg.det(rh.direct_scattering(q1a, q2a, 1.1, default_params)) - 1.0)
+    _, qc = _sampled_soliton(default_params, span=60.0, h=0.02)
+    det_c = abs(np.linalg.det(rh.direct_scattering(qc, 1.1, default_params)) - 1.0)
+    det_a = abs(np.linalg.det(rh.direct_scattering(qa, 1.1, default_params)) - 1.0)
     assert det_a < det_c / 8.0
 
 
-def _sequential_scattering(q1, q2, zeta, p):
+def _sequential_scattering(q, zeta, p):
     """Reference oracle: direct_scattering as a step-by-step RK4 loop.
 
     A complex zeta takes the interaction picture afresh at the first node x0
@@ -242,7 +242,7 @@ def _sequential_scattering(q1, q2, zeta, p):
     on the real axis the oracle checks the folded per-step product against
     a different picture, equal up to rounding.
     """
-    grid = q1.grid
+    grid = q.grid
     h = grid.spacing
     n = grid.nx
     x = grid.points()
@@ -252,8 +252,8 @@ def _sequential_scattering(q1, q2, zeta, p):
         # coefficient at node j, which lies offset nodes past the picture's origin
         xi = x[j] if real else offset * h
         a = np.zeros((3, 3), dtype=complex)
-        a[0, 1:] = -p.k1 * np.array([q1.values[j], q2.values[j]]) * np.exp(1j * zeta * xi)
-        a[1:, 0] = p.k1 * np.conj([q1.values[j], q2.values[j]]) * np.exp(-1j * zeta * xi)
+        a[0, 1:] = -p.k1 * q.values[:, j] * np.exp(1j * zeta * xi)
+        a[1:, 0] = p.k1 * np.conj(q.values[:, j]) * np.exp(-1j * zeta * xi)
         return a
 
     def rk4(psi, a0, a1, a2, s):
@@ -291,12 +291,12 @@ def test_scattering_matches_sequential_oracle(default_params, nx, h):
     # off the real axis only s11 is meaningful (see the docstring)
     span = 0.5 * (nx - 1) * h
     d = SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0)
-    (q1, q2), = nsoliton.sample(SpectralData((d,)), default_params, Grid1D(-span, span, nx), [0.0])
-    s = rh.direct_scattering(q1, q2, d.zeta, default_params, tail_threshold=np.inf)
-    assert abs(s[0, 0] - _sequential_scattering(q1, q2, d.zeta, default_params)[0, 0]) <= 1e-12
+    q, = nsoliton.sample(SpectralData((d,)), default_params, Grid1D(-span, span, nx), [0.0])
+    s = rh.direct_scattering(q, d.zeta, default_params, tail_threshold=np.inf)
+    assert abs(s[0, 0] - _sequential_scattering(q, d.zeta, default_params)[0, 0]) <= 1e-12
     for zeta in (0.3, 0.5, 1.1):
-        s = rh.direct_scattering(q1, q2, zeta, default_params, tail_threshold=np.inf)
-        assert np.abs(s - _sequential_scattering(q1, q2, zeta, default_params)).max() <= 1e-12
+        s = rh.direct_scattering(q, zeta, default_params, tail_threshold=np.inf)
+        assert np.abs(s - _sequential_scattering(q, zeta, default_params)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [11, 9701])
@@ -307,10 +307,10 @@ def test_eigenvalue_column_matches_blaschke_product(seed):
     # does RK4 with the free part kept in its coefficient
     cfg = cli.parse_config(nsoliton_doc(seed))
     grid = cli._scatter_grid(cfg.scatter)
-    (q1, q2), = nsoliton.sample(cfg.spectral, cfg.params, grid, [0.0])
+    q, = nsoliton.sample(cfg.spectral, cfg.params, grid, [0.0])
     zk = cfg.spectral.zetas()
     points = np.array([-0.5 + 0.3j, 0.5 + 0.3j, -0.5 + 1.0j, 0.5 + 1.0j])
-    s11 = np.array([rh.direct_scattering(q1, q2, z, cfg.params)[0, 0] for z in points])
+    s11 = np.array([rh.direct_scattering(q, z, cfg.params)[0, 0] for z in points])
     factors = (points[:, None] - zk) / (points[:, None] - np.conj(zk))
     assert np.abs(s11 - factors.prod(axis=1)).max() <= 1e-9
     # negative control: the product without any one of its factors is far off
@@ -321,10 +321,10 @@ def test_eigenvalue_column_matches_blaschke_product(seed):
 
 def _scattering_peak(zeta, nx, p):
     d = SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0)
-    (q1, q2), = nsoliton.sample(SpectralData((d,)), p, Grid1D(-60.0, 60.0, nx), [0.0])
+    q, = nsoliton.sample(SpectralData((d,)), p, Grid1D(-60.0, 60.0, nx), [0.0])
     tracemalloc.start()
     try:
-        rh.direct_scattering(q1, q2, zeta, p)
+        rh.direct_scattering(q, zeta, p)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
