@@ -47,9 +47,8 @@ def main() -> int:
         return 0
 
     print("\npropagating the pair through the crossing (t = 0 .. 30)...")
-    sg = propagator.SpectralGrid(160.0, 2048)
-    xs = sg.points()
-    g = Grid1D(float(xs[0]), float(xs[-1]), sg.n)
+    g = Grid1D.periodic(160.0, 2048)
+    xs = g.points()
     q0 = SampledField(g, 0.0, nsoliton.fields_batch(data, params, xs, 0.0))
     start = time.perf_counter()
     snaps = propagator.evolve(q0, params, 30.0, 2e-3, [10.0, 20.0, 30.0])

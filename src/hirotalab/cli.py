@@ -238,7 +238,7 @@ def _check_rh_check(opts: dict) -> None:
 
 def _check_propagate(opts: dict, params: SystemParams) -> None:
     _check_at_least(opts, "n", 2)
-    grid = propagator.SpectralGrid(opts["length"], opts["n"])
+    grid = Grid1D.periodic(opts["length"], opts["n"])
     snaps = _snapshot_times(opts)
     propagator.step_schedule(opts["t_final"], opts["dt"], snaps)
     _check_distinct_tags(snaps, "snapshots")
@@ -609,9 +609,8 @@ def cmd_scatter(cfg: RunConfig, out: Path, quiet: bool) -> int:
 def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     opts = cfg.propagate
     tol = cfg.tolerances
-    sgrid = propagator.SpectralGrid(opts["length"], opts["n"])
-    xs = sgrid.points()
-    grid = Grid1D(float(xs[0]), float(xs[-1]), sgrid.n)
+    grid = Grid1D.periodic(opts["length"], opts["n"])
+    xs = grid.points()
     snaps = _snapshot_times(opts)
 
     def analytic(tt: float) -> SampledField:

@@ -1,7 +1,9 @@
 """Domain types that check their own invariants, and the shared phase exponent.
 
-A sampled field is one SampledField: the two components (q1, q2) as the
-rows of one read-only (2, nx) array on a Grid1D at one time.
+Every grid is one Grid1D: a closed interval, or through Grid1D.periodic the
+period the propagator steps on, wrap point excluded.  A sampled field is one
+SampledField: the two components (q1, q2) as the rows of one read-only
+(2, nx) array on a Grid1D at one time.
 
 Everything here is immutable after construction and every operation is a
 pure function, so all of it is safe to evaluate concurrently on shared data.
@@ -143,7 +145,10 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform closed-interval grid with nx nodes from x_min to x_max."""
+    """Uniform grid with nx nodes from x_min to x_max, both included.
+
+    points() is np.linspace over the two ends.
+    """
 
     x_min: float
     x_max: float
@@ -162,6 +167,20 @@ class Grid1D:
         """Grid from x_min in steps of h, ending at the node nearest x_max."""
         nx = int(round((x_max - x_min) / h)) + 1
         return cls(x_min, x_min + (nx - 1) * h, nx)
+
+    @classmethod
+    def periodic(cls, length: float, n: int) -> Grid1D:
+        """Period [-length/2, length/2) at n >= 2 nodes -length/2 + j length/n.
+
+        The wrap point is excluded, so spacing * nx is the period.  The ends
+        are the nodes j = 0 and j = n - 1; points() interpolates the others
+        between them, which places them to within rounding.
+        """
+        if not (math.isfinite(length) and length > 0):
+            raise ValidationError("length must be positive and finite")
+        if n < 2:
+            raise ValidationError(f"spectral grid needs n >= 2 points, got {n}")
+        return cls(-0.5 * length, -0.5 * length + (length / n) * (n - 1), n)
 
     @property
     def spacing(self) -> float:

@@ -2,15 +2,14 @@
 
 Jets of candidate solutions come from finite differences of the analytic
 evaluator, never from symbolic differentiation, so the convergence-order
-test absorbs the differencing error.  The matrices take batched jets and
-arrays of zeta, so one ladder of the check is one pass at one (x, t): one
-evaluator call for every stencil centre of every spacing, then every U and
-V at once.
+test absorbs the differencing error.  A jet is one (3, 2) + shape array:
+q, q_x and q_xx, each with rows q1 and q2 as in core.SampledField.values.
+The matrices take batched jets and arrays of zeta, so one ladder of the
+check is one pass at one (x, t): one evaluator call for every stencil
+centre of every spacing, then every U and V at once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .nsoliton import fields_batch
 from .residual import stencil
 
 __all__ = [
-    "FieldJet",
     "build_U",
     "build_V",
     "jet_at",
@@ -28,20 +26,6 @@ __all__ = [
 ]
 
 _SIGMA_DIAG = np.array([-1.0, 1.0, 1.0])
-
-@dataclass(frozen=True)
-class FieldJet:
-    """Point values of both fields and their first two x-derivatives.
-
-    A batched jet_at call gives arrays of one shape in place of the numbers.
-    """
-
-    q1: complex
-    q2: complex
-    q1x: complex
-    q2x: complex
-    q1xx: complex
-    q2xx: complex
 
 
 def _matrix(shape: tuple, rows) -> np.ndarray:
@@ -53,19 +37,20 @@ def _matrix(shape: tuple, rows) -> np.ndarray:
     return out
 
 
-def build_U(jet: FieldJet, zeta: np.typing.ArrayLike, p: SystemParams) -> np.ndarray:
+def build_U(jet: np.ndarray, zeta: np.typing.ArrayLike, p: SystemParams) -> np.ndarray:
     """Space part (i/2) zeta sigma - k1 Q with the antisymmetric potential Q.
 
-    The jet's entries and zeta may be arrays; they broadcast together and the
-    result has their broadcast shape followed by (3, 3).
+    jet is a (3, 2) + shape array from jet_at and zeta may be an array; shape
+    and zeta's broadcast together and the result has their broadcast shape
+    followed by (3, 3).
     """
-    q1, q2 = jet.q1, jet.q2
+    q1, q2 = jet[0]
     mat = _matrix(np.shape(q1), [[0.0, q1, q2], [-np.conj(q1), 0.0, 0.0], [-np.conj(q2), 0.0, 0.0]])
     zeta = np.asarray(zeta, dtype=complex)[..., None, None]
     return 0.5j * zeta * np.diag(_SIGMA_DIAG).astype(complex) - p.k1 * mat
 
 
-def build_V(jet: FieldJet, zeta: np.typing.ArrayLike, p: SystemParams) -> np.ndarray:
+def build_V(jet: np.ndarray, zeta: np.typing.ArrayLike, p: SystemParams) -> np.ndarray:
     """Time part, cubic in zeta, with all nine zeroth-order entries.
 
     The (2,3) zeroth-order entry uses the conjugated first derivative of q1,
@@ -73,10 +58,10 @@ def build_V(jet: FieldJet, zeta: np.typing.ArrayLike, p: SystemParams) -> np.nda
     zeta^0 block closes consistently.  Shapes broadcast as in build_U.
     """
     eps, k1, a2 = p.epsilon, p.k1, p.a2
-    shape = np.broadcast_shapes(np.shape(jet.q1), np.shape(zeta)) + (3, 3)
+    shape = np.broadcast_shapes(jet.shape[2:], np.shape(zeta)) + (3, 3)
     # numpy's array loops round complex products (fused multiply-add) unlike its
     # scalar math; raised to 1-d, one jet and zeta give the bits of a batch entry
-    q1, q2, q1x, q2x, q1xx, q2xx = (np.atleast_1d(getattr(jet, f.name)) for f in fields(jet))
+    q1, q2, q1x, q2x, q1xx, q2xx = jet.reshape((6,) + (jet.shape[2:] or (1,)))
     c1, c2 = np.conj(q1), np.conj(q2)
     c1x, c2x = np.conj(q1x), np.conj(q2x)
     dens = (q1 * c1 + q2 * c2).real
@@ -135,13 +120,14 @@ def jet_at(
     t: float | np.ndarray,
     h: float | np.ndarray,
     order: int = 2,
-) -> FieldJet:
+) -> np.ndarray:
     """Jet of the analytic solution at (x, t) by central differences in x.
 
-    x and t may be arrays of centres and h an array of spacings, all
-    broadcast together; each entry of the jet then has their broadcast
-    shape.  All centres go through one call of the evaluator, and each
-    centre's jet is bit for bit the one its own call gives.
+    Returns one (3, 2) + shape array: q, q_x and q_xx, each with rows q1 and
+    q2.  x and t may be arrays of centres and h an array of spacings, all
+    broadcast together to that shape.  All centres go through one call of
+    the evaluator, and each centre's jet is bit for bit the one its own call
+    gives.
     """
     (w1, div1), (w2, div2) = stencil(order, 1), stencil(order, 2)
     mid = len(w1) // 2
@@ -152,9 +138,7 @@ def jet_at(
     def derivative(weights, scale):
         return sum(c / scale * q[..., i] for i, c in enumerate(weights) if c)
 
-    q1x, q2x = derivative(w1, div1 * h)
-    q1xx, q2xx = derivative(w2, div2 * h**2)
-    return FieldJet(q[0, ..., mid], q[1, ..., mid], q1x, q2x, q1xx, q2xx)
+    return np.stack([q[..., mid], derivative(w1, div1 * h), derivative(w2, div2 * h**2)])
 
 
 def zero_curvature_residual(
@@ -189,8 +173,7 @@ def zero_curvature_residual(
     batch = jet_at(data, p, xs, ts, h, order)
     zeta = np.asarray(zeta, dtype=complex)
     # each centre's jets broadcast against zeta's axes
-    shape = batch.q1.shape + (1,) * zeta.ndim
-    jets = FieldJet(*(getattr(batch, f.name).reshape(shape) for f in fields(FieldJet)))
+    jets = batch.reshape(batch.shape + (1,) * zeta.ndim)
     u, v = build_U(jets, zeta, p), build_V(jets, zeta, p)
     scale = (divisor * h).reshape(h.shape + (1,) * (zeta.ndim + 2))
     side = [c / scale for c in weights if c]

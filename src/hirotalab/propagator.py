@@ -3,12 +3,16 @@
 The linear part of the evolution (second- plus third-order dispersion) is
 applied exactly in Fourier space through an integrating factor; the
 nonlinear terms are evaluated pseudo-spectrally with 2/3-rule dealiasing
-and advanced by classical RK4.  Any point count n >= 2 is supported.  The
-field q = (q1, q2) travels as one (2, n) array, a core.SampledField
-between calls, so each transform covers both components; each nonlinear
-evaluation runs one inverse transform over a (4, n) buffer that stacks the
-two spectra v on their derivatives ik v, and one forward transform of the
-(2, n) nonlinear term.
+and advanced by classical RK4.  Any point count n >= 2 is supported.
+
+The domain is one period: a core.Grid1D that excludes the wrap point, as
+Grid1D.periodic builds it, so its period is spacing * nx.  The wavenumbers,
+the dealias mask, the stability bound and the growth rate are all read from
+that grid.  The field q = (q1, q2) travels as one (2, n) array, a
+core.SampledField between calls, so each transform covers both components;
+each nonlinear evaluation runs one inverse transform over a (4, n) buffer
+that stacks the two spectra v on their derivatives ik v, and one forward
+transform of the (2, n) nonlinear term.
 
 One kernel, _advance, steps the stacked spectra in place on a workspace
 that its caller passes in.  evolve(), the one entry point, checks the
@@ -30,7 +34,6 @@ cost of importing the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +44,6 @@ __all__ = [
     "StabilityBoundError",
     "EdgeDecayError",
     "BlowupError",
-    "SpectralGrid",
     "linear_symbol",
     "check_stability",
     "step_schedule",
@@ -83,33 +85,23 @@ class BlowupError(ArithmeticError):
         )
 
 
-@dataclass(frozen=True)
-class SpectralGrid:
-    """Periodic domain [-length/2, length/2) sampled at n >= 2 points."""
+def _period(grid: Grid1D) -> float:
+    """The period spacing * nx of a grid that excludes the wrap point."""
+    return grid.spacing * grid.nx
 
-    length: float
-    n: int
 
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.length) and self.length > 0):
-            raise ValueError("length must be positive and finite")
-        if self.n < 2:
-            raise ValueError(f"spectral grid needs n >= 2 points, got {self.n}")
+def _wavenumbers(grid: Grid1D) -> np.ndarray:
+    """Angular wavenumber of each bin, in numpy's FFT order.
 
-    @property
-    def spacing(self) -> float:
-        return self.length / self.n
+    The sample spacing is taken as period / nx, which can differ from
+    grid.spacing in the last place; the step factors' bits follow it.
+    """
+    return 2.0 * np.pi * np.fft.fftfreq(grid.nx, _period(grid) / grid.nx)
 
-    def points(self) -> np.ndarray:
-        return -0.5 * self.length + self.spacing * np.arange(self.n)
 
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumber of each bin, in numpy's FFT order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, self.spacing)
-
-    def dealias_mask(self) -> np.ndarray:
-        """1 on bins |m| < n/3 (the 2/3 rule), 0 above."""
-        return (np.abs(np.fft.fftfreq(self.n)) < 1.0 / 3.0).astype(float)
+def _dealias_mask(grid: Grid1D) -> np.ndarray:
+    """1 on bins |m| < n/3 (the 2/3 rule), 0 above."""
+    return (np.abs(np.fft.fftfreq(grid.nx)) < 1.0 / 3.0).astype(float)
 
 
 def linear_symbol(k: np.ndarray, p: SystemParams) -> np.ndarray:
@@ -123,14 +115,9 @@ def linear_symbol(k: np.ndarray, p: SystemParams) -> np.ndarray:
     return 2.0 * p.a2 * k**2 - 1j * p.epsilon * k**3
 
 
-def _spectra(q: SampledField) -> tuple[SpectralGrid, np.ndarray]:
-    """The spectral grid of a field and its (2, n) spectra.
-
-    The field grid must exclude the periodic wrap point (spacing * nx ==
-    domain length).  Mode m lands in bin m with weight nx.
-    """
-    g = q.grid
-    return SpectralGrid(length=g.spacing * g.nx, n=g.nx), np.fft.fft(q.values)
+def _spectra(q: SampledField) -> np.ndarray:
+    """The (2, n) spectra of a field; mode m lands in bin m with weight nx."""
+    return np.fft.fft(q.values)
 
 
 def _fields(hat: np.ndarray, t: float, grid: Grid1D) -> SampledField:
@@ -138,18 +125,18 @@ def _fields(hat: np.ndarray, t: float, grid: Grid1D) -> SampledField:
     return SampledField(grid, t, np.fft.ifft(hat))
 
 
-def check_stability(grid: SpectralGrid, p: SystemParams, dt: float) -> None:
+def check_stability(grid: Grid1D, p: SystemParams, dt: float) -> None:
     """dt * nu_max^3 * |eps| <= STABILITY_LIMIT, nu_max the largest retained
     cyclic wavenumber.
 
     The integrating factor treats the full linear part exactly and the
     2/3-rule zeroes every mode above the dealiasing cutoff, so the explicit
-    (RK4) part only ever sees wavenumbers up to (2/3)(n/2)/length.  This is
+    (RK4) part only ever sees wavenumbers up to (2/3)(n/2)/period.  This is
     a documented engineering guard, not a hard CFL theorem.
     """
     if dt <= 0:
         raise StabilityBoundError("dt must be positive")
-    nu_max = (2.0 / 3.0) * (grid.n / 2) / grid.length
+    nu_max = (2.0 / 3.0) * (grid.nx / 2) / _period(grid)
     metric = dt * nu_max**3 * abs(p.epsilon)
     if metric > STABILITY_LIMIT:
         raise StabilityBoundError(
@@ -157,14 +144,14 @@ def check_stability(grid: SpectralGrid, p: SystemParams, dt: float) -> None:
         )
 
 
-def _growth_rate(grid: SpectralGrid, p: SystemParams) -> float:
+def _growth_rate(grid: Grid1D, p: SystemParams) -> float:
     """2 a2 k_max^2, k_max the largest wavenumber the dealias mask retains."""
-    k_max = np.abs(grid.wavenumbers()[grid.dealias_mask() > 0]).max()
+    k_max = np.abs(_wavenumbers(grid)[_dealias_mask(grid) > 0]).max()
     return 2.0 * p.a2 * float(k_max) ** 2
 
 
 @lru_cache(maxsize=8)
-def _step_factors(grid: SpectralGrid, p: SystemParams, dt: float) -> tuple:
+def _step_factors(grid: Grid1D, p: SystemParams, dt: float) -> tuple:
     """Everything a step of size dt needs that does not depend on the state.
 
     Returns the arrays 1j k, the dealias mask as complex, e_half =
@@ -178,10 +165,10 @@ def _step_factors(grid: SpectralGrid, p: SystemParams, dt: float) -> tuple:
     then, so every later call with the same arguments raises again.  Every
     caller shares the cached arrays, so they are made read-only.
     """
-    k = grid.wavenumbers()
+    k = _wavenumbers(grid)
     with np.errstate(over="raise"):
         e_half = np.exp(linear_symbol(k, p) * (0.5 * dt))
-    mask = grid.dealias_mask().astype(complex)
+    mask = _dealias_mask(grid).astype(complex)
     arrays = (1j * k, mask, e_half, e_half * e_half, dt * e_half, 2.0 * e_half)
     for a in arrays:
         a.flags.writeable = False
@@ -354,19 +341,18 @@ def evolve(
     if t_final == 0.0:
         return [q0 for _ in snap_steps] or [q0]
 
-    sgrid, v = _spectra(q0)
-    t = q0.t
-    check_stability(sgrid, p, dt)
+    grid, v, t = q0.grid, _spectra(q0), q0.t
+    check_stability(grid, p, dt)
     try:
-        factors = _step_factors(sgrid, p, dt)
+        factors = _step_factors(grid, p, dt)
     except FloatingPointError as exc:
-        raise BlowupError(t, 1, _growth_rate(sgrid, p)) from exc
-    ws = _workspace(sgrid.n)
+        raise BlowupError(t, 1, _growth_rate(grid, p)) from exc
+    ws = _workspace(grid.nx)
     out = [q0] * snap_steps.count(0)
     for i in range(1, n_steps + 1):
         if not _advance(v, ws, factors, dt):
-            raise BlowupError(t + dt, i, _growth_rate(sgrid, p))
+            raise BlowupError(t + dt, i, _growth_rate(grid, p))
         t = t + dt
         if i in snap_steps:
-            out.extend([_fields(v, t, q0.grid)] * snap_steps.count(i))
+            out.extend([_fields(v, t, grid)] * snap_steps.count(i))
     return out

@@ -263,9 +263,8 @@ def test_criterion_7_propagation(tmp_path):
     narrow = SpectralDatum(0.3 + 0.9j, 1.0, 1.0 / np.sqrt(5.0), 2.0 / np.sqrt(5.0))
 
     def run(n: int, dt: float, t_final: float):
-        sg = propagator.SpectralGrid(80.0, n)
-        xs = sg.points()
-        g = Grid1D(float(xs[0]), float(xs[-1]), n)
+        g = Grid1D.periodic(80.0, n)
+        xs = g.points()
         f = SampledField(g, 0.0, nsoliton.one_soliton(narrow, THIRD_ORDER_PARAMS, xs, 0.0))
         e, = propagator.evolve(f, THIRD_ORDER_PARAMS, t_final, dt, [t_final])
         a1, a2 = nsoliton.one_soliton(narrow, THIRD_ORDER_PARAMS, xs, t_final)
@@ -280,9 +279,8 @@ def test_criterion_7_propagation(tmp_path):
     da = SpectralDatum(0.2 + 0.7j, 1.0, np.exp(8.4) / np.sqrt(5.0), 2 * np.exp(8.4) / np.sqrt(5.0))
     db = SpectralDatum(0.6 + 0.5j, 1.0, 0.6 * np.exp(-6.0), 0.8 * np.exp(-6.0))
     pair = SpectralData((da, db))
-    sg = propagator.SpectralGrid(160.0, 2048)
-    xs = sg.points()
-    g = Grid1D(float(xs[0]), float(xs[-1]), sg.n)
+    g = Grid1D.periodic(160.0, 2048)
+    xs = g.points()
     f = SampledField(g, 0.0, nsoliton.fields_batch(pair, THIRD_ORDER_PARAMS, xs, 0.0))
     c, = propagator.evolve(f, THIRD_ORDER_PARAMS, 35.0, 2e-3, [35.0])
     drift_coll = abs(trapezoid_mass(c) - trapezoid_mass(f)) / trapezoid_mass(f)
@@ -314,14 +312,8 @@ def test_criterion_7_propagation(tmp_path):
         f"{peak_defect:.2e} (<=1e-3), {elapsed:.0f} s",
     )
 
-    wide = nsoliton.one_soliton(
-        DATUM, DEFAULT_PARAMS, propagator.SpectralGrid(80.0, 1024).points(), 0.0
-    )
-    gw = Grid1D(
-        float(propagator.SpectralGrid(80.0, 1024).points()[0]),
-        float(propagator.SpectralGrid(80.0, 1024).points()[-1]),
-        1024,
-    )
+    gw = Grid1D.periodic(80.0, 1024)
+    wide = nsoliton.one_soliton(DATUM, DEFAULT_PARAMS, gw.points(), 0.0)
     try:
         propagator.evolve(
             SampledField(gw, 0.0, wide),

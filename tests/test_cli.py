@@ -430,6 +430,9 @@ def test_propagate_abort_line_names_step_and_growth_rate(tmp_path, capsys):
         {"edge_threshold": "abc"},
         {"dt": 0.02, "t_final": 0.04, "snapshots": [0.04]},
         {"n": "1024"},
+        {"length": -80.0},
+        {"length": float("inf")},
+        {"n": 1},
     ],
     ids=[
         "snapshot_off_dt",
@@ -442,6 +445,9 @@ def test_propagate_abort_line_names_step_and_growth_rate(tmp_path, capsys):
         "string_edge_threshold",
         "unstable_dt",
         "string_n",
+        "negative_length",
+        "infinite_length",
+        "n_one",
     ],
 )
 def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
@@ -590,3 +596,20 @@ def test_propagate_accepts_any_point_count(tmp_path, n):
     doc["propagate"] = dict(doc["propagate"], n=n, t_final=0.05, snapshots=[0.05])
     path = _write_config(tmp_path, doc)
     assert cli.main(["propagate", "--config", path, "--out", str(tmp_path / "p"), "--quiet"]) == 0
+
+
+def test_propagate_snapshot_rows_hold_the_field_at_their_printed_x(tmp_path):
+    # 80 / 321 is inexact: every row of the t = 0 snapshot must carry the
+    # analytic field's bits at the x that row prints
+    doc = _third_order_doc()
+    doc["propagate"] = dict(doc["propagate"], n=321, dt=1e-3, t_final=0.01, snapshots=[0.0, 0.01])
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "p"
+    assert cli.main(["propagate", "--config", path, "--out", str(out), "--quiet"]) == 0
+    lines = (out / "snapshot_t0.csv").read_text().split("\n")[1:-1]
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+    assert rows.shape == (321, 7)
+    cfg = cli.parse_config(doc)
+    q = nsoliton.fields_batch(cfg.spectral, cfg.params, rows[:, 0], 0.0)
+    want = np.column_stack([c for v in q for c in (v.real, v.imag, np.hypot(v.real, v.imag))])
+    assert np.array_equal(rows[:, 1:].view(np.int64), want.view(np.int64))

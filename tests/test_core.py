@@ -143,6 +143,16 @@ def test_grid_invariants():
     assert pts[0] == -20.0 and pts[-1] == 20.0 and len(pts) == 401
 
 
+@pytest.mark.parametrize("length, n", [(80.0, 1024), (80.0, 321), (160.0, 2048), (80.0, 3), (0.3, 7)])
+def test_periodic_grid_excludes_the_wrap_point(length, n):
+    g = Grid1D.periodic(length, n)
+    nodes = -0.5 * length + (length / n) * np.arange(n)
+    assert g.nx == n and g.x_min == nodes[0] and g.x_max == nodes[-1]
+    # the inner nodes are interpolated between the ends, to within rounding
+    assert np.abs(g.points() - nodes).max() <= 4 * np.spacing(0.5 * length)
+    assert g.spacing * g.nx == pytest.approx(length, rel=1e-15)
+
+
 def test_field_shape_checks():
     g = Grid1D(0.0, 1.0, 5)
     for shape in ((5,), (3, 5), (2, 4), (1, 5), (5, 2)):

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +11,18 @@ cnum = st.builds(
     st.floats(min_value=-2.0, max_value=2.0),
     st.floats(min_value=-2.0, max_value=2.0),
 )
-jets = st.builds(laxpair.FieldJet, cnum, cnum, cnum, cnum, cnum, cnum)
+
+
+def _jet(*values):
+    """(3, 2) jet of q1, q2, q1x, q2x, q1xx, q2xx."""
+    return np.array(values, dtype=complex).reshape(3, 2)
+
+
+jets = st.builds(_jet, cnum, cnum, cnum, cnum, cnum, cnum)
 
 
 def test_space_matrix_free_case(default_params):
-    u = laxpair.build_U(laxpair.FieldJet(0, 0, 0, 0, 0, 0), 2.0, default_params)
+    u = laxpair.build_U(_jet(0, 0, 0, 0, 0, 0), 2.0, default_params)
     assert np.array_equal(u, np.diag([-1j, 1j, 1j]))
 
 
@@ -48,13 +53,13 @@ def test_potential_block_is_antihermitian(jet, zeta):
 
 
 def test_time_matrix_free_case(default_params):
-    v = laxpair.build_V(laxpair.FieldJet(0, 0, 0, 0, 0, 0), 1.0, default_params)
+    v = laxpair.build_V(_jet(0, 0, 0, 0, 0, 0), 1.0, default_params)
     expected = np.diag([0.5j + 1.0, -0.5j - 1.0, -0.5j - 1.0])
     assert np.abs(v - expected).max() < 1e-15
 
 
 def test_time_matrix_23_entry(default_params):
-    jet = laxpair.FieldJet(1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
+    jet = _jet(1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
     v = laxpair.build_V(jet, 0.0, default_params)
     assert abs(v[1, 2] - 4.0) < 1e-15
 
@@ -71,7 +76,7 @@ def test_time_matrix_symmetry_third_order_sector(jet, zeta):
 
 
 def test_time_matrix_symmetry_fails_with_a2(default_params):
-    jet = laxpair.FieldJet(0.2 + 0.1j, -0.3j, 0.05, 0.1, 0.0, 0.02)
+    jet = _jet(0.2 + 0.1j, -0.3j, 0.05, 0.1, 0.0, 0.02)
     zeta = 0.7 - 0.25j
     lhs = np.conj(laxpair.build_V(jet, np.conj(zeta), default_params).T)
     rhs = -laxpair.build_V(jet, zeta, default_params)
@@ -151,11 +156,11 @@ def test_lax_matrices_over_batched_jets_and_zetas_match_scalar_calls(third_order
     batch = laxpair.jet_at(TWO_SOLITON, third_order_params, xs, 0.5, 1e-2)
     zetas = np.array(laxpair.default_zeta_samples())
     fn = getattr(laxpair, build)
-    jets = laxpair.FieldJet(*(getattr(batch, f.name)[:, None] for f in fields(laxpair.FieldJet)))
-    mats = fn(jets, zetas, third_order_params)
+    assert batch.shape == (3, 2, 3)
+    mats = fn(batch[..., None], zetas, third_order_params)
     assert mats.shape == (3, 10, 3, 3)
     for i in range(len(xs)):
-        jet = laxpair.FieldJet(*(complex(getattr(batch, f.name)[i]) for f in fields(laxpair.FieldJet)))
+        jet = batch[..., i]
         for k, z in enumerate(zetas):
             single = fn(jet, complex(z), third_order_params)
             assert single.shape == (3, 3)
@@ -169,8 +174,8 @@ def test_batched_jets_match_per_jet_calls(third_order_params, order, h):
     batch = laxpair.jet_at(TWO_SOLITON, third_order_params, xs, ts, h, order)
     for i, (x, t) in enumerate(zip(xs, ts)):
         single = laxpair.jet_at(TWO_SOLITON, third_order_params, float(x), float(t), h, order)
-        for f in fields(laxpair.FieldJet):
-            assert getattr(batch, f.name)[i] == getattr(single, f.name)
+        assert single.shape == (3, 2)
+        assert np.array_equal(batch[..., i], single)
 
 
 def test_residual_plateaus_with_second_order_dispersion(default_data, default_params):

@@ -7,10 +7,8 @@ from hirotalab.core import Grid1D, SampledField, SpectralData, SpectralDatum, Sy
 from hirotalab import nsoliton, propagator, residual
 
 
-def _fields_on(grid: propagator.SpectralGrid, v1, v2, t=0.0):
-    xs = grid.points()
-    g = Grid1D(float(xs[0]), float(xs[-1]), grid.n)
-    return SampledField(g, t, np.stack((v1, v2)))
+def _fields_on(grid: Grid1D, v1, v2, t=0.0):
+    return SampledField(grid, t, np.stack((v1, v2)))
 
 
 def _direct_dft(v):
@@ -21,7 +19,7 @@ def _direct_dft(v):
 
 def _hat_of(v1, v2):
     """The (2, n) spectra evolve transforms the field (v1, v2) into."""
-    return propagator._spectra(_fields_on(propagator.SpectralGrid(80.0, len(v1)), v1, v2))[1]
+    return propagator._spectra(_fields_on(Grid1D.periodic(80.0, len(v1)), v1, v2))
 
 
 def test_fft_delta():
@@ -44,8 +42,8 @@ def test_fft_matches_direct_transform(n):
 def test_fft_roundtrip(n):
     rng = np.random.default_rng(n + 1)
     v = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-    q = _fields_on(propagator.SpectralGrid(80.0, n), v[0], v[1])
-    back = propagator._fields(propagator._spectra(q)[1], 0.0, q.grid)
+    q = _fields_on(Grid1D.periodic(80.0, n), v[0], v[1])
+    back = propagator._fields(propagator._spectra(q), 0.0, q.grid)
     assert (np.abs(back.values - v).max(axis=1) < 1e-13 * np.abs(v).max(axis=1)).all()
 
 
@@ -61,12 +59,12 @@ def test_fft_parseval():
 def test_fft_pure_mode_single_bin():
     # mode m lands in bin m with weight n (unnormalized forward), mode -m in
     # bin n - m, and the inverse is normalized
-    grid = propagator.SpectralGrid(40.0, 128)
+    grid = Grid1D.periodic(40.0, 128)
     xs = grid.points()
     m = 9
     wave = np.exp(2j * np.pi * m * (xs + 20.0) / 40.0)
     q = _fields_on(grid, wave, np.conj(wave))
-    hats = propagator._spectra(q)[1]
+    hats = propagator._spectra(q)
     for hat, b in ((hats[0], m), (hats[1], 128 - m)):
         assert abs(hat[b]) == pytest.approx(128.0, rel=1e-12)
         rest = np.delete(np.abs(hat), b)
@@ -109,26 +107,26 @@ def test_fft_batched_rows_match():
 
 
 def test_spectral_grid_properties():
-    g = propagator.SpectralGrid(80.0, 1024)
+    g = Grid1D.periodic(80.0, 1024)
     assert g.spacing == pytest.approx(80.0 / 1024)
     pts = g.points()
     assert pts[0] == -40.0 and pts[-1] == pytest.approx(40.0 - 80.0 / 1024)
-    k = g.wavenumbers()
+    k = propagator._wavenumbers(g)
     assert k[0] == 0.0 and k[1] == pytest.approx(2 * np.pi / 80.0)
     assert k[512] == pytest.approx(-2 * np.pi * 512 / 80.0)
-    assert propagator.SpectralGrid(80.0, 1000).n == 1000
+    assert Grid1D.periodic(80.0, 1000).nx == 1000
     # odd n: bins run 0..(n-1)/2, then -(n-1)/2..-1, and the 2/3-rule mask
     # keeps |m| < n/3 on both sides
-    odd = propagator.SpectralGrid(80.0, 1023)
-    k = odd.wavenumbers()
+    odd = Grid1D.periodic(80.0, 1023)
+    k = propagator._wavenumbers(odd)
     assert k[511] == pytest.approx(2 * np.pi * 511 / 80.0)
     assert k[512] == pytest.approx(-2 * np.pi * 511 / 80.0)
-    mask = odd.dealias_mask()
+    mask = propagator._dealias_mask(odd)
     assert mask.sum() == 2 * 340 + 1  # n/3 = 341 exactly, so |m| <= 340
     assert np.array_equal(mask[1:], mask[1:][::-1])
     for bad in ((0.0, 64), (80.0, 1)):
         with pytest.raises(ValueError):
-            propagator.SpectralGrid(*bad)
+            Grid1D.periodic(*bad)
 
 
 def test_linear_symbol_against_stencil_route(third_order_params, default_params):
@@ -148,19 +146,19 @@ def test_linear_symbol_against_stencil_route(third_order_params, default_params)
 
 def test_single_mode_matches_linear_multiplier(default_params, third_order_params):
     for p in (default_params, third_order_params):
-        grid = propagator.SpectralGrid(80.0, 256)
+        grid = Grid1D.periodic(80.0, 256)
         hat1 = np.zeros(256, complex)
         hat1[7] = 1e-6 * 256
         q = _fields_on(grid, np.fft.ifft(hat1), np.zeros(256, complex))
         # a pure mode does not decay at the edges
         stepped_field, = propagator.evolve(q, p, 1e-3, 1e-3, [1e-3], edge_threshold=1.0)
-        stepped = propagator._spectra(stepped_field)[1]
-        exact = hat1 * np.exp(propagator.linear_symbol(grid.wavenumbers(), p) * 1e-3)
+        stepped = propagator._spectra(stepped_field)
+        exact = hat1 * np.exp(propagator.linear_symbol(propagator._wavenumbers(grid), p) * 1e-3)
         err = np.abs(stepped[0] - exact).max() / np.abs(exact).max()
         assert err < 1e-10
 
 
-def _soliton_fields(datum, p, grid: propagator.SpectralGrid, t):
+def _soliton_fields(datum, p, grid: Grid1D, t):
     return _fields_on(grid, *nsoliton.one_soliton(datum, p, grid.points(), t), t=t)
 
 
@@ -169,7 +167,7 @@ NARROW = SpectralDatum(0.3 + 0.9j, 1.0, 1.0 / np.sqrt(5.0), 2.0 / np.sqrt(5.0))
 
 def test_soliton_short_run_matches_analytic(third_order_params):
     for n in (1024, 1000, 1023):
-        grid = propagator.SpectralGrid(80.0, n)
+        grid = Grid1D.periodic(80.0, n)
         q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
         q, = propagator.evolve(q0, third_order_params, 0.25, 1e-3, [0.25])
         a = _soliton_fields(NARROW, third_order_params, grid, 0.25)
@@ -179,7 +177,7 @@ def test_soliton_short_run_matches_analytic(third_order_params):
 def test_step_is_symmetric_in_the_two_fields(default_params, third_order_params):
     # both fields share one stacked transform path: exchanging them in the
     # input must exchange the stepped fields exactly
-    grid = propagator.SpectralGrid(80.0, 512)
+    grid = Grid1D.periodic(80.0, 512)
     other = SpectralDatum(-0.4 + 0.6j, 1.0, 0.3 - 0.5j, 1.1)
     for p in (default_params, third_order_params):
         v1 = _soliton_fields(NARROW, p, grid, 0.0).values[0]
@@ -192,7 +190,7 @@ def test_step_is_symmetric_in_the_two_fields(default_params, third_order_params)
 
 
 def test_temporal_convergence_is_fourth_order(third_order_params):
-    grid = propagator.SpectralGrid(80.0, 1024)
+    grid = Grid1D.periodic(80.0, 1024)
     q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
     a1 = _soliton_fields(NARROW, third_order_params, grid, 0.5).values[0]
     errs = []
@@ -204,14 +202,14 @@ def test_temporal_convergence_is_fourth_order(third_order_params):
 
 
 def test_conservation_and_dealiasing(third_order_params):
-    grid = propagator.SpectralGrid(80.0, 1024)
+    grid = Grid1D.periodic(80.0, 1024)
     q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
     q, = propagator.evolve(q0, third_order_params, 5.0, 2e-3, [5.0])
     m0 = trapezoid_mass(q0)
     m1 = trapezoid_mass(q)
     assert abs(m1 - m0) / m0 < 1e-8
-    hat1 = propagator._spectra(q)[1][0]
-    mask = grid.dealias_mask()
+    hat1 = propagator._spectra(q)[0]
+    mask = propagator._dealias_mask(grid)
     top = np.abs(hat1[mask == 0.0]).max()
     assert top < 1e-10 * np.abs(hat1).max()
     # edge stays quiet over the run
@@ -228,24 +226,23 @@ def test_collision_matches_analytic_formula(third_order_params):
     da = SpectralDatum(0.2 + 0.7j, 1.0, np.exp(8.4) / np.sqrt(5.0), 2 * np.exp(8.4) / np.sqrt(5.0))
     db = SpectralDatum(0.6 + 0.5j, 1.0, 0.6 * np.exp(-6.0), 0.8 * np.exp(-6.0))
     data = SpectralData((da, db))
-    grid = propagator.SpectralGrid(160.0, 1024)
+    grid = Grid1D.periodic(160.0, 1024)
     xs = grid.points()
-    g = Grid1D(float(xs[0]), float(xs[-1]), grid.n)
-    q0 = SampledField(g, 0.0, nsoliton.fields_batch(data, third_order_params, xs, 0.0))
+    q0 = SampledField(grid, 0.0, nsoliton.fields_batch(data, third_order_params, xs, 0.0))
     q, = propagator.evolve(q0, third_order_params, 2.0, 2e-3, [2.0])
     a = nsoliton.fields_batch(data, third_order_params, xs, 2.0)
     assert (np.abs(q.values - a).max(axis=1) < 1e-8).all()
 
 
 def test_evolve_t0_returns_input(third_order_params):
-    grid = propagator.SpectralGrid(80.0, 256)
+    grid = Grid1D.periodic(80.0, 256)
     q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
     out = propagator.evolve(q0, third_order_params, 0.0, 1e-3, [])
     assert len(out) == 1 and out[0] is q0
 
 
 def test_evolve_snapshot_validation(third_order_params):
-    grid = propagator.SpectralGrid(80.0, 256)
+    grid = Grid1D.periodic(80.0, 256)
     q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
     with pytest.raises(ValueError):
         propagator.evolve(q0, third_order_params, 0.1, 1e-3, [0.0505])
@@ -257,7 +254,7 @@ def test_evolve_snapshot_validation(third_order_params):
 
 
 def test_stability_guard(third_order_params):
-    grid = propagator.SpectralGrid(80.0, 1024)
+    grid = Grid1D.periodic(80.0, 1024)
     q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
     with pytest.raises(propagator.StabilityBoundError):
         propagator.evolve(q0, third_order_params, 1.0, 2e-2, [1.0])
@@ -272,7 +269,7 @@ def test_stability_guard(third_order_params):
 
 def test_edge_guard(third_order_params):
     wide = SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0)
-    grid = propagator.SpectralGrid(80.0, 1024)
+    grid = Grid1D.periodic(80.0, 1024)
     q0 = _soliton_fields(wide, third_order_params, grid, 0.0)
     with pytest.raises(propagator.EdgeDecayError):
         propagator.evolve(q0, third_order_params, 0.1, 1e-3, [0.1])
@@ -282,7 +279,7 @@ def test_second_order_dispersion_run_blows_up(default_params):
     # background modes of the a2 > 0 evolution grow like exp(2 a2 k^2 t):
     # the run must abort with a diagnosable error instead of returning NaN
     wide = SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0)
-    grid = propagator.SpectralGrid(80.0, 1024)
+    grid = Grid1D.periodic(80.0, 1024)
     q0 = _soliton_fields(wide, default_params, grid, 0.0)
     with pytest.raises(propagator.BlowupError) as info:
         propagator.evolve(q0, default_params, 1.0, 1e-3, [1.0], edge_threshold=1e-2)
@@ -313,8 +310,8 @@ def _reference_step(state, p, dt):
     """
     grid, t, steps, v = state
     propagator.check_stability(grid, p, dt)
-    k = grid.wavenumbers()
-    mask = grid.dealias_mask()
+    k = propagator._wavenumbers(grid)
+    mask = propagator._dealias_mask(grid)
     growth = 2.0 * p.a2 * float(np.abs(k[mask > 0]).max()) ** 2
     try:
         with np.errstate(over="raise"):
@@ -345,7 +342,7 @@ def test_integrating_factor_overflow_is_not_cached():
     # eps = 0 passes the stability bound at any dt, and exp(a2 k^2 dt)
     # overflows for k up to 2 pi 1365 / 80
     p = SystemParams(0.0, 1.0, 1.0)
-    grid = propagator.SpectralGrid(80.0, 4096)
+    grid = Grid1D.periodic(80.0, 4096)
     q0 = _fields_on(grid, np.zeros(4096, complex), np.zeros(4096, complex), t=0.5)
     for _ in range(2):
         with pytest.raises(propagator.BlowupError) as info:
@@ -356,7 +353,7 @@ def test_integrating_factor_overflow_is_not_cached():
 
 
 def test_cached_step_factors_are_read_only(third_order_params):
-    factors = propagator._step_factors(propagator.SpectralGrid(80.0, 64), third_order_params, 1e-3)
+    factors = propagator._step_factors(Grid1D.periodic(80.0, 64), third_order_params, 1e-3)
     arrays = [f for f in factors if isinstance(f, np.ndarray)]
     assert len(arrays) == 6
     assert not any(a.flags.writeable for a in arrays)
@@ -365,13 +362,13 @@ def test_cached_step_factors_are_read_only(third_order_params):
 def _case_fields(case, n, third_order_params, default_params):
     """(p, dt, q0) of a bit-for-bit case."""
     if case == "soliton":
-        grid = propagator.SpectralGrid(80.0, n)
+        grid = Grid1D.periodic(80.0, n)
         return (third_order_params, 1e-3, _soliton_fields(NARROW, third_order_params, grid, 0.0))
     if case == "pair":
-        grid = propagator.SpectralGrid(160.0, n)
+        grid = Grid1D.periodic(160.0, n)
         fields = nsoliton.fields_batch(PAIR, third_order_params, grid.points(), 0.0)
         return (third_order_params, 2e-3, _fields_on(grid, *fields))
-    grid = propagator.SpectralGrid(80.0, n)
+    grid = Grid1D.periodic(80.0, n)
     wide = SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0)
     return (default_params, 1e-3, _soliton_fields(wide, default_params, grid, 0.0))
 
@@ -397,7 +394,7 @@ def test_evolve_matches_repeated_steps_bit_for_bit(case, n, steps, third_order_p
         times = [i * dt for i in range(n_steps + 1)]
         return propagator.evolve(q0, p, times[-1], dt, times, edge_threshold=1.0)
 
-    grid, v = propagator._spectra(q0)
+    grid, v = q0.grid, propagator._spectra(q0)
     state = (grid, q0.t, 0, v)
     want = [q0]
     try:
@@ -422,7 +419,7 @@ def test_evolve_matches_repeated_steps_bit_for_bit(case, n, steps, third_order_p
 
 
 def test_evolve_snapshots_share_no_memory(third_order_params):
-    grid = propagator.SpectralGrid(80.0, 256)
+    grid = Grid1D.periodic(80.0, 256)
     q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
     before = _bits(q0)
     snaps = propagator.evolve(q0, third_order_params, 0.01, 1e-3, [0.005, 0.008, 0.01])
@@ -434,11 +431,11 @@ def test_evolve_snapshots_share_no_memory(third_order_params):
 
 
 def test_evolve_keeps_no_state_between_calls(third_order_params):
-    grid = propagator.SpectralGrid(80.0, 512)
+    grid = Grid1D.periodic(80.0, 512)
     q0 = _soliton_fields(NARROW, third_order_params, grid, 0.0)
     args = (q0, third_order_params, 0.05, 1e-3, [0.02, 0.05])
     first = [_bits(q) for q in propagator.evolve(*args)]
-    other = _soliton_fields(NARROW, third_order_params, propagator.SpectralGrid(40.0, 128), 0.0)
+    other = _soliton_fields(NARROW, third_order_params, Grid1D.periodic(40.0, 128), 0.0)
     propagator.evolve(other, third_order_params, 4e-3, 2e-3, [2e-3], edge_threshold=1.0)
     assert [_bits(q) for q in propagator.evolve(*args)] == first
 
