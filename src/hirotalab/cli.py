@@ -34,7 +34,6 @@ from .core import (
     SpectralData,
     SpectralDatum,
     SystemParams,
-    ValidationError,
     trapezoid_mass,
 )
 from . import laxpair, nsoliton, propagator, residual, rh
@@ -105,10 +104,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _read(value, like, key: str):
     """A config value checked against the JSON type of like, typed as like is.
 
@@ -136,15 +131,22 @@ def _complex_of(node, where: str) -> complex:
     return complex(_read(node, 0.0, where))
 
 
+def _check_keys(node, known, where: str = "") -> None:
+    """Refuse keys of the object node that known does not hold, which would
+    otherwise be ignored; a node that is not an object is left to its reader."""
+    if isinstance(node, dict):
+        unknown = sorted(set(node) - set(known))
+        if unknown:
+            raise ValueError(f"{where}unknown keys {unknown}, expected keys of {sorted(known)}")
+
+
 def _merged(defaults: dict, user) -> dict:
     """The defaults, overridden by the user's keys, each read like its default."""
     out = dict(defaults)
     if user is not None:
         if not isinstance(user, dict):
             raise ValueError(f"expected an object, got {user!r}")
-        unknown = sorted(set(user) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown keys {unknown}, expected keys of {sorted(defaults)}")
+        _check_keys(user, defaults)
         out.update({key: _read(value, defaults[key], key) for key, value in user.items()})
     return out
 
@@ -160,7 +162,7 @@ def _check_distinct_tags(times, key: str) -> None:
     for t in times:
         other = named.setdefault(_time_tag(t), t)
         if other != t:
-            raise ConfigError(f"{key}: {other!r} and {t!r} would both write the files of t={_time_tag(t)}")
+            raise ValueError(f"{key}: {other!r} and {t!r} would both write the files of t={_time_tag(t)}")
 
 
 def _positive(values, key: str) -> None:
@@ -213,6 +215,8 @@ def _check_zero_curvature(opts: dict) -> None:
         if len(opts[key]) < 2:
             raise ValueError(f"{key} needs at least 2 spacings to form a ratio, got {opts[key]!r}")
         _positive(opts[key], key)
+        if not all(np.isfinite(opts[key])):
+            raise ValueError(f"{key} must be finite, got {opts[key]!r}")
 
 
 def _check_scatter(opts: dict, spectral: SpectralData) -> None:
@@ -248,44 +252,43 @@ def _check_propagate(opts: dict, params: SystemParams) -> None:
 
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
     section = "params"
     try:
         pnode = doc["params"]
-        params = SystemParams(**{k: _read(pnode[k], 0.0, k) for k in ("epsilon", "k1", "a2")})
+        param_keys = ("epsilon", "k1", "a2")
+        _check_keys(pnode, param_keys)
+        params = SystemParams(**{k: _read(pnode[k], 0.0, k) for k in param_keys})
         section = "spectral"
         data = []
+        datum_keys = ("zeta", "alpha", "beta", "gamma")
         for i, snode in enumerate(_read(doc["spectral"], [], "spectral")):
-            data.append(
-                SpectralDatum(
-                    zeta=_complex_of(snode["zeta"], f"spectral[{i}].zeta"),
-                    alpha=_complex_of(snode["alpha"], f"spectral[{i}].alpha"),
-                    beta=_complex_of(snode["beta"], f"spectral[{i}].beta"),
-                    gamma=_complex_of(snode["gamma"], f"spectral[{i}].gamma"),
-                )
-            )
+            _check_keys(snode, datum_keys, f"spectral[{i}]: ")
+            entries = {k: _complex_of(snode[k], f"spectral[{i}].{k}") for k in datum_keys}
+            data.append(SpectralDatum(**entries))
         spectral = SpectralData(tuple(data))
         section = "grid"
         gnode = doc["grid"]
         likes = {"nx": 0, "x_min": 0.0, "x_max": 0.0}
+        _check_keys(gnode, likes)
         gopts = {key: _read(gnode[key], like, key) for key, like in likes.items()}
         _check_at_least(gopts, "nx", 2)
         grid = Grid1D(**gopts)
         section = "times"
         times = tuple(_read(doc.get("times", []), [0.0], "times"))
     except KeyError as exc:
-        raise ConfigError(f"missing config field {exc}") from exc
+        raise ValueError(f"missing config field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        raise ValueError(f"{section}: {exc}") from exc
     if not all(np.isfinite(times)):
-        raise ConfigError(f"times: every time must be finite, got {list(times)!r}")
+        raise ValueError(f"times: every time must be finite, got {list(times)!r}")
     _check_distinct_tags(times, "times")
     emit_plots = doc.get("emit_plots", False)
     if not isinstance(emit_plots, bool):
-        raise ConfigError(f"emit_plots: must be true or false, got {emit_plots!r}")
+        raise ValueError(f"emit_plots: must be true or false, got {emit_plots!r}")
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir: must be a string, got {output_dir!r}")
+        raise ValueError(f"output_dir: must be a string, got {output_dir!r}")
     sections = {}
     for name, defaults, check in (
         ("tolerances", DEFAULT_TOLERANCES, _check_tolerances),
@@ -299,7 +302,11 @@ def parse_config(doc: dict) -> RunConfig:
             sections[name] = _merged(defaults, doc.get(name))
             check(sections[name])
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
+            raise ValueError(f"{name}: {exc}") from exc
+    known = {"params", "spectral", "grid", "times", "emit_plots", "output_dir", *sections}
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"{unknown[0]}: unknown top-level key, expected keys of {sorted(known)}")
     return RunConfig(
         params=params,
         spectral=spectral,
@@ -320,7 +327,7 @@ def load_config(path: str | None) -> RunConfig:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
 
@@ -623,7 +630,7 @@ def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> int:
             q0, cfg.params, opts["t_final"], opts["dt"], snaps,
             edge_threshold=opts["edge_threshold"],
         )
-    except (propagator.BlowupError, propagator.EdgeDecayError, propagator.StabilityBoundError) as exc:
+    except (propagator.BlowupError, propagator.EdgeDecayError) as exc:
         report.fail("propagation_completed", type(exc).__name__)
         report.write(out / "propagation_report.csv", quiet)
         if not quiet:
@@ -673,7 +680,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except (ConfigError, ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
@@ -688,7 +695,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValidationError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"verification could not run: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

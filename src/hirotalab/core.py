@@ -23,10 +23,6 @@ __all__ = [
     "Grid1D",
     "SampledField",
     "ValidationError",
-    "ZeroK1Error",
-    "NonUpperHalfPlaneZeroError",
-    "DuplicateZeroError",
-    "ZeroEigenvectorError",
     "phase",
     "trapezoid_mass",
 ]
@@ -36,47 +32,14 @@ class ValidationError(ValueError):
     """A domain invariant does not hold for the supplied inputs."""
 
 
-class ZeroK1Error(ValidationError):
-    """k1 == 0; it divides every field-reconstruction formula."""
-
-    def __init__(self) -> None:
-        super().__init__("k1 must be a nonzero finite real")
-
-
-class NonUpperHalfPlaneZeroError(ValidationError):
-    """A discrete eigenvalue lies outside the open upper half plane."""
-
-    def __init__(self, index: int, zeta: complex) -> None:
-        self.index = index
-        self.zeta = zeta
-        super().__init__(
-            f"spectral datum {index}: Im(zeta) must be > 0, got zeta = {zeta}"
-        )
-
-
-class DuplicateZeroError(ValidationError):
-    """Two discrete eigenvalues coincide; only simple zeros are supported."""
-
-    def __init__(self, i: int, j: int) -> None:
-        self.indices = (i, j)
-        super().__init__(f"spectral data {i} and {j} share the same zeta")
-
-
-class ZeroEigenvectorError(ValidationError):
-    """The constant vector attached to an eigenvalue is identically zero."""
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        super().__init__(f"spectral datum {index}: (alpha, beta, gamma) must be nonzero")
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """The three real constants of the coupled system.
 
     epsilon scales the third-order dispersion terms, a2 the second-order
     ones, and k1 the nonlinearity.  Construction requires all three finite
-    and real (ValidationError) and k1 != 0 (ZeroK1Error).
+    and real and k1 != 0, which divides every field-reconstruction formula,
+    and raises ValidationError otherwise.
     """
 
     epsilon: float
@@ -89,7 +52,7 @@ class SystemParams:
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValidationError(f"parameter {name} must be a finite real, got {v!r}")
         if self.k1 == 0.0:
-            raise ZeroK1Error()
+            raise ValidationError("k1 must be a nonzero finite real")
 
 
 @dataclass(frozen=True)
@@ -110,7 +73,8 @@ class SpectralData:
     """Ordered collection of spectral data; all matrix indexing follows this order.
 
     Construction checks each datum in turn (finite entries, Im zeta > 0, a
-    nonzero vector), then that the zetas are distinct.
+    nonzero vector), then that the zetas are distinct (only simple zeros
+    are supported), and raises ValidationError at the first check that fails.
     """
 
     data: tuple[SpectralDatum, ...]
@@ -122,13 +86,16 @@ class SpectralData:
             if not all(math.isfinite(e.real) and math.isfinite(e.imag) for e in entries):
                 raise ValidationError(f"spectral datum {i} contains a non-finite entry")
             if not entries[0].imag > 0.0:
-                raise NonUpperHalfPlaneZeroError(i, entries[0])
+                raise ValidationError(
+                    f"spectral datum {i}: Im(zeta) must be > 0, got zeta = {entries[0]}"
+                )
             if d.alpha == 0 and d.beta == 0 and d.gamma == 0:
-                raise ZeroEigenvectorError(i)
+                raise ValidationError(f"spectral datum {i}: (alpha, beta, gamma) must be nonzero")
         zs = self.zetas().tolist()
         for i, z in enumerate(zs):
             if z in zs[i + 1 :]:
-                raise DuplicateZeroError(i, zs.index(z, i + 1))
+                j = zs.index(z, i + 1)
+                raise ValidationError(f"spectral data {i} and {j} share the same zeta")
 
     def __len__(self) -> int:
         return len(self.data)

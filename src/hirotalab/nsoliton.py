@@ -28,9 +28,6 @@ from .core import (
 )
 
 __all__ = [
-    "SingularMatrixError",
-    "AlphaNotOneError",
-    "ZeroBetaGammaError",
     "fields_batch",
     "one_soliton",
     "sample",
@@ -47,22 +44,6 @@ DRESSING_LIMIT = 1e-14
 # about 6 N + 6 complex values per point: w_j and its dual per earlier datum,
 # w_k, and the (3, m) and (m,) buffers of its rank-one updates.
 CHUNK = 2048
-
-
-class SingularMatrixError(ArithmeticError):
-    """The dressing is numerically singular at an evaluation point."""
-
-    def __init__(self, x: float, t: float) -> None:
-        self.x, self.t = x, t
-        super().__init__(f"dressing is numerically singular at (x, t) = ({x}, {t})")
-
-
-class AlphaNotOneError(ValueError):
-    """The one-soliton closed form assumes the normalization alpha = 1."""
-
-
-class ZeroBetaGammaError(ValueError):
-    """beta = gamma = 0 makes the one-soliton identically zero (xi = -inf)."""
 
 
 def _evolved_vector(d: SpectralDatum, p: SystemParams, x, t) -> np.ndarray:
@@ -106,8 +87,8 @@ def fields_batch(
     Every step is pointwise, so a point's value does not depend on the
     other points of the batch.
 
-    Raises SingularMatrixError at the first point where |w_k|^2 / |v_k|^2
-    falls below DRESSING_LIMIT or an output is not finite.
+    Raises ArithmeticError, naming (x, t), at the first point where
+    |w_k|^2 / |v_k|^2 falls below DRESSING_LIMIT or an output is not finite.
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     xs, ts = x.ravel(), t.ravel()
@@ -154,21 +135,26 @@ def _squared_norm(w: np.ndarray) -> np.ndarray:
 def _check(bad: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
     if bad.any():
         i = int(np.argmax(bad))
-        raise SingularMatrixError(float(x[i]), float(t[i]))
+        raise ArithmeticError(
+            f"dressing is numerically singular at (x, t) = ({float(x[i])}, {float(t[i])})"
+        )
 
 
 def one_soliton(d: SpectralDatum, p: SystemParams, x, t):
     """Closed-form single-soliton fields; requires the normalization alpha = 1.
+
+    ValueError for alpha != 1, and for beta = gamma = 0, which makes the
+    soliton identically zero (xi = -inf).
 
     q1 = -(beta* b / k1) e^{-xi} e^{-theta + theta*} sech(theta + theta* + xi)
     with b = Im zeta, xi = ln(|beta|^2 + |gamma|^2) / 2, and q2 the same with
     gamma*.  Accepts scalar or array x, t.
     """
     if d.alpha != 1:
-        raise AlphaNotOneError(f"closed form requires alpha = 1, got {d.alpha}")
+        raise ValueError(f"closed form requires alpha = 1, got {d.alpha}")
     weight = abs(d.beta) ** 2 + abs(d.gamma) ** 2
     if weight == 0.0:
-        raise ZeroBetaGammaError("beta and gamma cannot both vanish")
+        raise ValueError("beta and gamma cannot both vanish")
     xi = 0.5 * np.log(weight)
     b = complex(d.zeta).imag
     th = phase(d, p, x, t)

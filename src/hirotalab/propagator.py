@@ -41,7 +41,6 @@ import numpy as np
 from .core import Grid1D, SampledField, SystemParams
 
 __all__ = [
-    "StabilityBoundError",
     "EdgeDecayError",
     "BlowupError",
     "linear_symbol",
@@ -52,10 +51,6 @@ __all__ = [
 
 EDGE_THRESHOLD = 1e-9
 STABILITY_LIMIT = 1.0
-
-
-class StabilityBoundError(ValueError):
-    """Requested time step violates the configured stability bound."""
 
 
 class EdgeDecayError(ValueError):
@@ -126,8 +121,8 @@ def _fields(hat: np.ndarray, t: float, grid: Grid1D) -> SampledField:
 
 
 def check_stability(grid: Grid1D, p: SystemParams, dt: float) -> None:
-    """dt * nu_max^3 * |eps| <= STABILITY_LIMIT, nu_max the largest retained
-    cyclic wavenumber.
+    """Raise ValueError unless dt > 0 and dt * nu_max^3 * |eps| <= STABILITY_LIMIT,
+    nu_max the largest retained cyclic wavenumber.
 
     The integrating factor treats the full linear part exactly and the
     2/3-rule zeroes every mode above the dealiasing cutoff, so the explicit
@@ -135,11 +130,11 @@ def check_stability(grid: Grid1D, p: SystemParams, dt: float) -> None:
     a documented engineering guard, not a hard CFL theorem.
     """
     if dt <= 0:
-        raise StabilityBoundError("dt must be positive")
+        raise ValueError("dt must be positive")
     nu_max = (2.0 / 3.0) * (grid.nx / 2) / _period(grid)
     metric = dt * nu_max**3 * abs(p.epsilon)
     if metric > STABILITY_LIMIT:
-        raise StabilityBoundError(
+        raise ValueError(
             f"dt * nu_max^3 * |eps| = {metric:.3g} exceeds {STABILITY_LIMIT}; reduce dt"
         )
 

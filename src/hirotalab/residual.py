@@ -20,8 +20,6 @@ import numpy as np
 from .core import Grid1D, SystemParams
 
 __all__ = [
-    "GridTooSmallError",
-    "InsufficientLadderError",
     "STENCILS",
     "stencil",
     "check_nodes",
@@ -50,14 +48,6 @@ STENCILS = {
 }
 
 
-class GridTooSmallError(ValueError):
-    """The grid has fewer nodes than the stencil needs."""
-
-
-class InsufficientLadderError(ValueError):
-    """Convergence estimation needs at least three geometrically spaced h."""
-
-
 def stencil(order: int, derivative: int) -> tuple[tuple[int, ...], int]:
     """STENCILS[order][derivative]; ValueError for an order not in the table."""
     if order not in STENCILS:
@@ -66,10 +56,10 @@ def stencil(order: int, derivative: int) -> tuple[tuple[int, ...], int]:
 
 
 def check_nodes(nx: int, order: int) -> None:
-    """Raise GridTooSmallError unless nx nodes hold the order's widest stencil."""
+    """Raise ValueError unless nx nodes hold the order's widest stencil."""
     need = len(stencil(order, 3)[0])
     if nx < need:
-        raise GridTooSmallError(f"need at least {need} nodes for order {order}, got {nx}")
+        raise ValueError(f"need at least {need} nodes for order {order}, got {nx}")
 
 
 def _combine(weights, divisor: int, terms):
@@ -140,15 +130,15 @@ class ResidualReport:
 
 
 def check_ladder(spacings) -> None:
-    """Raise InsufficientLadderError unless spacings are >= 3 h falling by one ratio."""
+    """Raise ValueError unless spacings are >= 3 h falling by one ratio."""
     hs = [float(h) for h in spacings]
     if len(hs) < 3:
-        raise InsufficientLadderError(f"need at least three spacings, got {len(hs)}")
+        raise ValueError(f"need at least three spacings, got {len(hs)}")
     ratios = [hs[i] / hs[i + 1] for i in range(len(hs) - 1)]
     if any(r <= 1.0 for r in ratios) or any(
         abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios
     ):
-        raise InsufficientLadderError("spacings must form a decreasing geometric ladder")
+        raise ValueError("spacings must form a decreasing geometric ladder")
 
 
 def convergence_order(spacings, sup_norms) -> ResidualReport:
@@ -156,7 +146,7 @@ def convergence_order(spacings, sup_norms) -> ResidualReport:
     hs = tuple(float(h) for h in spacings)
     ns = tuple(float(v) for v in sup_norms)
     if len(hs) != len(ns):
-        raise InsufficientLadderError("need one sup norm per spacing")
+        raise ValueError("need one sup norm per spacing")
     check_ladder(hs)
     if any(v <= 0.0 for v in ns):
         slope = 0.0 if max(ns) == 0.0 else float("nan")

@@ -33,9 +33,6 @@ import numpy as np
 from .core import SampledField, SpectralData, SystemParams, phase
 
 __all__ = [
-    "PoleHitError",
-    "NonDecayingTailsError",
-    "ScatteringStepError",
     "rh_plus",
     "rh_minus",
     "rh_plus_order1",
@@ -50,34 +47,6 @@ TAIL_THRESHOLD = 1e-5
 PHASE_STEP_LIMIT = 0.1
 # RK4 steps multiplied together per block in direct_scattering
 FOLD_BLOCK = 1024
-
-
-class PoleHitError(ZeroDivisionError):
-    """Evaluation point lies inside the exclusion radius of a pole."""
-
-    def __init__(self, zeta: complex, pole: complex) -> None:
-        self.zeta, self.pole = zeta, pole
-        super().__init__(f"zeta = {zeta} is within {POLE_RADIUS} of the pole {pole}")
-
-
-class NonDecayingTailsError(ValueError):
-    """Field magnitudes at the grid ends are too large for scattering."""
-
-    def __init__(self, magnitude: float, threshold: float) -> None:
-        self.magnitude = magnitude
-        super().__init__(
-            f"boundary field magnitude {magnitude:.3g} exceeds {threshold:.3g}; widen the grid"
-        )
-
-
-class ScatteringStepError(ValueError):
-    """Grid spacing is too coarse for the requested spectral parameter."""
-
-    def __init__(self, h: float, zeta: complex) -> None:
-        super().__init__(
-            f"need h * |zeta| <= {PHASE_STEP_LIMIT} to bound RK4's step error on "
-            f"the e^(+-i zeta x) within a step, got {h * abs(zeta):.3g}"
-        )
 
 
 def _scaled_vectors(data: SpectralData, p: SystemParams, x: float, t: float):
@@ -101,12 +70,13 @@ def _scaled_vectors(data: SpectralData, p: SystemParams, x: float, t: float):
 
 
 def _check_poles(zeta: np.ndarray, poles: np.ndarray) -> None:
-    """Raise PoleHitError for the first zeta within POLE_RADIUS of a pole."""
+    """Raise ZeroDivisionError for the first zeta within POLE_RADIUS of a pole."""
     dist = np.abs(zeta[..., None] - poles).reshape(-1, len(poles))
     hit = dist.min(axis=1) < POLE_RADIUS
     if hit.any():
         i = int(np.argmax(hit))
-        raise PoleHitError(complex(zeta.flat[i]), complex(poles[dist[i].argmin()]))
+        z, pole = complex(zeta.flat[i]), complex(poles[dist[i].argmin()])
+        raise ZeroDivisionError(f"zeta = {z} is within {POLE_RADIUS} of the pole {pole}")
 
 
 def rh_plus(zeta, data: SpectralData, p: SystemParams, x: float, t: float) -> np.ndarray:
@@ -168,10 +138,13 @@ def reconstruct(data: SpectralData, p: SystemParams, x: float, t: float) -> tupl
 
 
 def check_phase_step(h: float, zeta: complex) -> None:
-    """Raise ScatteringStepError unless RK4 steps on a grid of spacing h
-    resolve the e^{+-i zeta x} that the potential carries within a step."""
+    """Raise ValueError unless RK4 steps on a grid of spacing h resolve the
+    e^{+-i zeta x} that the potential carries within a step."""
     if not h * abs(zeta) <= PHASE_STEP_LIMIT:
-        raise ScatteringStepError(h, zeta)
+        raise ValueError(
+            f"need h * |zeta| <= {PHASE_STEP_LIMIT} to bound RK4's step error on "
+            f"the e^(+-i zeta x) within a step, got {h * abs(zeta):.3g}"
+        )
 
 
 def _free_factor(zeta: complex, x: float) -> np.ndarray:
@@ -256,13 +229,18 @@ def direct_scattering(
     products are then applied in order.  Blocks bound the memory: the
     potentials, phases and step matrices of one block exist at a time,
     however long the grid is.
+
+    Raises ValueError when the spacing fails check_phase_step or the
+    field's end-node magnitude exceeds tail_threshold.
     """
     grid = q.grid
     h = grid.spacing
     check_phase_step(h, zeta)
     edge = q.edge_magnitude()
     if edge > tail_threshold:
-        raise NonDecayingTailsError(edge, tail_threshold)
+        raise ValueError(
+            f"boundary field magnitude {edge:.3g} exceeds {tail_threshold:.3g}; widen the grid"
+        )
 
     # node j of a step carries ahead[j] = e^{i zeta j h} in its row and
     # behind[j] = e^{-i zeta j h} in its column

@@ -1,8 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from hirotalab import nsoliton
 from hirotalab.core import SpectralData, SpectralDatum, SystemParams
+
+
+def exactly(message: str) -> str:
+    """A pytest.raises match pattern for the whole of message, taken literally."""
+    return f"^{re.escape(message)}$"
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 
 from hirotalab import cli, laxpair, nsoliton, rh
 
-from conftest import nsoliton_doc
+from conftest import exactly, nsoliton_doc
 
 THIRD_ORDER = Path(__file__).resolve().parents[1] / "src/hirotalab/data/third_order_config.json"
 
@@ -465,7 +465,37 @@ def test_snapshots_sharing_a_file_tag_fail_at_load():
     # schedule is 10^7 steps
     doc = _third_order_doc()
     doc["propagate"] = {**doc["propagate"], "dt": 1e-7, "t_final": 1.0000002, "snapshots": [1.0000001]}
-    with pytest.raises(cli.ConfigError, match="^propagate: snapshots: "):
+    with pytest.raises(ValueError, match="^propagate: snapshots: "):
+        cli.parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "where, key, message",
+    [
+        (
+            "top",
+            "scater",
+            "scater: unknown top-level key, expected keys of ['emit_plots', 'grid', 'output_dir', "
+            "'params', 'propagate', 'residual', 'rh_check', 'scatter', 'spectral', 'times', "
+            "'tolerances', 'zero_curvature']",
+        ),
+        ("params", "a3", "params: unknown keys ['a3'], expected keys of ['a2', 'epsilon', 'k1']"),
+        ("grid", "spacing", "grid: unknown keys ['spacing'], expected keys of ['nx', 'x_max', 'x_min']"),
+        (
+            "spectral",
+            "gama",
+            "spectral: spectral[0]: unknown keys ['gama'], "
+            "expected keys of ['alpha', 'beta', 'gamma', 'zeta']",
+        ),
+    ],
+    ids=["top", "params", "grid", "spectral"],
+)
+def test_unknown_keys_are_named_at_load(where, key, message):
+    # a key no reader defines would otherwise be ignored, its default used
+    doc = _third_order_doc()
+    node = {"top": doc, "params": doc["params"], "grid": doc["grid"], "spectral": doc["spectral"][0]}
+    node[where][key] = 0.5
+    with pytest.raises(ValueError, match=exactly(message)):
         cli.parse_config(doc)
 
 
@@ -519,6 +549,15 @@ def test_snapshots_sharing_a_file_tag_fail_at_load():
         ("grid", {"nx": "401"}),
         ("tolerances", {"kernel": "1e-10"}),
         ("times", [1.0000001, 1.0000002]),
+        ("scater", {"spacing": 0.01}),
+        ("tolerance", {"kernel": 1e-300}),
+        ("params", {"a3": 1.0}),
+        ("grid", {"spacing": 0.1}),
+        (
+            "spectral",
+            [{"zeta": {"re": 0.3, "im": 0.55}, "alpha": 1.0, "beta": 0.6, "gamma": 0.8, "gama": 0.8}],
+        ),
+        ("zero_curvature", {"order2_spacings": [float("inf"), 0.01]}),
     ],
     ids=[
         "residual_order_3",
@@ -568,6 +607,12 @@ def test_snapshots_sharing_a_file_tag_fail_at_load():
         "grid_string_nx",
         "tolerances_numeric_string_kernel",
         "times_sharing_a_file_tag",
+        "misspelled_scatter_section",
+        "misspelled_tolerances_section",
+        "params_unknown_key",
+        "grid_unknown_key",
+        "spectral_unknown_key",
+        "zc_infinite_order2_spacing",
     ],
 )
 def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change):
@@ -582,6 +627,8 @@ def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change
         "grid": "sample",
         "emit_plots": "sample",
         "tolerances": "zero-curvature",
+        "scater": "scatter",
+        "tolerance": "rh-check",
     }
     command = readers.get(section, section.replace("_", "-"))
     code = cli.main([command, "--config", path, "--out", str(tmp_path / "bad"), "--quiet"])

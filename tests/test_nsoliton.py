@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams, phase, trapezoid_mass
 from hirotalab import cli, nsoliton
 
-from conftest import make_random_data, nsoliton_doc, peak_x
+from conftest import exactly, make_random_data, nsoliton_doc, peak_x
 
 DATA_DIR = resources.files("hirotalab.data")
 moderate = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
@@ -51,9 +51,9 @@ def test_singular_matrix_guard(default_params):
     for gap, raises in ((np.spacing(0.67), True), (1e-6, False)):
         data = SpectralData((base, SpectralDatum(complex(0.94, 0.67 + gap), 1.0, 1.0, 2.0)))
         if raises:
-            with pytest.raises(nsoliton.SingularMatrixError) as info:
+            singular = exactly("dressing is numerically singular at (x, t) = (-3.0, 0.25)")
+            with pytest.raises(ArithmeticError, match=singular):
                 nsoliton.fields_batch(data, default_params, np.array([-3.0, 0.5]), 0.25)
-            assert (info.value.x, info.value.t) == (-3.0, 0.25)
         else:
             q1, q2 = nsoliton.fields_batch(data, default_params, np.array([-3.0, 0.5]), 0.25)
             assert np.all(np.isfinite(q1)) and np.all(np.isfinite(q2))
@@ -195,9 +195,9 @@ def test_fields_batch_returns_one_two_row_array(default_params, x, t, shape):
 
 
 def test_one_soliton_normalization_errors(default_params):
-    with pytest.raises(nsoliton.AlphaNotOneError):
+    with pytest.raises(ValueError, match=exactly("closed form requires alpha = 1, got 2.0")):
         nsoliton.one_soliton(SpectralDatum(0.3 + 0.2j, 2.0, 1.0, 1.0), default_params, 0.0, 0.0)
-    with pytest.raises(nsoliton.ZeroBetaGammaError):
+    with pytest.raises(ValueError, match=exactly("beta and gamma cannot both vanish")):
         nsoliton.one_soliton(SpectralDatum(0.3 + 0.2j, 1.0, 0.0, 0.0), default_params, 0.0, 0.0)
 
 

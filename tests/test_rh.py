@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams
 from hirotalab import cli, nsoliton, rh
 
-from conftest import make_random_data, nsoliton_doc
+from conftest import exactly, make_random_data, nsoliton_doc
 
 lower_zeta = st.builds(
     complex,
@@ -37,9 +37,10 @@ def test_plus_factor_singular_at_eigenvalue(default_data, default_params):
 
 
 def test_pole_guard(default_data, default_params):
-    with pytest.raises(rh.PoleHitError):
+    hit = "zeta = {0} is within 1e-12 of the pole {0}"
+    with pytest.raises(ZeroDivisionError, match=exactly(hit.format(0.3 - 0.2j))):
         rh.rh_plus(0.3 - 0.2j, default_data, default_params, 0.0, 0.0)
-    with pytest.raises(rh.PoleHitError):
+    with pytest.raises(ZeroDivisionError, match=exactly(hit.format(0.3 + 0.2j))):
         rh.rh_minus(0.3 + 0.2j, default_data, default_params, 0.0, 0.0)
 
 
@@ -67,12 +68,13 @@ def test_factor_over_zeta_array_matches_scalar_calls(default_params, factor, n):
 def test_pole_guard_names_the_zeta_of_a_batch(default_data, default_params):
     pole = 0.3 - 0.2j  # rh_plus has its pole at zeta_1*, rh_minus at zeta_1
     near = pole + 0.5 * rh.POLE_RADIUS
-    with pytest.raises(rh.PoleHitError) as hit:
+    hit = "zeta = {} is within {} of the pole {}"
+    # the first hit of the batch
+    with pytest.raises(ZeroDivisionError, match=exactly(hit.format(near, rh.POLE_RADIUS, pole))):
         rh.rh_plus(np.array([1.0, 0.5j, near, pole, 2.0]), default_data, default_params, 0.0, 0.0)
-    assert (hit.value.zeta, hit.value.pole) == (near, pole)  # the first hit of the batch
-    with pytest.raises(rh.PoleHitError) as hit:
+    first = hit.format(near.conjugate(), rh.POLE_RADIUS, pole.conjugate())
+    with pytest.raises(ZeroDivisionError, match=exactly(first)):
         rh.rh_minus(np.array([np.conj(near), 1.0]), default_data, default_params, 0.0, 0.0)
-    assert (hit.value.zeta, hit.value.pole) == (np.conj(near), np.conj(pole))
 
 
 def test_kernel_conditions_one_soliton(default_data, default_params):
@@ -175,13 +177,16 @@ def test_scattering_determinant_third_order(third_order_params):
 
 def test_scattering_tail_guard(default_params, default_datum):
     _, q = _sampled_soliton(default_params, span=15.0, h=0.01)
-    with pytest.raises(rh.NonDecayingTailsError):
+    with pytest.raises(
+        ValueError, match=r"^boundary field magnitude \S+ exceeds 1e-05; widen the grid$"
+    ):
         rh.direct_scattering(q, 0.5, default_params)
 
 
 def test_scattering_step_guard(default_params):
     _, q = _sampled_soliton(default_params, span=30.0, h=0.05)
-    with pytest.raises(rh.ScatteringStepError):
+    step = "need h * |zeta| <= 0.1 to bound RK4's step error on the e^(+-i zeta x) within a step, got 0.2"
+    with pytest.raises(ValueError, match=exactly(step)):
         rh.direct_scattering(q, 4.0, default_params)
 
 
