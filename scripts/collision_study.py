@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from hirotalab.core import Grid1D, SampledField, SpectralData, SpectralDatum, SystemParams
+from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams
 from hirotalab import nsoliton, propagator
 
 
@@ -48,13 +48,13 @@ def main() -> int:
 
     print("\npropagating the pair through the crossing (t = 0 .. 30)...")
     g = Grid1D.periodic(160.0, 2048)
-    xs = g.points()
-    q0 = SampledField(g, 0.0, nsoliton.fields_batch(data, params, xs, 0.0))
+    q0, = nsoliton.sample(data, params, g, [0.0])
     start = time.perf_counter()
-    snaps = propagator.evolve(q0, params, 30.0, 2e-3, [10.0, 20.0, 30.0])
+    times = [10.0, 20.0, 30.0]
+    snaps = propagator.evolve(q0, params, 30.0, 2e-3, times)
     elapsed = time.perf_counter() - start
-    for q, t in zip(snaps, (10.0, 20.0, 30.0)):
-        err = np.abs(q.values - nsoliton.fields_batch(data, params, xs, t)).max()
+    for q, want, t in zip(snaps, nsoliton.sample(data, params, g, times), times):
+        err = np.abs(q.values - want.values).max()
         print(f"  t = {t:4.1f}: L_inf distance to the analytic formula {err:.3e}")
     print(f"done in {elapsed:.1f} s")
     return 0

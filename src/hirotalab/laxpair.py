@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import SpectralData, SystemParams
 from .nsoliton import fields_batch
-from .residual import stencil
+from .residual import combine, stencil
 
 __all__ = [
     "build_U",
@@ -134,11 +134,8 @@ def jet_at(
     h = np.asarray(h, dtype=float)
     xs = np.asarray(x, dtype=float)[..., None] + h[..., None] * np.arange(-mid, mid + 1)
     q = fields_batch(data, p, xs, np.asarray(t, dtype=float)[..., None])
-
-    def derivative(weights, scale):
-        return sum(c / scale * q[..., i] for i, c in enumerate(weights) if c)
-
-    return np.stack([q[..., mid], derivative(w1, div1 * h), derivative(w2, div2 * h**2)])
+    taps = np.moveaxis(q, -1, 0)
+    return np.stack([q[..., mid], combine(w1, div1 * h, taps), combine(w2, div2 * h**2, taps)])
 
 
 def zero_curvature_residual(
@@ -159,11 +156,10 @@ def zero_curvature_residual(
     order under h-refinement.
     """
     h = np.asarray(h, dtype=float)
-    if np.any(h <= 0):
-        raise ValueError("h must be positive")
     weights, divisor = stencil(order, 1)
     mid = len(weights) // 2
     offsets = np.array([o - mid for o, c in enumerate(weights) if c])
+    nonzero = [c for c in weights if c]
     # centres along the first axis: the time stencil, then the space
     # stencil, then (x, t) itself
     step = offsets.reshape((-1,) + (1,) * h.ndim) * h
@@ -176,9 +172,8 @@ def zero_curvature_residual(
     jets = batch.reshape(batch.shape + (1,) * zeta.ndim)
     u, v = build_U(jets, zeta, p), build_V(jets, zeta, p)
     scale = (divisor * h).reshape(h.shape + (1,) * (zeta.ndim + 2))
-    side = [c / scale for c in weights if c]
-    u_t = sum(c * u[i] for i, c in enumerate(side))
-    v_x = sum(c * v[len(side) + i] for i, c in enumerate(side))
+    u_t = combine(nonzero, scale, u[: len(nonzero)])
+    v_x = combine(nonzero, scale, v[len(nonzero) : -1])
     return u_t - v_x + u[-1] @ v[-1] - v[-1] @ u[-1]
 
 

@@ -2,17 +2,19 @@
 
 Every finite difference in the package takes its weights from STENCILS, the
 exact integer central stencils of orders 2 and 4 for derivatives 1-3
-(Fornberg, Math. Comp. 51 (1988) 699-706); the time derivative applies the
-order's first-derivative stencil to time slices of the fields.  The ladder
-checks any field source fields(x, t) -> (q1, q2): the analytic N-soliton
-evaluator is one, a perturbed or closed-form field is another.  Spatial
-derivatives, and so the residual, are formed only on the interior nodes
-where the widest stencil fits, which is where the sup norms are taken.
+(Fornberg, Math. Comp. 51 (1988) 699-706), sums them with combine, and takes
+its spacings from a ladder that check_ladder accepts.  The time derivative
+applies the order's first-derivative stencil to time slices of the fields.
+The ladder checks any field source fields(x, t) -> (q1, q2): the analytic
+N-soliton evaluator is one, a perturbed or closed-form field is another.
+Spatial derivatives, and so the residual, are formed only on the interior
+nodes where the widest stencil fits, which is where the sup norms are taken.
 Both coupled equations are one expression on (q1, q2) stacked as (2, n).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,7 @@ __all__ = [
     "STENCILS",
     "stencil",
     "check_nodes",
+    "combine",
     "interior_derivatives",
     "hirota_residual",
     "ResidualReport",
@@ -62,9 +65,10 @@ def check_nodes(nx: int, order: int) -> None:
         raise ValueError(f"need at least {need} nodes for order {order}, got {nx}")
 
 
-def _combine(weights, divisor: int, terms):
-    """sum_k (weights[k] / divisor) terms[k], accumulated in stencil order."""
-    return sum(c / divisor * term for c, term in zip(weights, terms))
+def combine(weights, scale, terms):
+    """sum_k (weights[k] / scale) terms[k] in stencil order; a zero weight's
+    term is skipped, so it adds no signed zero and no 0 * inf."""
+    return sum(c / scale * term for c, term in zip(weights, terms) if c)
 
 
 def interior_derivatives(v, h: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,7 +86,7 @@ def interior_derivatives(v, h: float, order: int) -> tuple[np.ndarray, np.ndarra
         weights, divisor = stencil(order, derivative)
         half = len(weights) // 2
         windows = [v[..., w + off : n - w + off] for off in range(-half, half + 1)]
-        out.append(_combine(weights, divisor, windows) / h**derivative)
+        out.append(combine(weights, divisor, windows) / h**derivative)
     return tuple(out)
 
 
@@ -106,7 +110,7 @@ def hirota_residual(
     w = (center.shape[-1] - qx.shape[-1]) // 2
     inner = slice(w, center.shape[-1] - w)
     v = center[:, inner]
-    qt = _combine(weights, divisor, [s[:, inner] for s in q]) / dt
+    qt = combine(weights, divisor, [s[:, inner] for s in q]) / dt
     dens = np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2
     cross = np.conj(v[0]) * qx[0] + np.conj(v[1]) * qx[1]
     ksq = p.k1 * p.k1
@@ -129,16 +133,27 @@ class ResidualReport:
     estimated_order: float
 
 
-def check_ladder(spacings) -> None:
-    """Raise ValueError unless spacings are >= 3 h falling by one ratio."""
+_COUNTS = {2: "two", 3: "three"}
+
+
+def check_ladder(spacings, least: int = 3, ratio: float | None = None, derivative: int = 3) -> None:
+    """Raise ValueError unless spacings are >= least h, each finite and positive
+    with a finite stencil divisor h**derivative, falling by one ratio (by ratio
+    itself when given).  Each value is checked as a Python float: a numpy
+    reduction would be a run's first, and grow its heap."""
     hs = [float(h) for h in spacings]
-    if len(hs) < 3:
-        raise ValueError(f"need at least three spacings, got {len(hs)}")
-    ratios = [hs[i] / hs[i + 1] for i in range(len(hs) - 1)]
-    if any(r <= 1.0 for r in ratios) or any(
-        abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios
-    ):
+    if len(hs) < least:
+        raise ValueError(f"need at least {_COUNTS.get(least, least)} spacings, got {len(hs)}")
+    for h in hs:
+        if not (math.isfinite(h) and h > 0.0):
+            raise ValueError(f"spacing {h!r} must be finite and positive")
+        if not math.isfinite(math.prod([h] * derivative)):
+            raise ValueError(f"spacing {h!r} has a stencil divisor h**{derivative} that is not finite")
+    ratios = [a / b for a, b in zip(hs, hs[1:])]
+    if any(r <= 1.0 or abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
         raise ValueError("spacings must form a decreasing geometric ladder")
+    if ratio is not None and abs(ratios[0] - ratio) > 1e-9 * ratio:
+        raise ValueError(f"spacings must fall by a ratio of {ratio:g} at each rung, got {ratios[0]:.6g}")
 
 
 def convergence_order(spacings, sup_norms) -> ResidualReport:
@@ -180,7 +195,4 @@ def soliton_residual_ladder(
         r1, r2 = hirota_residual(q, grid.spacing, times[1] - times[0], p, order)
         norms1.append(float(np.abs(r1).max()))
         norms2.append(float(np.abs(r2).max()))
-    return (
-        convergence_order(spacings, norms1),
-        convergence_order(spacings, norms2),
-    )
+    return convergence_order(spacings, norms1), convergence_order(spacings, norms2)

@@ -558,6 +558,11 @@ def test_unknown_keys_are_named_at_load(where, key, message):
             [{"zeta": {"re": 0.3, "im": 0.55}, "alpha": 1.0, "beta": 0.6, "gamma": 0.8, "gama": 0.8}],
         ),
         ("zero_curvature", {"order2_spacings": [float("inf"), 0.01]}),
+        ("zero_curvature", {"order2_spacings": [0.02, 0.005]}),
+        ("zero_curvature", {"order4_spacings": [0.2, 0.08]}),
+        ("zero_curvature", {"order2_spacings": [0.02, 0.01, 0.004]}),
+        ("residual", {"spacings": [float("inf"), 0.1, 0.05]}),
+        ("zero_curvature", {"order4_spacings": [1e300, 5e299]}),
     ],
     ids=[
         "residual_order_3",
@@ -613,6 +618,11 @@ def test_unknown_keys_are_named_at_load(where, key, message):
         "grid_unknown_key",
         "spectral_unknown_key",
         "zc_infinite_order2_spacing",
+        "zc_order2_ladder_ratio_4",
+        "zc_order4_ladder_ratio_2.5",
+        "zc_order2_ladder_two_ratios",
+        "residual_infinite_spacing",
+        "zc_order4_spacing_square_overflows",
     ],
 )
 def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change):
@@ -635,6 +645,36 @@ def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change
     assert code == cli.EXIT_VALIDATION
     assert f"configuration error: {section}:" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize(
+    "section, change, message",
+    [
+        (
+            "residual",
+            {"spacings": [float("inf"), 0.1, 0.05]},
+            "residual: spacing inf must be finite and positive",
+        ),
+        (
+            "zero_curvature",
+            {"order4_spacings": [1e300, 5e299]},
+            "zero_curvature: order4_spacings: spacing 1e+300 has a stencil divisor h**2 that is not finite",
+        ),
+        (
+            "zero_curvature",
+            {"order2_spacings": [0.02, 0.005]},
+            "zero_curvature: order2_spacings: spacings must fall by a ratio of 2 at each rung, got 4",
+        ),
+    ],
+    ids=["residual_infinite_spacing", "zc_spacing_square_overflows", "zc_ladder_ratio_4"],
+)
+def test_spacing_ladder_faults_are_named_at_load(section, change, message):
+    # an infinite spacing used to fail as "grid bounds must be finite", and an
+    # overflowing h**2 or a ladder that does not halve exited 2 at run time
+    doc = _third_order_doc()
+    doc[section] = {**doc.get(section, {}), **change}
+    with pytest.raises(ValueError, match=exactly(message)):
+        cli.parse_config(doc)
 
 
 @pytest.mark.parametrize("n", [1000, 1023])

@@ -217,11 +217,36 @@ def test_convergence_order_rejects_bad_ladders():
         residual.convergence_order((0.1, 0.05, 0.03), (1.0, 0.5, 0.2))
     with pytest.raises(ValueError, match=exactly("need one sup norm per spacing")):
         residual.convergence_order((0.1, 0.05, 0.025), (1.0, 0.5))
-    for spacings, reason in (
-        ((0.1, 0.05), short),
-        ((0.1, 0.07, 0.025), not_geometric),
-        ((0.025, 0.05, 0.1), not_geometric),
+    for spacings, kwargs, reason in (
+        ((0.1, 0.05), {}, short),
+        ((0.1, 0.07, 0.025), {}, not_geometric),
+        ((0.025, 0.05, 0.1), {}, not_geometric),
+        ((math.inf, 0.1, 0.05), {}, exactly("spacing inf must be finite and positive")),
+        ((0.1, math.nan, 0.025), {}, exactly("spacing nan must be finite and positive")),
+        ((0.1, 0.0, -0.1), {}, exactly("spacing 0.0 must be finite and positive")),
+        ((1e103, 5e102, 2.5e102), {}, exactly("spacing 1e+103 has a stencil divisor h**3 that is not finite")),
+        ((0.01,), {"least": 2}, exactly("need at least two spacings, got 1")),
+        (
+            (1e300, 5e299),
+            {"least": 2, "derivative": 2},
+            exactly("spacing 1e+300 has a stencil divisor h**2 that is not finite"),
+        ),
+        (
+            (0.02, 0.005),
+            {"least": 2, "ratio": 2.0},
+            exactly("spacings must fall by a ratio of 2 at each rung, got 4"),
+        ),
     ):
         with pytest.raises(ValueError, match=reason):
-            residual.check_ladder(spacings)
+            residual.check_ladder(spacings, **kwargs)
     residual.check_ladder((0.2, 0.1, 0.05, 0.025))
+    residual.check_ladder((1e150, 5e149), least=2, ratio=2.0, derivative=2)
+    residual.check_ladder((0.2, 0.1, 0.05), least=2, ratio=2.0)
+
+
+def test_combine_skips_zero_weights():
+    # the centre term of the first-derivative stencil is never touched, so
+    # an infinite or NaN value there leaves the difference finite
+    weights, divisor = residual.stencil(2, 1)
+    terms = np.array([[1.0, 2.0], [np.inf, np.nan], [3.0, 6.0]])
+    assert residual.combine(weights, divisor, terms).tolist() == [1.0, 2.0]
