@@ -210,10 +210,10 @@ def _check_residual(opts: dict, grid: Grid1D) -> None:
 def _check_zero_curvature(opts: dict) -> None:
     _check_finite(opts, "x", "t")
     # the ratio bands zc_order2_band and zc_order4_band sit around 2**order,
-    # which is what a ladder that halves gives; the jet divides by h**2
+    # which is what a ladder that halves gives
     for key in ("order2_spacings", "order4_spacings"):
         try:
-            residual.check_ladder(opts[key], least=2, ratio=2.0, derivative=2)
+            residual.check_ladder(opts[key], least=2, ratio=2.0)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from exc
 

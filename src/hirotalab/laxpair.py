@@ -156,6 +156,8 @@ def zero_curvature_residual(
     order under h-refinement.
     """
     h = np.asarray(h, dtype=float)
+    if np.any(h <= 0):
+        raise ValueError("h must be positive")
     weights, divisor = stencil(order, 1)
     mid = len(weights) // 2
     offsets = np.array([o - mid for o, c in enumerate(weights) if c])

@@ -136,19 +136,17 @@ class ResidualReport:
 _COUNTS = {2: "two", 3: "three"}
 
 
-def check_ladder(spacings, least: int = 3, ratio: float | None = None, derivative: int = 3) -> None:
-    """Raise ValueError unless spacings are >= least h, each finite and positive
-    with a finite stencil divisor h**derivative, falling by one ratio (by ratio
+def check_ladder(spacings, least: int = 3, ratio: float | None = None) -> None:
+    """Raise ValueError unless spacings are >= least h, each positive with a
+    finite h**3 (the widest stencil's divisor), falling by one ratio (by ratio
     itself when given).  Each value is checked as a Python float: a numpy
     reduction would be a run's first, and grow its heap."""
     hs = [float(h) for h in spacings]
     if len(hs) < least:
         raise ValueError(f"need at least {_COUNTS.get(least, least)} spacings, got {len(hs)}")
     for h in hs:
-        if not (math.isfinite(h) and h > 0.0):
-            raise ValueError(f"spacing {h!r} must be finite and positive")
-        if not math.isfinite(math.prod([h] * derivative)):
-            raise ValueError(f"spacing {h!r} has a stencil divisor h**{derivative} that is not finite")
+        if not (h > 0.0 and math.isfinite(h * h * h)):
+            raise ValueError(f"spacing {h!r} must be positive with a finite h**3")
     ratios = [a / b for a, b in zip(hs, hs[1:])]
     if any(r <= 1.0 or abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
         raise ValueError("spacings must form a decreasing geometric ladder")

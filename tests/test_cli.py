@@ -653,12 +653,12 @@ def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change
         (
             "residual",
             {"spacings": [float("inf"), 0.1, 0.05]},
-            "residual: spacing inf must be finite and positive",
+            "residual: spacing inf must be positive with a finite h**3",
         ),
         (
             "zero_curvature",
             {"order4_spacings": [1e300, 5e299]},
-            "zero_curvature: order4_spacings: spacing 1e+300 has a stencil divisor h**2 that is not finite",
+            "zero_curvature: order4_spacings: spacing 1e+300 must be positive with a finite h**3",
         ),
         (
             "zero_curvature",
@@ -669,8 +669,7 @@ def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change
     ids=["residual_infinite_spacing", "zc_spacing_square_overflows", "zc_ladder_ratio_4"],
 )
 def test_spacing_ladder_faults_are_named_at_load(section, change, message):
-    # an infinite spacing used to fail as "grid bounds must be finite", and an
-    # overflowing h**2 or a ladder that does not halve exited 2 at run time
+    # each fault is refused at load with a message that names the spacing or ratio
     doc = _third_order_doc()
     doc[section] = {**doc.get(section, {}), **change}
     with pytest.raises(ValueError, match=exactly(message)):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import exactly
+
 from hirotalab.core import SpectralData, SpectralDatum, SystemParams
 from hirotalab import laxpair
 
@@ -87,6 +89,12 @@ def test_zero_fields_give_zero_residual(default_params):
     empty = SpectralData(())
     res = laxpair.zero_curvature_residual(empty, default_params, 0.8, 1.0, 0.5, 1e-2)
     assert np.abs(res).max() == 0.0
+
+
+@pytest.mark.parametrize("h", [0.0, -0.01, [0.02, 0.0]])
+def test_residual_refuses_a_spacing_that_is_not_positive(default_params, h):
+    with pytest.raises(ValueError, match=exactly("h must be positive")):
+        laxpair.zero_curvature_residual(SpectralData(()), default_params, 0.8, 1.0, 0.5, h)
 
 
 def test_default_zeta_samples():
