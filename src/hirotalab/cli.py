@@ -61,6 +61,8 @@ DEFAULT_TOLERANCES = {
     "mass_drift": 1e-8,
 }
 
+# a residual rung of 10**5 nodes takes about 100 MB at N = 8
+MAX_RUNG_NODES = 10**5
 DEFAULT_RESIDUAL = {"order": 2, "spacings": [0.1, 0.05, 0.025], "t_center": 0.5}
 DEFAULT_ZC = {
     "x": 2.0,
@@ -204,6 +206,10 @@ def _check_residual(opts: dict, grid: Grid1D) -> None:
     # every rung's grid must hold the widest stencil; the first rung's has the fewest nodes
     first = Grid1D.with_spacing(grid.x_min, grid.x_max, opts["spacings"][0])
     residual.check_nodes(first.nx, opts["order"])
+    # and the last rung's the most, counted as Grid1D.with_spacing counts them
+    finest = opts["spacings"][-1]
+    if round((grid.x_max - grid.x_min) / finest) + 1 > MAX_RUNG_NODES:
+        raise ValueError(f"spacing {finest!r} needs more than {MAX_RUNG_NODES} nodes over the grid")
     _check_finite(opts, "t_center")
 
 

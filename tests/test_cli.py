@@ -665,8 +665,18 @@ def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change
             {"order2_spacings": [0.02, 0.005]},
             "zero_curvature: order2_spacings: spacings must fall by a ratio of 2 at each rung, got 4",
         ),
+        (
+            "residual",
+            {"spacings": [4e-30, 2e-30, 1e-30]},
+            "residual: spacing 1e-30 needs more than 100000 nodes over the grid",
+        ),
     ],
-    ids=["residual_infinite_spacing", "zc_spacing_square_overflows", "zc_ladder_ratio_4"],
+    ids=[
+        "residual_infinite_spacing",
+        "zc_spacing_square_overflows",
+        "zc_ladder_ratio_4",
+        "residual_finest_rung_over_node_cap",
+    ],
 )
 def test_spacing_ladder_faults_are_named_at_load(section, change, message):
     # each fault is refused at load with a message that names the spacing or ratio
