@@ -72,9 +72,9 @@ class SpectralDatum:
 class SpectralData:
     """Ordered collection of spectral data; all matrix indexing follows this order.
 
-    Construction checks each datum in turn (finite entries, Im zeta > 0, a
-    nonzero vector), then that the zetas are distinct (only simple zeros
-    are supported), and raises ValidationError at the first check that fails.
+    Construction checks for at least one datum, then each datum (finite
+    entries, Im zeta > 0, a nonzero vector), then that the zetas are distinct
+    (only simple zeros are supported); ValidationError names the first failure.
     """
 
     data: tuple[SpectralDatum, ...]
@@ -92,6 +92,8 @@ class SpectralData:
             if d.alpha == 0 and d.beta == 0 and d.gamma == 0:
                 raise ValidationError(f"spectral datum {i}: (alpha, beta, gamma) must be nonzero")
         zs = self.zetas().tolist()
+        if not zs:
+            raise ValidationError("spectral data must hold at least one datum")
         for i, z in enumerate(zs):
             if z in zs[i + 1 :]:
                 j = zs.index(z, i + 1)

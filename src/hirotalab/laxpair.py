@@ -7,6 +7,15 @@ q, q_x and q_xx, each with rows q1 and q2 as in core.SampledField.values.
 The matrices take batched jets and arrays of zeta, so one ladder of the
 check is one pass at one (x, t): one evaluator call for every stencil
 centre of every spacing, then every U and V at once.
+
+U = (i/2) zeta sigma - k1 Q and V are built from the potential Q = [[0, q1,
+q2], [-q1*, 0, 0], [-q2*, 0, 0]] of each jet row, with sigma = diag(-1, 1, 1):
+
+    W  = sigma (k1 Q^2 + Q_x)
+    V2 = -(zeta^2 sigma + 2i k1 zeta Q + 2 k1 W)          (second-order dispersion)
+    V3 = -(i/2) zeta^3 sigma + k1 zeta^2 Q - i k1 zeta W
+         + k1 (2 k1^2 Q^3 + k1 [Q, Q_x] - Q_xx)           (third order)
+    V  = a2 V2 + epsilon V3
 """
 
 from __future__ import annotations
@@ -25,92 +34,41 @@ __all__ = [
     "default_zeta_samples",
 ]
 
-_SIGMA_DIAG = np.array([-1.0, 1.0, 1.0])
+_SIGMA = np.diag([-1.0, 1.0, 1.0])
 
 
-def _matrix(shape: tuple, rows) -> np.ndarray:
-    """Complex shape + (3, 3) stack from three rows of entries of that shape or scalars."""
-    out = np.empty(shape + (3, 3), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            out[..., i, j] = entry
+def _potential(q: np.ndarray) -> np.ndarray:
+    """Q = [[0, q1, q2], [-q1*, 0, 0], [-q2*, 0, 0]] of rows (q1, q2), as shape + (3, 3)."""
+    out = np.zeros(q.shape[1:] + (3, 3), dtype=complex)
+    out[..., 0, 1:] = np.moveaxis(q, 0, -1)
+    out[..., 1:, 0] = -np.conj(out[..., 0, 1:])
     return out
 
 
 def build_U(jet: np.ndarray, zeta: np.typing.ArrayLike, p: SystemParams) -> np.ndarray:
-    """Space part (i/2) zeta sigma - k1 Q with the antisymmetric potential Q.
+    """Space part (i/2) zeta sigma - k1 Q with the anti-Hermitian potential Q.
 
     jet is a (3, 2) + shape array from jet_at and zeta may be an array; shape
     and zeta's broadcast together and the result has their broadcast shape
     followed by (3, 3).
     """
-    q1, q2 = jet[0]
-    mat = _matrix(np.shape(q1), [[0.0, q1, q2], [-np.conj(q1), 0.0, 0.0], [-np.conj(q2), 0.0, 0.0]])
     zeta = np.asarray(zeta, dtype=complex)[..., None, None]
-    return 0.5j * zeta * np.diag(_SIGMA_DIAG).astype(complex) - p.k1 * mat
+    return 0.5j * zeta * _SIGMA - p.k1 * _potential(jet[0])
 
 
 def build_V(jet: np.ndarray, zeta: np.typing.ArrayLike, p: SystemParams) -> np.ndarray:
-    """Time part, cubic in zeta, with all nine zeroth-order entries.
-
-    The (2,3) zeroth-order entry uses the conjugated first derivative of q1,
-    which is what the compatibility condition forces; with it the whole
-    zeta^0 block closes consistently.  Shapes broadcast as in build_U.
-    """
-    eps, k1, a2 = p.epsilon, p.k1, p.a2
+    """Time part a2 V2 + epsilon V3 of the module docstring; shapes broadcast as in build_U."""
+    k1 = p.k1
     shape = np.broadcast_shapes(jet.shape[2:], np.shape(zeta)) + (3, 3)
     # numpy's array loops round complex products (fused multiply-add) unlike its
     # scalar math; raised to 1-d, one jet and zeta give the bits of a batch entry
-    q1, q2, q1x, q2x, q1xx, q2xx = jet.reshape((6,) + (jet.shape[2:] or (1,)))
-    c1, c2 = np.conj(q1), np.conj(q2)
-    c1x, c2x = np.conj(q1x), np.conj(q2x)
-    dens = (q1 * c1 + q2 * c2).real
+    q, qx, qxx = (_potential(row) for row in jet.reshape((3, 2) + (jet.shape[2:] or (1,))))
     zeta = np.asarray(zeta, dtype=complex)[..., None, None]
-
-    cubic = 0.5j * eps * zeta**3 * np.diag([1.0, -1.0, -1.0]).astype(complex)
-
-    quad = zeta**2 * _matrix(
-        dens.shape,
-        [
-            [a2, eps * k1 * q1, eps * k1 * q2],
-            [-eps * k1 * c1, -a2, 0.0],
-            [-eps * k1 * c2, 0.0, -a2],
-        ],
-    )
-
-    lin = zeta * _matrix(
-        dens.shape,
-        [
-            [
-                -1j * eps * k1**2 * dens,
-                1j * eps * k1 * q1x - 2j * a2 * k1 * q1,
-                1j * eps * k1 * q2x - 2j * a2 * k1 * q2,
-            ],
-            [
-                1j * eps * k1 * c1x + 2j * a2 * k1 * c1,
-                1j * eps * k1**2 * q1 * c1,
-                1j * eps * k1**2 * c1 * q2,
-            ],
-            [
-                1j * eps * k1 * c2x + 2j * a2 * k1 * c2,
-                1j * eps * k1**2 * c2 * q1,
-                1j * eps * k1**2 * q2 * c2,
-            ],
-        ],
-    )
-
-    b = np.empty((3, 3) + dens.shape, dtype=complex)
-    b[0, 0] = -2 * a2 * k1**2 * dens - eps * k1**2 * (q1 * c1x - c1 * q1x + q2 * c2x - c2 * q2x)
-    b[0, 1] = -eps * k1 * q1xx + 2 * a2 * k1 * q1x - 2 * eps * k1**3 * q1 * dens
-    b[0, 2] = -eps * k1 * q2xx + 2 * a2 * k1 * q2x - 2 * eps * k1**3 * q2 * dens
-    b[1, 0] = eps * k1 * np.conj(q1xx) + 2 * a2 * k1 * c1x + 2 * eps * k1**3 * c1 * dens
-    b[1, 1] = -eps * k1**2 * (c1 * q1x - c1x * q1) + 2 * a2 * k1**2 * q1 * c1
-    b[1, 2] = -eps * k1**2 * (c1 * q2x - c1x * q2) + 2 * a2 * k1**2 * c1 * q2
-    b[2, 0] = eps * k1 * np.conj(q2xx) + 2 * a2 * k1 * c2x + 2 * eps * k1**3 * c2 * dens
-    b[2, 1] = -eps * k1**2 * (c2 * q1x - q1 * c2x) + 2 * a2 * k1**2 * c2 * q1
-    b[2, 2] = -eps * k1**2 * (c2 * q2x - c2x * q2) + 2 * a2 * k1**2 * q2 * c2
-
-    return (cubic + quad + lin + np.moveaxis(b, (0, 1), (-2, -1))).reshape(shape)
+    w = _SIGMA @ (k1 * q @ q + qx)
+    v2 = -(zeta**2 * _SIGMA + 2j * k1 * zeta * q + 2 * k1 * w)
+    v3 = -0.5j * zeta**3 * _SIGMA + k1 * zeta**2 * q - 1j * k1 * zeta * w
+    v3 += k1 * (2 * k1**2 * q @ q @ q + k1 * (q @ qx - qx @ q) - qxx)
+    return (p.a2 * v2 + p.epsilon * v3).reshape(shape)
 
 
 def jet_at(
@@ -127,11 +85,13 @@ def jet_at(
     q2.  x and t may be arrays of centres and h an array of spacings, all
     broadcast together to that shape.  All centres go through one call of
     the evaluator, and each centre's jet is bit for bit the one its own call
-    gives.
+    gives.  Every spacing must be positive and finite (ValueError otherwise).
     """
+    h = np.asarray(h, dtype=float)
+    if not np.all((h > 0) & np.isfinite(h)):
+        raise ValueError("h must be positive and finite")
     (w1, div1), (w2, div2) = stencil(order, 1), stencil(order, 2)
     mid = len(w1) // 2
-    h = np.asarray(h, dtype=float)
     xs = np.asarray(x, dtype=float)[..., None] + h[..., None] * np.arange(-mid, mid + 1)
     q = fields_batch(data, p, xs, np.asarray(t, dtype=float)[..., None])
     taps = np.moveaxis(q, -1, 0)
@@ -156,8 +116,6 @@ def zero_curvature_residual(
     order under h-refinement.
     """
     h = np.asarray(h, dtype=float)
-    if np.any(h <= 0):
-        raise ValueError("h must be positive")
     weights, divisor = stencil(order, 1)
     mid = len(weights) // 2
     offsets = np.array([o - mid for o, c in enumerate(weights) if c])

@@ -82,8 +82,6 @@ def _check_poles(zeta: np.ndarray, poles: np.ndarray) -> None:
 def rh_plus(zeta, data: SpectralData, p: SystemParams, x: float, t: float) -> np.ndarray:
     """Upper-half-plane factor: identity minus the pole sum over zeta_j*."""
     zeta = np.asarray(zeta, dtype=complex)
-    if len(data) == 0:
-        return np.tile(np.eye(3, dtype=complex), zeta.shape + (1, 1))
     v, vhat, m_scaled, zetas = _scaled_vectors(data, p, x, t)
     poles = np.conj(zetas)
     _check_poles(zeta, poles)
@@ -95,8 +93,6 @@ def rh_plus(zeta, data: SpectralData, p: SystemParams, x: float, t: float) -> np
 def rh_minus(zeta, data: SpectralData, p: SystemParams, x: float, t: float) -> np.ndarray:
     """Lower-half-plane factor: identity plus the pole sum over zeta_k."""
     zeta = np.asarray(zeta, dtype=complex)
-    if len(data) == 0:
-        return np.tile(np.eye(3, dtype=complex), zeta.shape + (1, 1))
     v, vhat, m_scaled, zetas = _scaled_vectors(data, p, x, t)
     _check_poles(zeta, zetas)
     z = np.linalg.solve(m_scaled, vhat)
@@ -105,8 +101,6 @@ def rh_minus(zeta, data: SpectralData, p: SystemParams, x: float, t: float) -> n
 
 def rh_plus_order1(data: SpectralData, p: SystemParams, x: float, t: float) -> np.ndarray:
     """1/zeta coefficient of the upper factor's large-zeta expansion."""
-    if len(data) == 0:
-        return np.zeros((3, 3), dtype=complex)
     v, vhat, m_scaled, _ = _scaled_vectors(data, p, x, t)
     z = np.linalg.solve(m_scaled, vhat)
     return -(v.T @ z)
@@ -115,9 +109,7 @@ def rh_plus_order1(data: SpectralData, p: SystemParams, x: float, t: float) -> n
 def kernel_report(data: SpectralData, p: SystemParams, x: float, t: float) -> float:
     """Largest relative norm of the factor-kernel conditions at every eigenvalue:
     the right kernel of the upper factor at zeta_j and the left kernel of the
-    lower factor at zeta_j*.  0.0 for no data; a NaN norm propagates."""
-    if len(data) == 0:
-        return 0.0
+    lower factor at zeta_j*.  A NaN norm propagates."""
     v, vhat, _, zetas = _scaled_vectors(data, p, x, t)
     plus = rh_plus(zetas, data, p, x, t)
     minus = rh_minus(np.conj(zetas), data, p, x, t)

@@ -543,6 +543,7 @@ def test_unknown_keys_are_named_at_load(where, key, message):
         ("residual", {"spacings": "421"}),
         ("times", "12"),
         ("spectral", ""),
+        ("spectral", []),
         ("spectral", [{"zeta": {"re": "0.3", "im": 0.2}, "alpha": 1.0, "beta": 1.0, "gamma": 2.0}]),
         ("rh_check", {"seed": True}),
         ("params", {"epsilon": True}),
@@ -606,6 +607,7 @@ def test_unknown_keys_are_named_at_load(where, key, message):
         "residual_string_spacings",
         "times_string",
         "spectral_string",
+        "spectral_empty",
         "spectral_string_re",
         "rh_boolean_seed",
         "params_boolean_epsilon",

@@ -83,6 +83,13 @@ def test_validate_accepts_default_datum(default_datum, default_params):
     assert SystemParams(default_params.epsilon, default_params.k1, default_params.a2) == default_params
 
 
+def test_validate_rejects_empty_data():
+    # with no datum every factor is the identity and every field zero, which
+    # the residual and zero-curvature checks would report as a failed order
+    with pytest.raises(ValidationError, match=exactly("spectral data must hold at least one datum")):
+        SpectralData(())
+
+
 def test_validate_rejects_lower_half_plane():
     with pytest.raises(
         ValidationError, match=exactly("spectral datum 0: Im(zeta) must be > 0, got zeta = (0.3-0.2j)")

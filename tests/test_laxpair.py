@@ -60,6 +60,23 @@ def test_time_matrix_free_case(default_params):
     assert np.abs(v - expected).max() < 1e-15
 
 
+def test_time_matrix_at_a_generic_point():
+    # a2 != 0 data solve nothing, so no convergence test reaches the a2 terms
+    # at orders zeta^1 and zeta^0; this pins the whole matrix instead
+    p = SystemParams(1.3, -0.8, 0.7)
+    jet = _jet(0.4 - 0.3j, -0.2 + 0.5j, 0.15 + 0.1j, -0.35j, 0.25 - 0.05j, -0.1 + 0.3j)
+    expected = np.array([
+        [-0.2570067500000002 - 0.3085730000000001j, 0.7779792000000001 - 0.10963440000000008j,
+         -1.0495696 + 1.0415640000000002j],
+        [-0.5578992 - 0.6998744j, -0.08728124999999992 + 0.280285j,
+         -0.4136640000000001 + 0.24691200000000002j],
+        [-0.05923039999999999 + 0.4462840000000001j, -0.13244800000000004 - 0.08550400000000002j,
+         -0.03979324999999995 + 0.325213j],
+    ])
+    v = laxpair.build_V(jet, 0.6 - 0.35j, p)
+    assert np.abs(v - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 def test_time_matrix_23_entry(default_params):
     jet = _jet(1.0, 2.0, 0.0, 0.0, 0.0, 0.0)
     v = laxpair.build_V(jet, 0.0, default_params)
@@ -85,16 +102,21 @@ def test_time_matrix_symmetry_fails_with_a2(default_params):
     assert np.abs(lhs - rhs).max() > 0.1
 
 
+# beta = gamma = 0: the fields are exactly zero everywhere
+ZERO_FIELD = SpectralData((SpectralDatum(0.3 + 0.2j, 1.0, 0.0, 0.0),))
+
+
 def test_zero_fields_give_zero_residual(default_params):
-    empty = SpectralData(())
-    res = laxpair.zero_curvature_residual(empty, default_params, 0.8, 1.0, 0.5, 1e-2)
+    res = laxpair.zero_curvature_residual(ZERO_FIELD, default_params, 0.8, 1.0, 0.5, 1e-2)
     assert np.abs(res).max() == 0.0
 
 
-@pytest.mark.parametrize("h", [0.0, -0.01, [0.02, 0.0]])
+@pytest.mark.parametrize("h", [0.0, -0.01, [0.02, 0.0], np.nan, np.inf, [0.02, np.nan]])
 def test_residual_refuses_a_spacing_that_is_not_positive(default_params, h):
-    with pytest.raises(ValueError, match=exactly("h must be positive")):
-        laxpair.zero_curvature_residual(SpectralData(()), default_params, 0.8, 1.0, 0.5, h)
+    with pytest.raises(ValueError, match=exactly("h must be positive and finite")):
+        laxpair.zero_curvature_residual(ZERO_FIELD, default_params, 0.8, 1.0, 0.5, h)
+    with pytest.raises(ValueError, match=exactly("h must be positive and finite")):
+        laxpair.jet_at(ZERO_FIELD, default_params, 1.0, 0.5, h)
 
 
 def test_default_zeta_samples():
