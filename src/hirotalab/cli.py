@@ -10,6 +10,8 @@ Commands
   propagate       pseudo-spectral evolution against the analytic solution
 
 Exit codes: 0 success, 1 validation failure, 2 verification failure, 3 I/O failure.
+Loading builds what each command runs on; a checking command returns its
+Report, and main alone writes it and turns all_pass into exit 0 or 2.
 
 Every CSV is written with 17 significant digits, '.' decimal separator and
 '\n' line endings, so identical configs produce byte-identical files.
@@ -153,11 +155,6 @@ def _merged(defaults: dict, user) -> dict:
     return out
 
 
-def _snapshot_times(opts: dict) -> list[float]:
-    """Sorted propagate snapshot times, t_final always included."""
-    return sorted(set(opts["snapshots"]) | {opts["t_final"]})
-
-
 def _check_distinct_tags(times, key: str) -> None:
     """Distinct times must name distinct files."""
     named = {}
@@ -172,14 +169,10 @@ def _positive(values, key: str) -> None:
         raise ValueError(f"{key} must be positive, got {values!r}")
 
 
-def _scatter_grid(opts: dict) -> Grid1D:
-    """Grid of the scatter command: x_min..x_max in steps of spacing."""
-    _positive([opts["spacing"]], "spacing")
-    return Grid1D.with_spacing(opts["x_min"], opts["x_max"], opts["spacing"])
-
-
 # Load-time checks of the command sections: each raises what its command
-# would otherwise raise partway through a run.
+# would otherwise raise partway through a run.  The scatter and propagate
+# checks also add the objects their commands run on, under keys no user
+# can set: the grid, and propagate's sorted snapshot_times with t_final.
 def _check_finite(opts: dict, *keys: str) -> None:
     for key in keys:
         if not np.isfinite(opts[key]):
@@ -206,9 +199,9 @@ def _check_residual(opts: dict, grid: Grid1D) -> None:
     # every rung's grid must hold the widest stencil; the first rung's has the fewest nodes
     first = Grid1D.with_spacing(grid.x_min, grid.x_max, opts["spacings"][0])
     residual.check_nodes(first.nx, opts["order"])
-    # and the last rung's the most, counted as Grid1D.with_spacing counts them
+    # and the last rung's the most
     finest = opts["spacings"][-1]
-    if round((grid.x_max - grid.x_min) / finest) + 1 > MAX_RUNG_NODES:
+    if Grid1D.with_spacing(grid.x_min, grid.x_max, finest).nx > MAX_RUNG_NODES:
         raise ValueError(f"spacing {finest!r} needs more than {MAX_RUNG_NODES} nodes over the grid")
     _check_finite(opts, "t_center")
 
@@ -225,7 +218,7 @@ def _check_zero_curvature(opts: dict) -> None:
 
 
 def _check_scatter(opts: dict, spectral: SpectralData) -> None:
-    grid = _scatter_grid(opts)
+    opts["grid"] = grid = Grid1D.with_spacing(opts["x_min"], opts["x_max"], opts["spacing"])
     _positive([opts["tail_threshold"]], "tail_threshold")
     if len(opts["real_zetas"]) < 1:
         raise ValueError("real_zetas needs at least one entry")
@@ -247,8 +240,8 @@ def _check_rh_check(opts: dict) -> None:
 
 def _check_propagate(opts: dict, params: SystemParams) -> None:
     _check_at_least(opts, "n", 2)
-    grid = Grid1D.periodic(opts["length"], opts["n"])
-    snaps = _snapshot_times(opts)
+    opts["grid"] = grid = Grid1D.periodic(opts["length"], opts["n"])
+    opts["snapshot_times"] = snaps = sorted(set(opts["snapshots"]) | {opts["t_final"]})
     propagator.step_schedule(opts["t_final"], opts["dt"], snaps)
     _check_distinct_tags(snaps, "snapshots")
     propagator.check_stability(grid, params, opts["dt"])
@@ -351,9 +344,11 @@ def _write_text(path: Path, text: str) -> None:
 
 
 class Report:
-    """Accumulates name,value,threshold,pass rows; writes deterministic CSV."""
+    """Accumulates name,value,threshold,pass rows; writes deterministic CSV
+    to the file called name in an output directory."""
 
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.rows: list[tuple[str, float, str, bool]] = []
 
     def check_le(self, name: str, value: float, threshold: float) -> bool:
@@ -374,11 +369,11 @@ class Report:
     def all_pass(self) -> bool:
         return all(ok for _, _, _, ok in self.rows)
 
-    def write(self, path: Path, quiet: bool) -> None:
+    def write(self, out: Path, quiet: bool) -> None:
         lines = ["name,value,threshold,pass"]
         for name, value, threshold, ok in self.rows:
             lines.append(f"{name},{_fmt(value)},{threshold},{'true' if ok else 'false'}")
-        _write_text(path, "\n".join(lines) + "\n")
+        _write_text(out / self.name, "\n".join(lines) + "\n")
         if not quiet:
             for name, value, threshold, ok in self.rows:
                 print(f"  [{'PASS' if ok else 'FAIL'}] {name} = {value:.6g} (threshold {threshold})")
@@ -438,7 +433,7 @@ def _time_tag(t: float) -> str:
     return f"{t:g}"
 
 
-def cmd_sample(cfg: RunConfig, out: Path, quiet: bool) -> int:
+def cmd_sample(cfg: RunConfig, out: Path, quiet: bool) -> None:
     fields = nsoliton.sample(cfg.spectral, cfg.params, cfg.grid, cfg.times)
     xcol = _x_column(cfg.grid)
     templates = _row_templates(xcol, ",")
@@ -451,7 +446,6 @@ def cmd_sample(cfg: RunConfig, out: Path, quiet: bool) -> int:
             print(f"  wrote {name}")
     if cfg.emit_plots and names:
         _emit_plot_scripts(cfg, out, names, fields, xcol)
-    return EXIT_OK
 
 
 def _emit_plot_scripts(
@@ -498,7 +492,7 @@ def _emit_plot_scripts(
     _write_text(out / "plot_surface.gp", "\n".join(surf_lines) + "\n")
 
 
-def cmd_residual(cfg: RunConfig, out: Path, quiet: bool) -> int:
+def cmd_residual(cfg: RunConfig, out: Path, quiet: bool) -> Report:
     opts = cfg.residual
     order = opts["order"]
     rep1, rep2 = residual.soliton_residual_ladder(
@@ -515,21 +509,20 @@ def cmd_residual(cfg: RunConfig, out: Path, quiet: bool) -> int:
         ladder_lines.append(f"{_fmt(h)},{_fmt(n1)},{_fmt(n2)}")
     _write_text(out / "residual_ladder.csv", "\n".join(ladder_lines) + "\n")
 
-    report = Report()
+    report = Report("residual_report.csv")
     # a slope above the nominal order is no more a pass than one below it:
     # a wrong field whose defect cancels part of the truncation error reads high
     deficit = cfg.tolerances["residual_order_deficit"]
     report.check_band("residual_order_q1", rep1.estimated_order, order - deficit, order + deficit)
     report.check_band("residual_order_q2", rep2.estimated_order, order - deficit, order + deficit)
-    report.write(out / "residual_report.csv", quiet)
-    return EXIT_OK if report.all_pass else EXIT_VERIFICATION
+    return report
 
 
-def cmd_zero_curvature(cfg: RunConfig, out: Path, quiet: bool) -> int:
+def cmd_zero_curvature(cfg: RunConfig, out: Path, quiet: bool) -> Report:
     opts = cfg.zero_curvature
     x, t = opts["x"], opts["t"]
     zetas = laxpair.default_zeta_samples()
-    report = Report()
+    report = Report("zero_curvature_report.csv")
     for order in (2, 4):
         lo, hi = cfg.tolerances[f"zc_order{order}_band"]
         spacings = opts[f"order{order}_spacings"]
@@ -540,17 +533,16 @@ def cmd_zero_curvature(cfg: RunConfig, out: Path, quiet: bool) -> int:
             for j in range(len(sups) - 1):
                 ratio = sups[j][iz] / sups[j + 1][iz] if sups[j + 1][iz] > 0 else float("inf")
                 report.check_band(f"zc_o{order}_z{iz}_ratio{j}", ratio, lo, hi)
-    report.write(out / "zero_curvature_report.csv", quiet)
-    return EXIT_OK if report.all_pass else EXIT_VERIFICATION
+    return report
 
 
-def cmd_rh_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
+def cmd_rh_check(cfg: RunConfig, out: Path, quiet: bool) -> Report:
     opts = cfg.rh_check
     x, t = opts["x"], opts["t"]
     tol = cfg.tolerances
     rng = np.random.default_rng(opts["seed"])
     data, params = cfg.spectral, cfg.params
-    report = Report()
+    report = Report("rh_report.csv")
 
     report.check_le("kernel_max", rh.kernel_report(data, params, x, t), tol["kernel"])
 
@@ -561,7 +553,7 @@ def cmd_rh_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
         zs = []
         while len(zs) < n:
             z = draw(len(zs))
-            if np.abs(z - poles).min(initial=np.inf) > 1e-3:
+            if np.abs(z - poles).min() > 1e-3:
                 zs.append(z)
         return np.array(zs)
 
@@ -588,18 +580,16 @@ def cmd_rh_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
         rec += [abs(qr[0] - e1), abs(qr[1] - e2)]
     report.check_le("reconstruct_max", _worst(rec), tol["reconstruct"])
 
-    report.write(out / "rh_report.csv", quiet)
-    return EXIT_OK if report.all_pass else EXIT_VERIFICATION
+    return report
 
 
-def cmd_scatter(cfg: RunConfig, out: Path, quiet: bool) -> int:
+def cmd_scatter(cfg: RunConfig, out: Path, quiet: bool) -> Report:
     opts = cfg.scatter
     tol = cfg.tolerances
-    grid = _scatter_grid(opts)
-    q, = nsoliton.sample(cfg.spectral, cfg.params, grid, [0.0])
+    q, = nsoliton.sample(cfg.spectral, cfg.params, opts["grid"], [0.0])
     tail = opts["tail_threshold"]
 
-    report = Report()
+    report = Report("scatter_report.csv")
     for i, d in enumerate(cfg.spectral):
         s = rh.direct_scattering(q, complex(d.zeta), cfg.params, tail_threshold=tail)
         report.check_le(f"s11_zero_{i}", abs(s[0, 0]), tol["s11_zero"])
@@ -610,28 +600,25 @@ def cmd_scatter(cfg: RunConfig, out: Path, quiet: bool) -> int:
         det.append(abs(np.linalg.det(s) - 1.0))
     report.check_le("reflection_max", _worst(refl), tol["reflection"])
     report.check_le("det_s_max_err", _worst(det), tol["det_s"])
-    report.write(out / "scatter_report.csv", quiet)
-    return EXIT_OK if report.all_pass else EXIT_VERIFICATION
+    return report
 
 
-def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> int:
+def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> Report:
     opts = cfg.propagate
     tol = cfg.tolerances
-    grid = Grid1D.periodic(opts["length"], opts["n"])
-    snaps = _snapshot_times(opts)
+    grid, snaps = opts["grid"], opts["snapshot_times"]
     q0, = nsoliton.sample(cfg.spectral, cfg.params, grid, [0.0])
-    report = Report()
+    report = Report("propagation_report.csv")
     try:
         evolved = propagator.evolve(
             q0, cfg.params, opts["t_final"], opts["dt"], snaps,
             edge_threshold=opts["edge_threshold"],
         )
     except (propagator.BlowupError, propagator.EdgeDecayError) as exc:
-        report.fail("propagation_completed", type(exc).__name__)
-        report.write(out / "propagation_report.csv", quiet)
         if not quiet:
             print(f"  propagation aborted: {exc}")
-        return EXIT_VERIFICATION
+        report.fail("propagation_completed", type(exc).__name__)
+        return report
 
     table = ["t,linf_error_q1,linf_error_q2"]
     templates = _row_templates(_x_column(grid), ",")
@@ -650,8 +637,7 @@ def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> int:
     drift = abs(mass1 - mass0) / mass0 if mass0 > 0 else 0.0
     report.check_le("final_linf", final_err, tol["propagate_linf"])
     report.check_le("mass_drift", drift, tol["mass_drift"])
-    report.write(out / "propagation_report.csv", quiet)
-    return EXIT_OK if report.all_pass else EXIT_VERIFICATION
+    return report
 
 
 _COMMANDS = {
@@ -688,13 +674,17 @@ def main(argv=None) -> int:
     if not args.quiet:
         print(f"{args.command}: N = {len(cfg.spectral)}, out = {out}")
     try:
-        return _COMMANDS[args.command](cfg, out, args.quiet)
+        report = _COMMANDS[args.command](cfg, out, args.quiet)
+        if report is None:
+            return EXIT_OK
+        report.write(out, args.quiet)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, ArithmeticError) as exc:
         print(f"verification could not run: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    return EXIT_OK if report.all_pass else EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -133,7 +133,12 @@ class Grid1D:
 
     @classmethod
     def with_spacing(cls, x_min: float, x_max: float, h: float) -> Grid1D:
-        """Grid from x_min in steps of h, ending at the node nearest x_max."""
+        """Grid from x_min in steps of h, ending at the node nearest x_max.
+
+        Raises ValidationError unless h is positive and finite.
+        """
+        if not (math.isfinite(h) and h > 0):
+            raise ValidationError(f"spacing must be positive and finite, got {h!r}")
         nx = int(round((x_max - x_min) / h)) + 1
         return cls(x_min, x_min + (nx - 1) * h, nx)
 

@@ -16,13 +16,12 @@ transform of the (2, n) nonlinear term.
 
 One kernel, _advance, steps the stacked spectra in place on a workspace
 that its caller passes in.  evolve(), the one entry point, checks the
-stability bound and looks up the step factors once, allocates one workspace
-and runs the kernel once per step.
-The factors, cached per (grid, params, dt) and read-only, are ik, the
-dealias mask (stored as complex), the integrating factors e_half and
-e_full, the products dt e_half and 2 e_half, and the two scalar
-coefficients of the nonlinear term.  Nothing mutable outlives a call, so
-concurrent calls share no state.  Every buffered operation keeps the
+stability bound and builds the step factors once per call, allocates one
+workspace and runs the kernel once per step.
+The factors are ik, the dealias mask (stored as complex), the integrating
+factors e_half and e_full, the products dt e_half and 2 e_half, and the
+two scalar coefficients of the nonlinear term.  Nothing outlives a call,
+so concurrent calls share no state.  Every buffered operation keeps the
 operands, order and grouping of the plain array expression written in the
 docstrings, so the stepped spectra are bit for bit that expression's.
 
@@ -33,8 +32,6 @@ cost of importing the package.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -145,7 +142,6 @@ def _growth_rate(grid: Grid1D, p: SystemParams) -> float:
     return 2.0 * p.a2 * float(k_max) ** 2
 
 
-@lru_cache(maxsize=8)
 def _step_factors(grid: Grid1D, p: SystemParams, dt: float) -> tuple:
     """Everything a step of size dt needs that does not depend on the state.
 
@@ -154,19 +150,15 @@ def _step_factors(grid: Grid1D, p: SystemParams, dt: float) -> tuple:
     scalars 3 eps k1^2 and -4 k1^2 a2 of the nonlinear term.  The scaled
     arrays and scalars are grouped as the step expression groups them, and
     numpy multiplies a real mask by a complex array through the same complex
-    cast, so caching them moves no bit.
+    cast, so building them once moves no bit.
 
-    Raises FloatingPointError when exp overflows; lru_cache stores no result
-    then, so every later call with the same arguments raises again.  Every
-    caller shares the cached arrays, so they are made read-only.
+    Raises FloatingPointError when exp overflows.
     """
     k = _wavenumbers(grid)
     with np.errstate(over="raise"):
         e_half = np.exp(linear_symbol(k, p) * (0.5 * dt))
     mask = _dealias_mask(grid).astype(complex)
     arrays = (1j * k, mask, e_half, e_half * e_half, dt * e_half, 2.0 * e_half)
-    for a in arrays:
-        a.flags.writeable = False
     ksq = p.k1 * p.k1
     return arrays + (3.0 * p.epsilon * ksq, -4.0 * ksq * p.a2)
 

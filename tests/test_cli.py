@@ -183,8 +183,10 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
     path = _write_config(tmp_path, doc)
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
-    code = cli.main(["sample", "--config", path, "--out", str(blocker / "sub"), "--quiet"])
-    assert code == cli.EXIT_IO
+    # sample writes its own files; rh-check's one file is its report, which main writes
+    for command in ("sample", "rh-check"):
+        code = cli.main([command, "--config", path, "--out", str(blocker / "sub"), "--quiet"])
+        assert code == cli.EXIT_IO
 
 
 def test_rh_check_passes_on_both_bundled_configs(tmp_path):
@@ -408,8 +410,10 @@ def test_propagate_reports_blowup_on_default_config(tmp_path):
 def test_propagate_abort_line_names_step_and_growth_rate(tmp_path, capsys):
     out = tmp_path / "p2"
     assert cli.main(["propagate", "--out", str(out)]) == cli.EXIT_VERIFICATION
-    lines = [row for row in capsys.readouterr().out.splitlines() if "propagation aborted" in row]
+    printed = capsys.readouterr().out.splitlines()
+    lines = [row for row in printed if "propagation aborted" in row]
     assert len(lines) == 1 and "(step 7)" in lines[0]
+    assert sum("[FAIL] propagation_completed" in row for row in printed) == 1
     # 2 a2 k_max^2 for the bundled grid, k_max = 2 pi 341 / 80
     assert f"{2.0 * (2 * np.pi * 341 / 80.0) ** 2:.6g}" in lines[0]
     assert (out / "propagation_report.csv").read_bytes() == (
@@ -564,6 +568,9 @@ def test_unknown_keys_are_named_at_load(where, key, message):
         ("zero_curvature", {"order2_spacings": [0.02, 0.01, 0.004]}),
         ("residual", {"spacings": [float("inf"), 0.1, 0.05]}),
         ("zero_curvature", {"order4_spacings": [1e300, 5e299]}),
+        # what load builds from a section is not a key of it
+        ("scatter", {"grid": [-60.0, 60.0, 8001]}),
+        ("propagate", {"snapshot_times": [1.0]}),
     ],
     ids=[
         "residual_order_3",
@@ -625,6 +632,8 @@ def test_unknown_keys_are_named_at_load(where, key, message):
         "zc_order2_ladder_two_ratios",
         "residual_infinite_spacing",
         "zc_order4_spacing_square_overflows",
+        "scatter_derived_grid",
+        "propagate_derived_snapshot_times",
     ],
 )
 def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change):

@@ -151,6 +151,12 @@ def test_grid_invariants():
     assert pts[0] == -20.0 and pts[-1] == 20.0 and len(pts) == 401
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1, float("nan"), float("inf")])
+def test_with_spacing_refuses_a_spacing_not_positive_and_finite(h):
+    with pytest.raises(ValidationError, match=exactly(f"spacing must be positive and finite, got {h!r}")):
+        Grid1D.with_spacing(-1.0, 1.0, h)
+
+
 @pytest.mark.parametrize("length, n", [(80.0, 1024), (80.0, 321), (160.0, 2048), (80.0, 3), (0.3, 7)])
 def test_periodic_grid_excludes_the_wrap_point(length, n):
     g = Grid1D.periodic(length, n)

@@ -303,8 +303,7 @@ def test_eigenvalue_column_matches_blaschke_product(seed):
     # per-step picture reads at most 2.2e-10 at these four points, and so
     # does RK4 with the free part kept in its coefficient
     cfg = cli.parse_config(nsoliton_doc(seed))
-    grid = cli._scatter_grid(cfg.scatter)
-    q, = nsoliton.sample(cfg.spectral, cfg.params, grid, [0.0])
+    q, = nsoliton.sample(cfg.spectral, cfg.params, cfg.scatter["grid"], [0.0])
     zk = cfg.spectral.zetas()
     points = np.array([-0.5 + 0.3j, 0.5 + 0.3j, -0.5 + 1.0j, 0.5 + 1.0j])
     s11 = np.array([rh.direct_scattering(q, z, cfg.params)[0, 0] for z in points])
