@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -63,8 +64,13 @@ DEFAULT_TOLERANCES = {
     "mass_drift": 1e-8,
 }
 
-# a residual rung of 10**5 nodes takes about 100 MB at N = 8
-MAX_RUNG_NODES = 10**5
+# a grid built from a spacing (a residual rung, the scatter grid) holds at
+# most this many nodes; a residual rung of 10**5 nodes takes about 100 MB at N = 8
+MAX_GRID_NODES = 10**5
+# the required sections: every key must be given
+PARAMS = {"epsilon": 0.0, "k1": 0.0, "a2": 0.0}
+GRID = {"nx": 0, "x_min": 0.0, "x_max": 0.0}
+DATUM = {"zeta": 0j, "alpha": 0j, "beta": 0j, "gamma": 0j}
 DEFAULT_RESIDUAL = {"order": 2, "spacings": [0.1, 0.05, 0.025], "t_center": 0.5}
 DEFAULT_ZC = {
     "x": 2.0,
@@ -105,63 +111,76 @@ class RunConfig:
     rh_check: dict
     scatter: dict
     propagate: dict
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict
 
 
 def _read(value, like, key: str):
     """A config value checked against the JSON type of like, typed as like is.
 
-    A float like takes any JSON number and an int like an integral one
-    (1024.0 included).  A list like takes an array, whose items are read like
-    its first item when it has one.  Strings and booleans are not numbers.
+    A float like takes any finite JSON number, and an int like an integral
+    one (1024.0 included).  A complex like takes a finite number too, or an
+    object {"re": ..., "im": ...} of them (each 0 if left out).  A list like
+    takes an array, whose items are read like its first item when it has
+    one.  Strings and booleans are not numbers.
     """
     if isinstance(like, list):
         if not isinstance(value, list):
             raise ValueError(f"{key} must be an array, got {value!r}")
         return [_read(v, like[0], key) for v in value] if like else value
+    if isinstance(like, complex) and isinstance(value, dict) and set(value) <= {"re", "im"}:
+        return complex(*(_read(value.get(part, 0.0), 0.0, f"{key}.{part}") for part in ("re", "im")))
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
     if isinstance(like, int):
         if not float(value).is_integer():
             raise ValueError(f"{key} must be an integer, got {value!r}")
         return int(value)
-    return float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return type(like)(value)
 
 
-def _complex_of(node, where: str) -> complex:
-    """A JSON number, or an object {"re": ..., "im": ...} of numbers (each 0 if left out)."""
-    if isinstance(node, dict) and set(node) <= {"re", "im"}:
-        return complex(*(_read(node.get(key, 0.0), 0.0, f"{where}.{key}") for key in ("re", "im")))
-    return complex(_read(node, 0.0, where))
+def _merged(defaults: dict, user, required: bool = False) -> dict:
+    """The defaults, overridden by the user's keys, each read like its default.
+
+    A key the defaults lack is refused, since it would otherwise be ignored.
+    A required section must be an object that gives every key; any other
+    may be left out (None), which keeps every default.
+    """
+    if user is None and not required:
+        return dict(defaults)
+    if not isinstance(user, dict):
+        raise ValueError(f"expected an object, got {user!r}")
+    unknown = sorted(set(user) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}, expected keys of {sorted(defaults)}")
+    missing = sorted(set(defaults) - set(user))
+    if required and missing:
+        raise ValueError(f"missing keys {missing}, expected keys of {sorted(defaults)}")
+    return {**defaults, **{key: _read(value, defaults[key], key) for key, value in user.items()}}
 
 
-def _check_keys(node, known, where: str = "") -> None:
-    """Refuse keys of the object node that known does not hold, which would
-    otherwise be ignored; a node that is not an object is left to its reader."""
-    if isinstance(node, dict):
-        unknown = sorted(set(node) - set(known))
-        if unknown:
-            raise ValueError(f"{where}unknown keys {unknown}, expected keys of {sorted(known)}")
+def _under(where: str, read, *args):
+    """read(*args), the message of a load fault prefixed with where."""
+    try:
+        return read(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
-def _merged(defaults: dict, user) -> dict:
-    """The defaults, overridden by the user's keys, each read like its default."""
-    out = dict(defaults)
-    if user is not None:
-        if not isinstance(user, dict):
-            raise ValueError(f"expected an object, got {user!r}")
-        _check_keys(user, defaults)
-        out.update({key: _read(value, defaults[key], key) for key, value in user.items()})
-    return out
+def _typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"must be {what}, got {value!r}")
+    return value
 
 
-def _check_distinct_tags(times, key: str) -> None:
+def _check_distinct_tags(times) -> None:
     """Distinct times must name distinct files."""
     named = {}
     for t in times:
         other = named.setdefault(_time_tag(t), t)
         if other != t:
-            raise ValueError(f"{key}: {other!r} and {t!r} would both write the files of t={_time_tag(t)}")
+            raise ValueError(f"{other!r} and {t!r} would both write the files of t={_time_tag(t)}")
 
 
 def _positive(values, key: str) -> None:
@@ -169,30 +188,48 @@ def _positive(values, key: str) -> None:
         raise ValueError(f"{key} must be positive, got {values!r}")
 
 
-# Load-time checks of the command sections: each raises what its command
-# would otherwise raise partway through a run.  The scatter and propagate
-# checks also add the objects their commands run on, under keys no user
-# can set: the grid, and propagate's sorted snapshot_times with t_final.
-def _check_finite(opts: dict, *keys: str) -> None:
-    for key in keys:
-        if not np.isfinite(opts[key]):
-            raise ValueError(f"{key} must be finite, got {opts[key]!r}")
+def _check_at_least(opts: dict, key: str, least: int) -> None:
+    if opts[key] < least:
+        raise ValueError(f"{key} must be an integer >= {least}, got {opts[key]!r}")
 
 
-def _check_tolerances(tol: dict) -> None:
+def _spaced_grid(x_min: float, x_max: float, h: float) -> Grid1D:
+    """Grid1D.with_spacing, refused past MAX_GRID_NODES nodes."""
+    grid = Grid1D.with_spacing(x_min, x_max, h)
+    if grid.nx > MAX_GRID_NODES:
+        raise ValueError(f"spacing {h!r} needs more than {MAX_GRID_NODES} nodes over the grid")
+    return grid
+
+
+# The loaders of the top-level names: each returns what RunConfig holds under
+# its name.  A command section's loader raises what its command would
+# otherwise raise partway through a run.  The scatter and propagate loaders
+# also add the objects their commands run on, under keys no user can set: the
+# grid, and propagate's sorted snapshot_times with t_final.
+def _load_spectral(node) -> SpectralData:
+    data = _read(node, [], "spectral")
+    return SpectralData(
+        tuple(SpectralDatum(**_under(f"spectral[{i}]", _merged, DATUM, d, True)) for i, d in enumerate(data))
+    )
+
+
+def _load_times(node) -> tuple[float, ...]:
+    times = tuple(_read(node, [0.0], "times"))
+    _check_distinct_tags(times)
+    return times
+
+
+def _load_tolerances(node) -> dict:
+    tol = _merged(DEFAULT_TOLERANCES, node)
     for key, value in tol.items():
-        if not isinstance(DEFAULT_TOLERANCES[key], list):
-            _check_finite(tol, key)
-            continue
         # a band: [lo, hi]
-        if len(value) != 2:
-            raise ValueError(f"{key} must be a pair [lo, hi], got {value!r}")
-        lo, hi = value
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise ValueError(f"{key} must be finite with lo <= hi, got {value!r}")
+        if isinstance(value, list) and not (len(value) == 2 and value[0] <= value[1]):
+            raise ValueError(f"{key} must be a pair [lo, hi] with lo <= hi, got {value!r}")
+    return tol
 
 
-def _check_residual(opts: dict, grid: Grid1D) -> None:
+def _load_residual(node, grid: Grid1D) -> dict:
+    opts = _merged(DEFAULT_RESIDUAL, node)
     if opts["order"] not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {opts['order']!r}")
     residual.check_ladder(opts["spacings"])
@@ -200,120 +237,76 @@ def _check_residual(opts: dict, grid: Grid1D) -> None:
     first = Grid1D.with_spacing(grid.x_min, grid.x_max, opts["spacings"][0])
     residual.check_nodes(first.nx, opts["order"])
     # and the last rung's the most
-    finest = opts["spacings"][-1]
-    if Grid1D.with_spacing(grid.x_min, grid.x_max, finest).nx > MAX_RUNG_NODES:
-        raise ValueError(f"spacing {finest!r} needs more than {MAX_RUNG_NODES} nodes over the grid")
-    _check_finite(opts, "t_center")
+    _spaced_grid(grid.x_min, grid.x_max, opts["spacings"][-1])
+    return opts
 
 
-def _check_zero_curvature(opts: dict) -> None:
-    _check_finite(opts, "x", "t")
+def _load_zero_curvature(node) -> dict:
+    opts = _merged(DEFAULT_ZC, node)
     # the ratio bands zc_order2_band and zc_order4_band sit around 2**order,
     # which is what a ladder that halves gives
     for key in ("order2_spacings", "order4_spacings"):
-        try:
-            residual.check_ladder(opts[key], least=2, ratio=2.0)
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from exc
+        _under(key, residual.check_ladder, opts[key], 2, 2.0)
+    return opts
 
 
-def _check_scatter(opts: dict, spectral: SpectralData) -> None:
-    opts["grid"] = grid = Grid1D.with_spacing(opts["x_min"], opts["x_max"], opts["spacing"])
+def _load_rh_check(node) -> dict:
+    opts = _merged(DEFAULT_RH, node)
+    _check_at_least(opts, "n_symmetry", 1)
+    _check_at_least(opts, "n_product", 1)
+    _check_at_least(opts, "seed", 0)
+    return opts
+
+
+def _load_scatter(node, spectral: SpectralData) -> dict:
+    opts = _merged(DEFAULT_SCATTER, node)
+    opts["grid"] = grid = _spaced_grid(opts["x_min"], opts["x_max"], opts["spacing"])
     _positive([opts["tail_threshold"]], "tail_threshold")
     if len(opts["real_zetas"]) < 1:
         raise ValueError("real_zetas needs at least one entry")
     for zeta in (*spectral.zetas(), *opts["real_zetas"]):
         rh.check_phase_step(grid.spacing, complex(zeta))
+    return opts
 
 
-def _check_at_least(opts: dict, key: str, least: int) -> None:
-    if opts[key] < least:
-        raise ValueError(f"{key} must be an integer >= {least}, got {opts[key]!r}")
-
-
-def _check_rh_check(opts: dict) -> None:
-    _check_at_least(opts, "n_symmetry", 1)
-    _check_at_least(opts, "n_product", 1)
-    _check_at_least(opts, "seed", 0)
-    _check_finite(opts, "x", "t")
-
-
-def _check_propagate(opts: dict, params: SystemParams) -> None:
-    _check_at_least(opts, "n", 2)
+def _load_propagate(node, params: SystemParams) -> dict:
+    opts = _merged(DEFAULT_PROPAGATE, node)
     opts["grid"] = grid = Grid1D.periodic(opts["length"], opts["n"])
     opts["snapshot_times"] = snaps = sorted(set(opts["snapshots"]) | {opts["t_final"]})
     propagator.step_schedule(opts["t_final"], opts["dt"], snaps)
-    _check_distinct_tags(snaps, "snapshots")
+    _under("snapshots", _check_distinct_tags, snaps)
     propagator.check_stability(grid, params, opts["dt"])
     _positive([opts["edge_threshold"]], "edge_threshold")
+    return opts
 
 
 def parse_config(doc: dict) -> RunConfig:
+    """The RunConfig of a decoded JSON config.  ValueError names the first
+    fault, prefixed with its top-level name."""
     if not isinstance(doc, dict):
         raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
-    section = "params"
-    try:
-        pnode = doc["params"]
-        param_keys = ("epsilon", "k1", "a2")
-        _check_keys(pnode, param_keys)
-        params = SystemParams(**{k: _read(pnode[k], 0.0, k) for k in param_keys})
-        section = "spectral"
-        data = []
-        datum_keys = ("zeta", "alpha", "beta", "gamma")
-        for i, snode in enumerate(_read(doc["spectral"], [], "spectral")):
-            _check_keys(snode, datum_keys, f"spectral[{i}]: ")
-            entries = {k: _complex_of(snode[k], f"spectral[{i}].{k}") for k in datum_keys}
-            data.append(SpectralDatum(**entries))
-        spectral = SpectralData(tuple(data))
-        section = "grid"
-        gnode = doc["grid"]
-        likes = {"nx": 0, "x_min": 0.0, "x_max": 0.0}
-        _check_keys(gnode, likes)
-        gopts = {key: _read(gnode[key], like, key) for key, like in likes.items()}
-        _check_at_least(gopts, "nx", 2)
-        grid = Grid1D(**gopts)
-        section = "times"
-        times = tuple(_read(doc.get("times", []), [0.0], "times"))
-    except KeyError as exc:
-        raise ValueError(f"missing config field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{section}: {exc}") from exc
-    if not all(np.isfinite(times)):
-        raise ValueError(f"times: every time must be finite, got {list(times)!r}")
-    _check_distinct_tags(times, "times")
-    emit_plots = doc.get("emit_plots", False)
-    if not isinstance(emit_plots, bool):
-        raise ValueError(f"emit_plots: must be true or false, got {emit_plots!r}")
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ValueError(f"output_dir: must be a string, got {output_dir!r}")
-    sections = {}
-    for name, defaults, check in (
-        ("tolerances", DEFAULT_TOLERANCES, _check_tolerances),
-        ("residual", DEFAULT_RESIDUAL, lambda opts: _check_residual(opts, grid)),
-        ("zero_curvature", DEFAULT_ZC, _check_zero_curvature),
-        ("rh_check", DEFAULT_RH, _check_rh_check),
-        ("scatter", DEFAULT_SCATTER, lambda opts: _check_scatter(opts, spectral)),
-        ("propagate", DEFAULT_PROPAGATE, lambda opts: _check_propagate(opts, params)),
+    cfg = {}
+    # each top-level name, what it reads as when left out, and its loader,
+    # which may use the names loaded before it
+    for name, absent, load in (
+        ("params", None, lambda node: SystemParams(**_merged(PARAMS, node, required=True))),
+        ("spectral", None, _load_spectral),
+        ("grid", None, lambda node: Grid1D(**_merged(GRID, node, required=True))),
+        ("times", [], _load_times),
+        ("emit_plots", False, lambda node: _typed(node, bool, "true or false")),
+        ("output_dir", "out", lambda node: _typed(node, str, "a string")),
+        ("tolerances", None, _load_tolerances),
+        ("residual", None, lambda node: _load_residual(node, cfg["grid"])),
+        ("zero_curvature", None, _load_zero_curvature),
+        ("rh_check", None, _load_rh_check),
+        ("scatter", None, lambda node: _load_scatter(node, cfg["spectral"])),
+        ("propagate", None, lambda node: _load_propagate(node, cfg["params"])),
     ):
-        try:
-            sections[name] = _merged(defaults, doc.get(name))
-            check(sections[name])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{name}: {exc}") from exc
-    known = {"params", "spectral", "grid", "times", "emit_plots", "output_dir", *sections}
-    unknown = sorted(set(doc) - known)
+        cfg[name] = _under(name, load, doc.get(name, absent))
+    unknown = sorted(set(doc) - set(cfg))
     if unknown:
-        raise ValueError(f"{unknown[0]}: unknown top-level key, expected keys of {sorted(known)}")
-    return RunConfig(
-        params=params,
-        spectral=spectral,
-        grid=grid,
-        times=times,
-        output_dir=output_dir,
-        emit_plots=emit_plots,
-        **sections,
-    )
+        raise ValueError(f"{unknown[0]}: unknown top-level key, expected keys of {sorted(cfg)}")
+    return RunConfig(**cfg)
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -76,10 +76,15 @@ def _set(doc, path, value):
         (("params", "epsilon"), "abc", "params:"),
         (("grid", "x_min"), "abc", "grid:"),
         (("times",), ["abc"], "times:"),
+        (("params",), [1, 2, 3], "params: expected an object, got [1, 2, 3]\n"),
+        (("grid",), None, "grid: expected an object, got None\n"),
+        ((), {}, "params: expected an object, got None\n"),
+        (("params",), {"epsilon": 1.0, "a2": 0.0}, "params: missing keys ['k1'], expected keys of "),
     ],
     ids=[
         "top_level_list", "null_epsilon", "scalar_spectral", "null_zeta_re", "scalar_times",
-        "null_output_dir", "string_epsilon", "string_x_min", "string_time",
+        "null_output_dir", "string_epsilon", "string_x_min", "string_time", "params_list",
+        "null_grid", "no_params", "params_missing_key",
     ],
 )
 def test_malformed_value_fails_at_load(tmp_path, capsys, path, value, prefix):
@@ -571,6 +576,9 @@ def test_unknown_keys_are_named_at_load(where, key, message):
         # what load builds from a section is not a key of it
         ("scatter", {"grid": [-60.0, 60.0, 8001]}),
         ("propagate", {"snapshot_times": [1.0]}),
+        # an infinite threshold would switch its guard off
+        ("scatter", {"tail_threshold": float("inf")}),
+        ("propagate", {"edge_threshold": float("inf")}),
     ],
     ids=[
         "residual_order_3",
@@ -634,6 +642,8 @@ def test_unknown_keys_are_named_at_load(where, key, message):
         "zc_order4_spacing_square_overflows",
         "scatter_derived_grid",
         "propagate_derived_snapshot_times",
+        "scatter_infinite_tail_threshold",
+        "propagate_infinite_edge_threshold",
     ],
 )
 def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change):
@@ -664,7 +674,7 @@ def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change
         (
             "residual",
             {"spacings": [float("inf"), 0.1, 0.05]},
-            "residual: spacing inf must be positive with a finite h**3",
+            "residual: spacings must be finite, got inf",
         ),
         (
             "zero_curvature",
@@ -681,12 +691,19 @@ def test_invalid_command_section_fails_at_load(tmp_path, capsys, section, change
             {"spacings": [4e-30, 2e-30, 1e-30]},
             "residual: spacing 1e-30 needs more than 100000 nodes over the grid",
         ),
+        # only loaded: a scatter run would sample two complex rows of 120000001 nodes
+        (
+            "scatter",
+            {"spacing": 1e-6},
+            "scatter: spacing 1e-06 needs more than 100000 nodes over the grid",
+        ),
     ],
     ids=[
         "residual_infinite_spacing",
         "zc_spacing_square_overflows",
         "zc_ladder_ratio_4",
         "residual_finest_rung_over_node_cap",
+        "scatter_grid_over_node_cap",
     ],
 )
 def test_spacing_ladder_faults_are_named_at_load(section, change, message):
