@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Verdict census: the lab's one table of expected verdicts.
 
-Runs the six commands on both bundled configs and exits 1 when an exit code
+Runs the six commands on every bundled config and exits 1 when an exit code
 departs from TABLE (the README's verdict table), naming each departing
 (config, command) pair on stderr, else 0.  Then runs SEED_COMMANDS on the
 exact a2 = 0 data of tests/conftest.py's nsoliton_doc (N = 8) for each seed
@@ -34,6 +34,7 @@ COMMANDS = ("sample", "rh-check", "scatter", "residual", "zero-curvature", "prop
 TABLE = {
     "default_config.json": {**dict.fromkeys(COMMANDS, 0), "residual": 2, "zero-curvature": 2, "propagate": 2},
     "third_order_config.json": dict.fromkeys(COMMANDS, 0),
+    "collision_config.json": dict.fromkeys(COMMANDS, 0),
 }
 SEEDS = range(60)
 SEED_COMMANDS = ("rh-check", "scatter", "residual", "zero-curvature")

@@ -12,6 +12,15 @@ def exactly(message: str) -> str:
     return f"^{re.escape(message)}$"
 
 
+# the criterion-7 pair of collision_config.json: at a2 = 0 the zeta = 0.6 + 0.5i
+# soliton, moving right from x = -14, meets the zeta = 0.2 + 0.7i one, moving
+# left from x = 13.5, near t = 20.45
+PAIR = SpectralData((
+    SpectralDatum(0.2 + 0.7j, 1.0, np.exp(8.4) / np.sqrt(5.0), 2 * np.exp(8.4) / np.sqrt(5.0)),
+    SpectralDatum(0.6 + 0.5j, 1.0, 0.6 * np.exp(-6.0), 0.8 * np.exp(-6.0)),
+))
+
+
 @pytest.fixture(scope="session")
 def default_params():
     return SystemParams(epsilon=1.0, k1=1.0, a2=1.0)
@@ -51,6 +60,19 @@ def peak_x(xs: np.ndarray, values: np.ndarray) -> float:
     i = int(np.argmax(values))
     ym, y0, yp = values[i - 1 : i + 2]
     return float(xs[i] + 0.5 * (ym - yp) / (ym - 2 * y0 + yp) * (xs[1] - xs[0]))
+
+
+def hump_heights(mod: np.ndarray, floor: float) -> list[float]:
+    """Heights of the strict local maxima of mod above floor, each moved to the
+    vertex of the parabola through it and its two neighbours."""
+    heights = []
+    for i in range(1, len(mod) - 1):
+        if mod[i] > mod[i - 1] and mod[i] > mod[i + 1] and mod[i] > floor:
+            ym, y0, yp = mod[i - 1], mod[i], mod[i + 1]
+            den = ym - 2 * y0 + yp
+            shift = 0.5 * (ym - yp) / den if den else 0.0
+            heights.append(float(y0 - 0.25 * (ym - yp) * shift))
+    return heights
 
 
 def make_random_data(n: int, seed: int) -> SpectralData:

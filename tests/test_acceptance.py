@@ -30,7 +30,7 @@ from hirotalab.core import (
     trapezoid_mass,
 )
 
-from conftest import centre_perturbed, make_random_data, peak_x
+from conftest import PAIR, centre_perturbed, hump_heights, make_random_data, peak_x
 
 DEFAULT_PARAMS = SystemParams(epsilon=1.0, k1=1.0, a2=1.0)
 THIRD_ORDER_PARAMS = SystemParams(epsilon=1.0, k1=1.0, a2=0.0)
@@ -276,29 +276,21 @@ def test_criterion_7_propagation(tmp_path):
     err_fine, _ = run(2048, 5e-4, 1.0)
 
     # two-soliton collision: launch on approach, evolve through the crossing
-    da = SpectralDatum(0.2 + 0.7j, 1.0, np.exp(8.4) / np.sqrt(5.0), 2 * np.exp(8.4) / np.sqrt(5.0))
-    db = SpectralDatum(0.6 + 0.5j, 1.0, 0.6 * np.exp(-6.0), 0.8 * np.exp(-6.0))
-    pair = SpectralData((da, db))
     g = Grid1D.periodic(160.0, 2048)
     xs = g.points()
-    f = SampledField(g, 0.0, nsoliton.fields_batch(pair, THIRD_ORDER_PARAMS, xs, 0.0))
+    f = SampledField(g, 0.0, nsoliton.fields_batch(PAIR, THIRD_ORDER_PARAMS, xs, 0.0))
     c, = propagator.evolve(f, THIRD_ORDER_PARAMS, 35.0, 2e-3, [35.0])
+    err_coll = np.abs(c.values - nsoliton.fields_batch(PAIR, THIRD_ORDER_PARAMS, xs, 35.0)).max()
     drift_coll = abs(trapezoid_mass(c) - trapezoid_mass(f)) / trapezoid_mass(f)
     mod = np.sqrt(np.abs(c.values[0]) ** 2 + np.abs(c.values[1]) ** 2)
-    peaks = []
-    for i in range(1, len(mod) - 1):
-        if mod[i] > mod[i - 1] and mod[i] > mod[i + 1] and mod[i] > 0.1:
-            ym, y0, yp = mod[i - 1], mod[i], mod[i + 1]
-            den = ym - 2 * y0 + yp
-            shift = 0.5 * (ym - yp) / den if den else 0.0
-            peaks.append(float(y0 - 0.25 * (ym - yp) * shift))
-    peaks.sort()
+    peaks = sorted(hump_heights(mod, 0.1))
     peak_defect = max(abs(peaks[0] - 0.5), abs(peaks[1] - 0.7)) if len(peaks) == 2 else np.inf
 
     elapsed = time.perf_counter() - start
     ok = (
         err_base <= 1e-5
         and err_fine < err_base
+        and err_coll <= cli.DEFAULT_TOLERANCES["propagate_linf"]
         and drift_base <= 1e-8
         and drift_coll <= 1e-8
         and peak_defect <= 1e-3
@@ -308,6 +300,7 @@ def test_criterion_7_propagation(tmp_path):
         7,
         ok,
         f"soliton L_inf {err_base:.2e} (<=1e-5), refined {err_fine:.2e} (shrinking), "
+        f"collision L_inf {err_coll:.2e} (<=1e-5), "
         f"mass drift {max(drift_base, drift_coll):.2e} (<=1e-8), collision peak defect "
         f"{peak_defect:.2e} (<=1e-3), {elapsed:.0f} s",
     )
@@ -331,6 +324,7 @@ def test_criterion_7_propagation(tmp_path):
         )
     assert err_base <= 1e-5
     assert err_fine < err_base
+    assert err_coll <= cli.DEFAULT_TOLERANCES["propagate_linf"]
     assert drift_base <= 1e-8
     assert drift_coll <= 1e-8
     assert peak_defect <= 1e-3

@@ -41,3 +41,8 @@ def test_census_exits_1_only_when_a_bundled_config_departs_from_its_table(monkey
         want = census.TABLE[name][command]
         assert code == 1
         assert err == f"{name} {command}: exit {2 - want}, the table says {want}\n"
+
+
+def test_every_bundled_config_has_a_verdict_row():
+    census = _census()
+    assert set(census.TABLE) == {path.name for path in census.DATA.glob("*.json")}

@@ -6,7 +6,7 @@ import pytest
 
 from hirotalab import cli, laxpair, nsoliton, rh
 
-from conftest import exactly, nsoliton_doc
+from conftest import PAIR, exactly, nsoliton_doc
 
 THIRD_ORDER = Path(__file__).resolve().parents[1] / "src/hirotalab/data/third_order_config.json"
 
@@ -34,6 +34,11 @@ def test_default_config_loads_bundled_parameters():
     d = cfg.spectral[0]
     assert d.zeta == 0.3 + 0.2j and d.alpha == 1.0 and d.beta == 1.0 and d.gamma == 2.0
     assert cfg.grid.nx == 401 and cfg.times == (-15.0, 0.0, 15.0)
+
+
+def test_collision_config_holds_the_criterion_7_pair(third_order_params):
+    cfg = cli.load_config(str(THIRD_ORDER.parent / "collision_config.json"))
+    assert cfg.params == third_order_params and cfg.spectral == PAIR
 
 
 def test_malformed_config_exits_with_validation_code(tmp_path, capsys):

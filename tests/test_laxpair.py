@@ -1,3 +1,6 @@
+from math import factorial
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import exactly
 
 from hirotalab.core import SpectralData, SpectralDatum, SystemParams
-from hirotalab import laxpair
+from hirotalab import laxpair, residual
 
 cnum = st.builds(
     complex,
@@ -100,6 +103,61 @@ def test_time_matrix_symmetry_fails_with_a2(default_params):
     lhs = np.conj(laxpair.build_V(jet, np.conj(zeta), default_params).T)
     rhs = -laxpair.build_V(jet, zeta, default_params)
     assert np.abs(lhs - rhs).max() > 0.1
+
+
+def _compatibility(a2: complex, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """U_t - V_x + [U, V] at (0, 0), with r(a2) and r(-conj a2), and k1.
+
+    The field is q(x) + t q_t, q a cubic with random complex coefficients and
+    q_t random; r is residual.hirota_residual's expression at order 4 on 7
+    nodes x 5 slices (h = dt = 0.1).  Every difference is exact: the residual's
+    stencils on the cubic and the linear t, and an 11-point central difference
+    (spacing 0.05) on V, a polynomial of degree 9 in x.  a2 may be complex.
+    """
+    k1, epsilon = rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)
+    zeta = complex(*rng.normal(size=2))
+    c = rng.normal(size=(5, 2, 1)) + 1j * rng.normal(size=(5, 2, 1))
+
+    def jet(x):
+        return np.stack([
+            c[0] + c[1] * x + c[2] * x**2 / 2 + c[3] * x**3 / 6,
+            c[1] + c[2] * x + c[3] * x**2 / 2,
+            c[2] + c[3] * x,
+        ])
+
+    slices = jet(0.1 * np.arange(-3, 4))[0] + 0.1 * np.arange(-2, 3)[:, None, None] * c[4]
+
+    def r(a2):
+        p = SimpleNamespace(epsilon=epsilon, k1=k1, a2=a2)
+        return np.concatenate(residual.hirota_residual(slices, 0.1, 0.1, p, 4))
+
+    p = SimpleNamespace(epsilon=epsilon, k1=k1, a2=a2)
+    # the 11-point central weights of the first derivative, offsets -5..5
+    half = [(-1) ** (i + 1) * factorial(5) ** 2 / (i * factorial(5 - i) * factorial(5 + i)) for i in range(1, 6)]
+    weights = np.array([-w for w in half[::-1]] + [0.0] + half)
+    v = laxpair.build_V(jet(0.05 * np.arange(-5, 6)), zeta, p)
+    v_x = np.tensordot(weights, v, 1) / 0.05
+    u0, v0 = laxpair.build_U(jet(0.0), zeta, p)[0], v[5]
+    u_t = -k1 * laxpair._potential(c[4])[0]
+    return u_t - v_x + u0 @ v0 - v0 @ u0, r(a2), r(-np.conj(a2)), k1
+
+
+@pytest.mark.parametrize(
+    "a2, holds",
+    [(0.0, True), (0.5j, True), (-0.2j, True), (0.7, False), (0.3 + 0.4j, False)],
+    ids=["0", "0.5i", "-0.2i", "0.7", "0.3+0.4i"],
+)
+def test_zero_curvature_of_the_lax_pair_is_the_coupled_system(a2, holds):
+    # U_t - V_x + [U, V] = -k1 Q(r) identically in the jet when a2 is imaginary:
+    # its upper-right block is -k1 r(a2) and its lower-left block k1 conj(r(-conj a2))
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        e, r, r_conj, k1 = _compatibility(a2, rng)
+        assert np.abs(e[0, 1:] + k1 * r).max() <= 1e-9
+        assert np.abs(e[1:, 0] - k1 * np.conj(r_conj)).max() <= 1e-9
+        assert abs(e[0, 0]) <= 1e-9 and np.abs(e[1:, 1:]).max() <= 1e-9
+        mismatch = np.abs(e + k1 * laxpair._potential(r)).max()
+        assert mismatch <= 1e-9 if holds else mismatch > 0.1
 
 
 # beta = gamma = 0: the fields are exactly zero everywhere

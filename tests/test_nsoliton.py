@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams, phase, trapezoid_mass
 from hirotalab import cli, nsoliton
 
-from conftest import exactly, make_random_data, nsoliton_doc, peak_x
+from conftest import exactly, hump_heights, make_random_data, nsoliton_doc, peak_x
 
 DATA_DIR = resources.files("hirotalab.data")
 moderate = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
@@ -330,17 +330,6 @@ def test_two_soliton_elastic_amplitudes(default_datum, default_params):
     for t in (-80.0, 80.0):
         q, = nsoliton.sample(data, default_params, grid, [t])
         mod = np.sqrt((np.abs(q.values) ** 2).sum(axis=0))
-        peaks = sorted(_local_maxima(grid.points(), mod))
+        peaks = sorted(hump_heights(mod, 0.05))
         assert len(peaks) == 2
         assert sorted(peaks) == pytest.approx([0.2, 0.35], abs=1e-3)
-
-
-def _local_maxima(xs, mod, floor=0.05):
-    vals = []
-    for i in range(1, len(mod) - 1):
-        if mod[i] > mod[i - 1] and mod[i] > mod[i + 1] and mod[i] > floor:
-            ym, y0, yp = mod[i - 1], mod[i], mod[i + 1]
-            den = ym - 2 * y0 + yp
-            shift = 0.5 * (ym - yp) / den if den else 0.0
-            vals.append(float(y0 - 0.25 * (ym - yp) * shift))
-    return vals

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hirotalab.core import Grid1D, SampledField, SpectralData, SpectralDatum, SystemParams, trapezoid_mass
+from hirotalab.core import Grid1D, SampledField, SpectralDatum, SystemParams, trapezoid_mass
 from hirotalab import nsoliton, propagator, residual
+
+from conftest import PAIR
 
 
 def _fields_on(grid: Grid1D, v1, v2, t=0.0):
@@ -223,14 +225,11 @@ def test_conservation_and_dealiasing(third_order_params):
 
 
 def test_collision_matches_analytic_formula(third_order_params):
-    da = SpectralDatum(0.2 + 0.7j, 1.0, np.exp(8.4) / np.sqrt(5.0), 2 * np.exp(8.4) / np.sqrt(5.0))
-    db = SpectralDatum(0.6 + 0.5j, 1.0, 0.6 * np.exp(-6.0), 0.8 * np.exp(-6.0))
-    data = SpectralData((da, db))
     grid = Grid1D.periodic(160.0, 1024)
     xs = grid.points()
-    q0 = SampledField(grid, 0.0, nsoliton.fields_batch(data, third_order_params, xs, 0.0))
+    q0 = SampledField(grid, 0.0, nsoliton.fields_batch(PAIR, third_order_params, xs, 0.0))
     q, = propagator.evolve(q0, third_order_params, 2.0, 2e-3, [2.0])
-    a = nsoliton.fields_batch(data, third_order_params, xs, 2.0)
+    a = nsoliton.fields_batch(PAIR, third_order_params, xs, 2.0)
     assert (np.abs(q.values - a).max(axis=1) < 1e-8).all()
 
 
@@ -331,12 +330,6 @@ def _reference_step(state, p, dt):
     if not np.all(np.isfinite(new)):
         raise propagator.BlowupError(t + dt, steps + 1, growth)
     return grid, t + dt, steps + 1, new
-
-
-PAIR = SpectralData((
-    SpectralDatum(0.2 + 0.7j, 1.0, np.exp(8.4) / np.sqrt(5.0), 2 * np.exp(8.4) / np.sqrt(5.0)),
-    SpectralDatum(0.6 + 0.5j, 1.0, 0.6 * np.exp(-6.0), 0.8 * np.exp(-6.0)),
-))
 
 
 def test_integrating_factor_overflow_is_not_cached():
