@@ -64,6 +64,9 @@ DEFAULT_TOLERANCES = {
     "mass_drift": 1e-8,
 }
 
+# the share of propagate_linf that propagate's step-size control may spend;
+# the config's dt is the finest step
+STEP_BUDGET_SHARE = 0.01
 # a grid built from a spacing (a residual rung, the scatter grid) holds at
 # most this many nodes; a residual rung of 10**5 nodes takes about 100 MB at N = 8
 MAX_GRID_NODES = 10**5
@@ -602,16 +605,25 @@ def cmd_propagate(cfg: RunConfig, out: Path, quiet: bool) -> Report:
     grid, snaps = opts["grid"], opts["snapshot_times"]
     q0, = nsoliton.sample(cfg.spectral, cfg.params, grid, [0.0])
     report = Report("propagation_report.csv")
+    steps = {}
     try:
         evolved = propagator.evolve(
             q0, cfg.params, opts["t_final"], opts["dt"], snaps,
             edge_threshold=opts["edge_threshold"],
+            err_budget=STEP_BUDGET_SHARE * tol["propagate_linf"],
+            stats=steps,
         )
     except (propagator.BlowupError, propagator.EdgeDecayError) as exc:
         if not quiet:
             print(f"  propagation aborted: {exc}")
         report.fail("propagation_completed", type(exc).__name__)
         return report
+    if not quiet and steps:
+        print(
+            f"  {steps['steps']} steps taken, {steps['rejected']} rejected; "
+            f"step {steps['h_min']:.6g} to {steps['h_max']:.6g}; "
+            f"summed error estimate {steps['est_sum']:.3g}"
+        )
 
     table = ["t,linf_error_q1,linf_error_q2"]
     templates = _row_templates(_x_column(grid), ",")

@@ -129,17 +129,21 @@ class Grid1D:
         if not self.x_min < self.x_max:
             raise ValidationError("grid requires x_min < x_max")
         if self.nx < 2:
-            raise ValidationError("grid requires nx >= 2")
+            raise ValidationError(f"grid requires nx >= 2, got {self.nx!r}")
 
     @classmethod
     def with_spacing(cls, x_min: float, x_max: float, h: float) -> Grid1D:
         """Grid from x_min in steps of h, ending at the node nearest x_max.
 
-        Raises ValidationError unless h is positive and finite.
+        Raises ValidationError unless h is positive and finite and
+        (x_max - x_min) / h is a finite count.
         """
         if not (math.isfinite(h) and h > 0):
             raise ValidationError(f"spacing must be positive and finite, got {h!r}")
-        nx = int(round((x_max - x_min) / h)) + 1
+        count = (x_max - x_min) / h
+        if not math.isfinite(count):
+            raise ValidationError(f"spacing {h!r} gives no finite node count over [{x_min!r}, {x_max!r}]")
+        nx = int(round(count)) + 1
         return cls(x_min, x_min + (nx - 1) * h, nx)
 
     @classmethod

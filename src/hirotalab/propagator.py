@@ -3,7 +3,9 @@
 The linear part of the evolution (second- plus third-order dispersion) is
 applied exactly in Fourier space through an integrating factor; the
 nonlinear terms are evaluated pseudo-spectrally with 2/3-rule dealiasing
-and advanced by classical RK4.  Any point count n >= 2 is supported.
+and advanced by RK4 in the interaction picture (RK4IP), whose embedded
+RK4(3) pair gives each step's error estimate.  Any point count n >= 2 is
+supported.
 
 The domain is one period: a core.Grid1D that excludes the wrap point, as
 Grid1D.periodic builds it, so its period is spacing * nx.  The wavenumbers,
@@ -16,8 +18,9 @@ transform of the (2, n) nonlinear term.
 
 One kernel, _advance, steps the stacked spectra in place on a workspace
 that its caller passes in.  evolve(), the one entry point, checks the
-stability bound and builds the step factors once per call, allocates one
-workspace and runs the kernel once per step.
+stability bound once per call, allocates one workspace, builds the step
+factors of a step size when it starts stepping at that size, and runs the
+kernel once per step.
 The factors are ik, the dealias mask (stored as complex), the integrating
 factors e_half and e_full, the products dt e_half and 2 e_half, and the
 two scalar coefficients of the nonlinear term.  Nothing outlives a call,
@@ -152,13 +155,14 @@ def _step_factors(grid: Grid1D, p: SystemParams, dt: float) -> tuple:
     numpy multiplies a real mask by a complex array through the same complex
     cast, so building them once moves no bit.
 
-    Raises FloatingPointError when exp overflows.
+    Raises FloatingPointError when e_half or e_full overflows.
     """
     k = _wavenumbers(grid)
     with np.errstate(over="raise"):
         e_half = np.exp(linear_symbol(k, p) * (0.5 * dt))
+        e_full = e_half * e_half
     mask = _dealias_mask(grid).astype(complex)
-    arrays = (1j * k, mask, e_half, e_half * e_half, dt * e_half, 2.0 * e_half)
+    arrays = (1j * k, mask, e_half, e_full, dt * e_half, 2.0 * e_half)
     ksq = p.k1 * p.k1
     return arrays + (3.0 * p.epsilon * ksq, -4.0 * ksq * p.a2)
 
@@ -181,12 +185,15 @@ def _workspace(n: int) -> tuple:
     block, each 64-byte aligned, and a bool buffer for the finiteness check.
 
     In order: the (4, n) buffer w, e_full v, the four stage slopes a, b, c,
-    d, the scratch tuple of _nonlinear_hat, and the bools.
+    d, the scratch tuple of _nonlinear_hat, the bools, and a (2, n) copy of
+    the spectra that a rejected step restores.
     """
-    cplx = _aligned((17, n), complex)
+    cplx = _aligned((19, n), complex)
     real = _aligned((5, n), float)
     scratch = (real[0:2], real[2:4], cplx[14:16], real[4], cplx[16])
-    return (cplx[0:4], cplx[4:6], *cplx[6:14].reshape(4, 2, n), scratch, np.empty((2, n), bool))
+    return (
+        cplx[0:4], cplx[4:6], *cplx[6:14].reshape(4, 2, n), scratch, np.empty((2, n), bool), cplx[17:19]
+    )
 
 
 def _nonlinear_hat(
@@ -237,30 +244,44 @@ def _nonlinear_hat(
     np.multiply(mask, out, out=out)
 
 
-def _advance(v: np.ndarray, ws: tuple, factors: tuple, dt: float) -> bool:
+def _first_stage(v: np.ndarray, ws: tuple, factors: tuple) -> None:
+    """Write N(v), the nonlinear term of the spectra v, into ws's slope a."""
+    ik, mask, *_, beta, alpha = factors
+    w, _, a, *_, scratch, _, _ = ws
+    np.copyto(w[:2], v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _nonlinear_hat(w, a, scratch, ik, mask, beta, alpha)
+
+
+def _advance(v: np.ndarray, ws: tuple, factors: tuple, dt: float) -> float | None:
     """Advance the stacked (2, n) spectra v by one step of size dt, in place.
 
-    ws is a _workspace(n) and factors the _step_factors of the step.  With N
-    the nonlinear term, the step is
+    ws is a _workspace(n) whose slope a holds N(v) on entry, N the nonlinear
+    term, and factors the _step_factors of the step.  The step is
+    Hult's RK4IP,
 
         a = N(v),  b = N(e_half (v + dt/2 a)),  c = N(e_half v + dt/2 b),
         d = N(e_full v + (dt e_half) c),
         v <- e_full v + dt/6 (e_full a + (2 e_half)(b + c) + d),
 
     each operation written into ws with the operands, order and grouping of
-    that expression; e_half v is formed in d before d is computed.
-    Returns whether every value of the new v is finite.  Overflow only
-    happens on a diverging run, which the caller turns into BlowupError, so
-    its warnings are suppressed.
+    that expression; e_half v is formed in d before d is computed.  The new
+    v's N goes into a (first same as last), so the next step starts from it.
+
+    Returns Balac and Mahé's embedded RK4(3) estimate of the step's error,
+    (dt/10) |d - N(v)| with N(v) at the new v.  The norm is the largest over
+    the two fields of sum |.| / n, which bounds the field's largest
+    pointwise change.  Returns None when the new v is not finite; a is then
+    not N(v).  Overflow only happens on a diverging run, which the caller
+    turns into BlowupError or a smaller step, so its warnings are
+    suppressed.
     """
     ik, mask, e_half, e_full, dt_e_half, two_e_half, beta, alpha = factors
-    w, e_full_v, a, b, c, d, scratch, finite = ws
+    w, e_full_v, a, b, c, d, scratch, finite, _ = ws
     stage = w[:2]
     args = (scratch, ik, mask, beta, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(e_full, v, out=e_full_v)
-        np.copyto(stage, v)
-        _nonlinear_hat(w, a, *args)
         np.multiply(0.5 * dt, a, out=stage)
         np.add(v, stage, out=stage)
         np.multiply(e_half, stage, out=stage)
@@ -280,18 +301,28 @@ def _advance(v: np.ndarray, ws: tuple, factors: tuple, dt: float) -> bool:
         np.add(a, d, out=a)
         np.multiply(dt / 6.0, a, out=a)
         np.add(e_full_v, a, out=v)
-    return bool(np.isfinite(v, out=finite).all())
+        if not np.isfinite(v, out=finite).all():
+            return None
+        np.copyto(stage, v)
+        _nonlinear_hat(w, a, *args)
+        np.subtract(d, a, out=d)
+        np.abs(d, out=scratch[0])
+        return dt / 10.0 * float(np.add.reduce(scratch[0], axis=1).max()) / v.shape[1]
 
 
 def step_schedule(t_final: float, dt: float, snapshots) -> tuple[int, list[int]]:
     """Number of steps to t_final and the step index of each snapshot, sorted.
 
-    Raises ValueError unless t_final >= 0 and dt > 0 are finite, t_final is
-    an integer multiple of dt, and every snapshot is one within [0, t_final].
+    Raises ValueError unless t_final >= 0 and dt > 0 are finite, t_final / dt
+    is a finite count, t_final is an integer multiple of dt, and every
+    snapshot is one within [0, t_final].
     """
     if not (0.0 <= t_final < np.inf and 0.0 < dt < np.inf):
         raise ValueError("need finite t_final >= 0 and dt > 0")
-    n_steps = int(round(t_final / dt))
+    count = t_final / dt
+    if count == np.inf:
+        raise ValueError(f"dt = {dt!r} gives no finite step count over t_final = {t_final!r}")
+    n_steps = int(round(count))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError("t_final must be an integer multiple of dt")
     snap_steps = []
@@ -303,6 +334,16 @@ def step_schedule(t_final: float, dt: float, snapshots) -> tuple[int, list[int]]
     return n_steps, snap_steps
 
 
+def _level_factors(grid: Grid1D, p: SystemParams, h: float) -> tuple | None:
+    """The _step_factors of a step of size h, or None when h fails
+    check_stability or its integrating factor overflows."""
+    try:
+        check_stability(grid, p, h)
+        return _step_factors(grid, p, h)
+    except (ValueError, FloatingPointError):
+        return None
+
+
 def evolve(
     q0: SampledField,
     p: SystemParams,
@@ -310,16 +351,39 @@ def evolve(
     dt: float,
     snapshots,
     edge_threshold: float = EDGE_THRESHOLD,
+    err_budget: float = 0.0,
+    stats: dict | None = None,
 ) -> list[SampledField]:
     """Repeated stepping from the input's time with snapshot capture.
 
     Snapshot times must lie in [0, t_final] and be integer multiples of dt.
-    t_final = 0 returns the input unchanged.  Every step shares (grid, p,
-    dt), so the stability bound and the integrating factor are checked once;
-    the spectra are then advanced in place on one workspace for the whole
-    call.  Each snapshot is a fresh inverse transform, sharing no memory
-    with the workspace.  Raises BlowupError at the first step whose result
-    is not finite, or at step 1 when the integrating factor overflows.
+    t_final = 0 returns the input unchanged.  The stability bound and the
+    integrating factor are checked at dt once per call; the spectra are
+    then advanced in place on one workspace for the whole call.  Each
+    snapshot is a fresh inverse transform, sharing no memory with the
+    workspace.
+
+    dt is the finest step.  Steps are taken at levels h = dt 2^j, none past
+    the next snapshot, with the error estimate est of _advance:
+
+    - a step at j > 0 whose est exceeds err_budget h / t_final, or whose
+      result is not finite, is redone at j - 1; a step at j = 0 is kept;
+    - the level goes up one after a kept step at the level with
+      16 est <= (1/2) err_budget 2h / t_final, est growing like h^4;
+    - a level that fails check_stability, or whose integrating factor
+      overflows, is skipped.
+
+    So err_budget = 0 (the default) takes every step at dt, and a positive
+    one spends at most err_budget, summed over the kept steps.  One factor
+    set is held at a time, built when the level changes.  The clock adds
+    dt once per dt stepped, as a run of fixed steps does, so snapshot times
+    carry that run's bits.
+
+    Raises BlowupError at the first step of size dt whose result is not
+    finite, or at step 1 when the integrating factor at dt overflows; its
+    step counts steps of dt.  When stats is a dict it receives the number
+    of kept and rejected steps (steps, rejected), the smallest and largest
+    kept step (h_min, h_max) and the kept steps' summed est (est_sum).
     """
     edge = q0.edge_magnitude()
     if edge > edge_threshold:
@@ -335,11 +399,43 @@ def evolve(
     except FloatingPointError as exc:
         raise BlowupError(t, 1, _growth_rate(grid, p)) from exc
     ws = _workspace(grid.nx)
+    saved = ws[-1]
+    _first_stage(v, ws, factors)
     out = [q0] * snap_steps.count(0)
-    for i in range(1, n_steps + 1):
-        if not _advance(v, ws, factors, dt):
-            raise BlowupError(t + dt, i, _growth_rate(grid, p))
-        t = t + dt
-        if i in snap_steps:
-            out.extend([_fields(v, t, grid)] * snap_steps.count(i))
+    # i counts steps of dt; factors are those of level j (None when j is
+    # unusable), and top is the highest level not yet found unusable
+    i, j, level, top = 0, 0, 0, n_steps.bit_length()
+    kept, rejected, h_min, h_max, est_sum = 0, 0, np.inf, 0.0, 0.0
+    for target in sorted({*snap_steps, n_steps} - {0}):
+        while i < target:
+            want = min(level, (target - i).bit_length() - 1)
+            if want != j:
+                # the old set goes before the new one is built
+                factors = None
+                factors, j = _level_factors(grid, p, dt * 2**want), want
+                if factors is None:
+                    level = top = want - 1
+                    continue
+            h = dt * 2**j
+            if j:
+                np.copyto(saved, v)
+            est = _advance(v, ws, factors, h)
+            if j and not (est is not None and est <= err_budget * h / t_final):
+                np.copyto(v, saved)
+                _first_stage(v, ws, factors)
+                level = j - 1
+                rejected += 1
+                continue
+            if est is None:
+                raise BlowupError(t + dt, i + 1, _growth_rate(grid, p))
+            for _ in range(2**j):
+                t = t + dt
+            i += 2**j
+            kept += 1
+            h_min, h_max, est_sum = min(h_min, h), max(h_max, h), est_sum + est
+            if err_budget > 0 and j == level < top and 16.0 * est <= 0.5 * err_budget * (2.0 * h) / t_final:
+                level += 1
+        out.extend([_fields(v, t, grid)] * snap_steps.count(target))
+    if stats is not None:
+        stats.update(steps=kept, rejected=rejected, h_min=h_min, h_max=h_max, est_sum=est_sum)
     return out

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +432,25 @@ def test_propagate_abort_line_names_step_and_growth_rate(tmp_path, capsys):
     )
 
 
+def test_propagate_prints_its_step_line(tmp_path, capsys):
+    # one line: steps kept and rejected, the smallest and largest step and
+    # the summed estimate; the report CSV keeps its columns
+    doc = _third_order_doc()
+    doc["propagate"] = dict(doc["propagate"], n=512, t_final=0.05, snapshots=[0.05])
+    path = _write_config(tmp_path, doc)
+    out = tmp_path / "p"
+    assert cli.main(["propagate", "--config", path, "--out", str(out)]) == 0
+    lines = [row for row in capsys.readouterr().out.splitlines() if "steps taken" in row]
+    assert len(lines) == 1
+    steps, rejected, h_min, h_max, est = re.fullmatch(
+        r"  (\d+) steps taken, (\d+) rejected; step (\S+) to (\S+); summed error estimate (\S+)", lines[0]
+    ).groups()
+    assert 0 < int(steps) < 50 and float(h_min) == 1e-3 <= float(h_max) and 0.0 < float(est) <= 1e-7
+    assert (out / "propagation_report.csv").read_text().split("\n")[0] == "name,value,threshold,pass"
+    assert cli.main(["propagate", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "change",
     [
@@ -715,6 +735,22 @@ def test_spacing_ladder_faults_are_named_at_load(section, change, message):
     # each fault is refused at load with a message that names the spacing or ratio
     doc = _third_order_doc()
     doc[section] = {**doc.get(section, {}), **change}
+    with pytest.raises(ValueError, match=exactly(message)):
+        cli.parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "section, change, message",
+    [
+        ("propagate", {"dt": 5e-324}, "propagate: dt = 5e-324 gives no finite step count over t_final = 1.0"),
+        ("scatter", {"spacing": 5e-324}, "scatter: spacing 5e-324 gives no finite node count over [-60.0, 60.0]"),
+        ("grid", {"nx": 1}, "grid: grid requires nx >= 2, got 1"),
+    ],
+    ids=["subnormal_dt", "subnormal_scatter_spacing", "grid_nx_one"],
+)
+def test_step_and_node_count_faults_name_their_value(section, change, message):
+    doc = _third_order_doc()
+    doc[section] = {**doc[section], **change}
     with pytest.raises(ValueError, match=exactly(message)):
         cli.parse_config(doc)
 

@@ -436,3 +436,95 @@ def test_workspace_blocks_are_64_byte_aligned(n):
         assert w.ctypes.data % 64 == 0 and real.ctypes.data % 64 == 0
         assert w.flags.c_contiguous and real.flags.c_contiguous
         assert w.shape == (4, n) and real.shape == (2, n)
+
+
+# the third-order config's datum and run, and 1% of its propagate_linf budget
+THIRD = SpectralDatum(0.3 + 0.55j, 1.0, 1.0 / np.sqrt(5.0), 2.0 / np.sqrt(5.0))
+BUDGET = 1e-7
+
+
+def test_adaptive_run_coarsens_within_its_budget(third_order_params):
+    p = third_order_params
+    grid = Grid1D.periodic(80.0, 1024)
+    # from t = 0.1 a clock that added each step's size would give the
+    # snapshots other bits than a run of fixed steps does
+    q0 = _soliton_fields(THIRD, p, grid, 0.1)
+    stats = {}
+    snaps = propagator.evolve(q0, p, 1.0, 1e-3, [0.5, 1.0], err_budget=BUDGET, stats=stats)
+    clock = [0.1]
+    for _ in range(1000):
+        clock.append(clock[-1] + 1e-3)
+    assert [q.t for q in snaps] == [clock[500], clock[1000]]
+    assert stats["h_min"] == 1e-3 < stats["h_max"]
+    assert stats["steps"] < 1000 / 2 and stats["rejected"] == 0
+    assert 0.0 < stats["est_sum"] <= BUDGET
+    for q, s in zip(snaps, (0.5, 1.0)):
+        assert np.abs(q.values - _soliton_fields(THIRD, p, grid, 0.1 + s).values).max() <= 2e-10
+
+
+def test_step_estimate_is_third_order_and_its_last_stage_is_the_next_first(third_order_params):
+    grid = Grid1D.periodic(80.0, 1024)
+    v0 = propagator._spectra(_soliton_fields(THIRD, third_order_params, grid, 0.0))
+
+    def step(h):
+        v, ws = v0.copy(), propagator._workspace(grid.nx)
+        factors = propagator._step_factors(grid, third_order_params, h)
+        propagator._first_stage(v, ws, factors)
+        est = propagator._advance(v, ws, factors, h)
+        return est, v, ws[2].copy()
+
+    est, v, last = step(1e-3)
+    # the local error of the embedded third-order solution goes as h^4
+    assert 12.0 <= step(2e-3)[0] / est <= 20.0
+    ws = propagator._workspace(grid.nx)
+    propagator._first_stage(v, ws, propagator._step_factors(grid, third_order_params, 1e-3))
+    assert np.array_equal(ws[2], last)
+
+
+def _zero_fields(grid: Grid1D):
+    return _fields_on(grid, np.zeros(grid.nx, complex), np.zeros(grid.nx, complex))
+
+
+@pytest.mark.parametrize(
+    "p, dt",
+    # dt at 0.61 of the stability bound, so 2 dt is past it; and exp(2 a2
+    # k^2 h) at the Nyquist bin, k^2 = 101.06, fits at h = 2 and overflows at 4
+    [(SystemParams(1.0, 1.0, 0.0), 0.5), (SystemParams(0.0, 1.0, 1.0), 2.0)],
+    ids=["stability", "overflow"],
+)
+def test_unusable_levels_are_skipped(p, dt):
+    # an all-zero field has est == 0, so a positive budget tries each level up
+    stats = {}
+    grid = Grid1D.periodic(80.0, 256)
+    q, = propagator.evolve(_zero_fields(grid), p, 8 * dt, dt, [8 * dt], err_budget=1.0, stats=stats)
+    assert not q.values.any()
+    assert (stats["steps"], stats["rejected"], stats["h_max"]) == (8, 0, dt)
+
+
+def test_no_budget_never_coarsens(third_order_params):
+    grid = Grid1D.periodic(80.0, 256)
+    for kwargs in ({}, {"err_budget": 0.0}):
+        stats = {}
+        propagator.evolve(_zero_fields(grid), third_order_params, 0.016, 1e-3, [0.016], stats=stats, **kwargs)
+        assert stats == {"steps": 16, "rejected": 0, "h_min": 1e-3, "h_max": 1e-3, "est_sum": 0.0}
+
+
+def test_blowup_under_a_budget_is_the_fixed_runs(default_params, monkeypatch):
+    p, dt, q0 = _case_fields("blowup", 1024, None, default_params)
+    args = (q0, p, 0.02, dt, [0.02])
+    with pytest.raises(propagator.BlowupError) as fixed:
+        propagator.evolve(*args, edge_threshold=1.0)
+    sizes = []
+    kernel = propagator._advance
+
+    def recorded(v, ws, factors, h):
+        sizes.append(h)
+        return kernel(v, ws, factors, h)
+
+    monkeypatch.setattr(propagator, "_advance", recorded)
+    with pytest.raises(propagator.BlowupError) as adaptive:
+        propagator.evolve(*args, edge_threshold=1.0, err_budget=BUDGET)
+    # steps above dt were tried, and the step still counts steps of dt
+    assert max(sizes) > dt
+    assert (adaptive.value.t, adaptive.value.step, adaptive.value.growth_rate) == (
+        fixed.value.t, fixed.value.step, fixed.value.growth_rate)
