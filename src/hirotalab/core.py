@@ -3,7 +3,7 @@
 Every grid is one Grid1D: a closed interval, or through Grid1D.periodic the
 period the propagator steps on, wrap point excluded.  A sampled field is one
 SampledField: the two components (q1, q2) as the rows of one read-only
-(2, nx) array on a Grid1D at one time.
+(2, nx) array on a Grid1D at one time; sample makes them from any source.
 
 Everything here is immutable after construction and every operation is a
 pure function, so all of it is safe to evaluate concurrently on shared data.
@@ -24,6 +24,7 @@ __all__ = [
     "SampledField",
     "ValidationError",
     "phase",
+    "sample",
     "trapezoid_mass",
 ]
 
@@ -197,6 +198,12 @@ class SampledField:
         Python's abs of a complex is libm's hypot.
         """
         return max(abs(v) for v in self.values[:, [0, -1]].ravel().tolist())
+
+
+def sample(fields, grid: Grid1D, times) -> list[SampledField]:
+    """One SampledField per time of a field source fields(x, t) -> (q1, q2) that broadcasts."""
+    xs = grid.points()
+    return [SampledField(grid, float(t), fields(xs, float(t))) for t in times]
 
 
 def phase(d: SpectralDatum, p: SystemParams, x, t):

@@ -1,12 +1,12 @@
 """Assembly of the 3x3 Lax matrices and the zero-curvature compatibility check.
 
-Jets of candidate solutions come from finite differences of the analytic
-evaluator, never from symbolic differentiation, so the convergence-order
-test absorbs the differencing error.  A jet is one (3, 2) + shape array:
-q, q_x and q_xx, each with rows q1 and q2 as in core.SampledField.values.
-The matrices take batched jets and arrays of zeta, so one ladder of the
-check is one pass at one (x, t): one evaluator call for every stencil
-centre of every spacing, then every U and V at once.
+Jets of candidate solutions come from finite differences of a field source
+fields(x, t) -> (q1, q2), never from symbolic differentiation, so the
+convergence-order test absorbs the differencing error.  A jet is one
+(3, 2) + shape array: q, q_x and q_xx, each with rows q1 and q2 as in
+core.SampledField.values.  The matrices take batched jets and arrays of
+zeta, so one ladder of the check is one pass at one (x, t): one source call
+for every stencil centre of every spacing, then every U and V at once.
 
 U = (i/2) zeta sigma - k1 Q and V are built from the potential Q = [[0, q1,
 q2], [-q1*, 0, 0], [-q2*, 0, 0]] of each jet row, with sigma = diag(-1, 1, 1):
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SpectralData, SystemParams
-from .nsoliton import fields_batch
+from .core import SystemParams
 from .residual import combine, stencil
 
 __all__ = [
@@ -72,20 +71,19 @@ def build_V(jet: np.ndarray, zeta: np.typing.ArrayLike, p: SystemParams) -> np.n
 
 
 def jet_at(
-    data: SpectralData,
-    p: SystemParams,
+    fields,
     x: float | np.ndarray,
     t: float | np.ndarray,
     h: float | np.ndarray,
     order: int = 2,
 ) -> np.ndarray:
-    """Jet of the analytic solution at (x, t) by central differences in x.
+    """Jet of the field source fields(x, t) -> (q1, q2) at (x, t), differenced in x.
 
     Returns one (3, 2) + shape array: q, q_x and q_xx, each with rows q1 and
     q2.  x and t may be arrays of centres and h an array of spacings, all
     broadcast together to that shape.  All centres go through one call of
-    the evaluator, and each centre's jet is bit for bit the one its own call
-    gives.  Every spacing must be positive and finite (ValueError otherwise).
+    fields; a pointwise source (the evaluator) gives each its own call's bits.
+    Every spacing must be positive and finite (ValueError otherwise).
     """
     h = np.asarray(h, dtype=float)
     if not np.all((h > 0) & np.isfinite(h)):
@@ -93,13 +91,13 @@ def jet_at(
     (w1, div1), (w2, div2) = stencil(order, 1), stencil(order, 2)
     mid = len(w1) // 2
     xs = np.asarray(x, dtype=float)[..., None] + h[..., None] * np.arange(-mid, mid + 1)
-    q = fields_batch(data, p, xs, np.asarray(t, dtype=float)[..., None])
+    q = np.asarray(fields(xs, np.asarray(t, dtype=float)[..., None]))
     taps = np.moveaxis(q, -1, 0)
     return np.stack([q[..., mid], combine(w1, div1 * h, taps), combine(w2, div2 * h**2, taps)])
 
 
 def zero_curvature_residual(
-    data: SpectralData,
+    fields,
     p: SystemParams,
     zeta: np.typing.ArrayLike,
     x: float,
@@ -107,11 +105,11 @@ def zero_curvature_residual(
     h: float | np.typing.ArrayLike,
     order: int = 2,
 ) -> np.ndarray:
-    """U_t - V_x + [U, V] on the analytic solution, by finite differences.
+    """U_t - V_x + [U, V] on the field source fields(x, t), by finite differences.
 
     h is one spacing or an array of them, such as a ladder, and zeta one
     spectral parameter or an array of them; the result has shape h.shape +
-    zeta.shape + (3, 3).  Every spacing goes through one evaluator call.
+    zeta.shape + (3, 3).  Every spacing goes through one source call.
     For exact solutions the sup norm decreases at the stencil's nominal
     order under h-refinement.
     """
@@ -126,7 +124,7 @@ def zero_curvature_residual(
     same = np.ones_like(step)
     xs = np.concatenate([x * same, x + step, x * same[:1]])
     ts = np.concatenate([t + step, t * same, t * same[:1]])
-    batch = jet_at(data, p, xs, ts, h, order)
+    batch = jet_at(fields, xs, ts, h, order)
     zeta = np.asarray(zeta, dtype=complex)
     # each centre's jets broadcast against zeta's axes
     jets = batch.reshape(batch.shape + (1,) * zeta.ndim)

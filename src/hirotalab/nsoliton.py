@@ -8,8 +8,7 @@ need no linear solve: the only division is one real reciprocal of each
 dressed vector's squared norm.  Every evolved vector is one unit phasor
 e^(i Im theta) times real exponentials scaled in log space by its largest
 component, so no exponential overflows and far-field values decay to exact
-zeros.  fields_batch writes both components into one (2, ...) array, and
-sample wraps it, per time, in a core.SampledField.
+zeros.  fields_batch writes both components into one (2, ...) array.
 """
 
 from __future__ import annotations
@@ -18,19 +17,11 @@ import math
 
 import numpy as np
 
-from .core import (
-    Grid1D,
-    SampledField,
-    SpectralData,
-    SpectralDatum,
-    SystemParams,
-    phase,
-)
+from .core import SpectralData, SpectralDatum, SystemParams, phase
 
 __all__ = [
     "fields_batch",
     "one_soliton",
-    "sample",
 ]
 
 # Smallest |w_k|^2 / |v_k|^2 the dressing may leave.  Each factor G_j(zeta_k)
@@ -164,9 +155,3 @@ def one_soliton(d: SpectralDatum, p: SystemParams, x, t):
         envelope = 1.0 / np.cosh(y)
     common = -(b / p.k1) * np.exp(-xi) * carrier * envelope
     return np.conj(d.beta) * common, np.conj(d.gamma) * common
-
-
-def sample(data: SpectralData, p: SystemParams, grid: Grid1D, times) -> list[SampledField]:
-    """Fields on the grid, one per requested time, via the batched evaluator."""
-    xs = grid.points()
-    return [SampledField(grid, float(t), fields_batch(data, p, xs, float(t))) for t in times]

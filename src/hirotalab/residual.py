@@ -179,10 +179,9 @@ def soliton_residual_ladder(
 ) -> tuple[ResidualReport, ResidualReport]:
     """Residual sup norms of a field source over an h ladder.
 
-    fields(x, t) -> (q1, q2) broadcasts its arguments, as
-    nsoliton.fields_batch does.  Each rung samples it once, at the grid
-    points and the times t_center + o h for the offsets o of the order's
-    first-derivative stencil (dt = h).
+    fields(x, t) -> (q1, q2) is a source as core.sample takes it.  Each rung
+    samples it once, at the grid points and the times t_center + o h for the
+    offsets o of the order's first-derivative stencil (dt = h).
     """
     half = len(stencil(order, 1)[0]) // 2
     norms1, norms2 = [], []

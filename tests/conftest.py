@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -41,6 +42,11 @@ def default_data(default_datum):
     return SpectralData((default_datum,))
 
 
+def evaluator(data: SpectralData, p: SystemParams):
+    """Field source: the analytic N-soliton fields of data under p."""
+    return functools.partial(nsoliton.fields_batch, data, p)
+
+
 def centre_perturbed(data: SpectralData, p: SystemParams, t_center: float):
     """Field source: the analytic fields, times 1 + 1e-3 / cosh(x) at t_center only.
 
@@ -50,6 +56,15 @@ def centre_perturbed(data: SpectralData, p: SystemParams, t_center: float):
         factor = 1.0 + np.where(t == t_center, 1e-3 / np.cosh(x), 0.0)
         q1, q2 = nsoliton.fields_batch(data, p, x, t)
         return q1 * factor, q2 * factor
+
+    return fields
+
+
+def plane_wave(k, amps, omega):
+    """Field source: (q1, q2) = amps e^{i(k x - omega t)}, broadcast over x and t."""
+    def fields(x, t):
+        wave = np.exp(1j * (k * x - omega * t))
+        return amps[0] * wave, amps[1] * wave
 
     return fields
 

@@ -27,10 +27,11 @@ from hirotalab.core import (
     SpectralData,
     SpectralDatum,
     SystemParams,
+    sample,
     trapezoid_mass,
 )
 
-from conftest import PAIR, centre_perturbed, hump_heights, make_random_data, peak_x
+from conftest import PAIR, centre_perturbed, evaluator, hump_heights, make_random_data, peak_x
 
 DEFAULT_PARAMS = SystemParams(epsilon=1.0, k1=1.0, a2=1.0)
 THIRD_ORDER_PARAMS = SystemParams(epsilon=1.0, k1=1.0, a2=0.0)
@@ -47,7 +48,7 @@ def test_criterion_1_closed_form_equivalence():
     grid = Grid1D(-20.0, 20.0, 401)
     worst = 0.0
     for t in (-15.0, 0.0, 15.0):
-        q, = nsoliton.sample(DATA, DEFAULT_PARAMS, grid, [t])
+        q, = sample(evaluator(DATA, DEFAULT_PARAMS), grid, [t])
         c1, c2 = nsoliton.one_soliton(DATUM, DEFAULT_PARAMS, grid.points(), t)
         worst = max(worst, np.abs(q.values[0] - c1).max(), np.abs(q.values[1] - c2).max())
     elapsed = time.perf_counter() - start
@@ -104,18 +105,19 @@ def test_criterion_2_pde_residual_convergence():
 def test_criterion_3_zero_curvature_convergence():
     start = time.perf_counter()
     x, t = 2.0, 0.5
+    analytic = evaluator(DATA, THIRD_ORDER_PARAMS)
     ratios2, ratios4 = [], []
     for zeta in laxpair.default_zeta_samples():
         sups = [
             np.abs(
-                laxpair.zero_curvature_residual(DATA, THIRD_ORDER_PARAMS, zeta, x, t, h, 2)
+                laxpair.zero_curvature_residual(analytic, THIRD_ORDER_PARAMS, zeta, x, t, h, 2)
             ).max()
             for h in (2e-2, 1e-2, 5e-3)
         ]
         ratios2 += [sups[0] / sups[1], sups[1] / sups[2]]
         sups = [
             np.abs(
-                laxpair.zero_curvature_residual(DATA, THIRD_ORDER_PARAMS, zeta, x, t, h, 4)
+                laxpair.zero_curvature_residual(analytic, THIRD_ORDER_PARAMS, zeta, x, t, h, 4)
             ).max()
             for h in (0.2, 0.1, 0.05)
         ]
@@ -132,8 +134,9 @@ def test_criterion_3_zero_curvature_convergence():
         f"10 zeta samples, {elapsed:.2f} s",
     )
 
+    diag = evaluator(DATA, DEFAULT_PARAMS)
     sups = [
-        np.abs(laxpair.zero_curvature_residual(DATA, DEFAULT_PARAMS, 0.8, x, t, h, 2)).max()
+        np.abs(laxpair.zero_curvature_residual(diag, DEFAULT_PARAMS, 0.8, x, t, h, 2)).max()
         for h in (2e-2, 1e-2, 5e-3)
     ]
     print(
@@ -204,7 +207,7 @@ def test_criterion_5_direct_scattering_closure():
     h = 0.01
     nx = int(round(120.0 / h)) + 1
     grid = Grid1D(-60.0, 60.0, nx)
-    q, = nsoliton.sample(DATA, DEFAULT_PARAMS, grid, [0.0])
+    q, = sample(evaluator(DATA, DEFAULT_PARAMS), grid, [0.0])
     s_zero = abs(rh.direct_scattering(q, DATUM.zeta, DEFAULT_PARAMS)[0, 0])
     refl_worst = det_worst = 0.0
     for zr in (0.3, 0.5, 0.7, 0.9, 1.1):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hirotalab import cli, laxpair, nsoliton, rh
+from hirotalab import cli, nsoliton, rh
 
 from conftest import PAIR, exactly, nsoliton_doc
 
@@ -143,8 +143,8 @@ def test_sample_emits_plot_scripts(tmp_path, monkeypatch):
     path = _write_config(tmp_path, doc)
     out = tmp_path / "plots"
     calls = []
-    sample = nsoliton.sample
-    monkeypatch.setattr(nsoliton, "sample", lambda *args: calls.append(args) or sample(*args))
+    sample = cli.sample
+    monkeypatch.setattr(cli, "sample", lambda *args: calls.append(args) or sample(*args))
     assert cli.main(["sample", "--config", path, "--out", str(out), "--quiet"]) == 0
     assert len(calls) == 1
     assert (out / "plot_slices.gp").exists()
@@ -320,7 +320,7 @@ def test_zero_curvature_verdicts_differ_by_sector(tmp_path):
 
 def test_zero_curvature_evaluates_each_ladder_in_one_call(tmp_path, monkeypatch):
     calls = []
-    batch = laxpair.fields_batch
+    batch = nsoliton.fields_batch
 
     def counted(data, p, x, t):
         calls.append(np.shape(x))
@@ -332,7 +332,7 @@ def test_zero_curvature_evaluates_each_ladder_in_one_call(tmp_path, monkeypatch)
         return (out / "zero_curvature_report.csv").read_bytes()
 
     reference = report("reference")
-    monkeypatch.setattr(laxpair, "fields_batch", counted)
+    monkeypatch.setattr(nsoliton, "fields_batch", counted)
     # one batched call per ladder of 3 spacings: (2 * 2 + 1) centres of a
     # 3-point stencil at order 2, (2 * 4 + 1) of a 5-point one at order 4
     assert report("counted") == reference
@@ -745,8 +745,23 @@ def test_spacing_ladder_faults_are_named_at_load(section, change, message):
         ("propagate", {"dt": 5e-324}, "propagate: dt = 5e-324 gives no finite step count over t_final = 1.0"),
         ("scatter", {"spacing": 5e-324}, "scatter: spacing 5e-324 gives no finite node count over [-60.0, 60.0]"),
         ("grid", {"nx": 1}, "grid: grid requires nx >= 2, got 1"),
+        ("grid", {"nx": 1e6}, "grid: nx = 1000000 needs more than 100000 nodes over the grid"),
+        ("grid", {"nx": 1e17}, "grid: nx = 100000000000000000 needs more than 100000 nodes over the grid"),
+        # about the bundled spacing, which the stability bound admits at any epsilon
+        (
+            "propagate",
+            {"n": 1e8, "length": 8e6},
+            "propagate: n = 100000000 needs more than 100000 nodes over the grid",
+        ),
     ],
-    ids=["subnormal_dt", "subnormal_scatter_spacing", "grid_nx_one"],
+    ids=[
+        "subnormal_dt",
+        "subnormal_scatter_spacing",
+        "grid_nx_one",
+        "grid_nx_1e6",
+        "grid_nx_1e17",
+        "propagate_n_1e8",
+    ],
 )
 def test_step_and_node_count_faults_name_their_value(section, change, message):
     doc = _third_order_doc()

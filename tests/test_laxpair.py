@@ -1,3 +1,5 @@
+import ast
+import inspect
 from math import factorial
 from types import SimpleNamespace
 
@@ -6,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exactly
+from conftest import evaluator, exactly, plane_wave
 
 from hirotalab.core import SpectralData, SpectralDatum, SystemParams
-from hirotalab import laxpair, residual
+from hirotalab import cli, laxpair, residual, rh
 
 cnum = st.builds(
     complex,
@@ -32,7 +34,7 @@ def test_space_matrix_free_case(default_params):
 
 
 def test_space_matrix_soliton_entry(default_data, default_params):
-    jet = laxpair.jet_at(default_data, default_params, 0.0, 0.0, 1e-3)
+    jet = laxpair.jet_at(evaluator(default_data, default_params), 0.0, 0.0, 1e-3)
     u = laxpair.build_U(jet, 0.5, default_params)
     # q1(0,0) = -1/15 so the (1,2) entry is -k1 q1 = 1/15
     assert abs(u[0, 1] - 1.0 / 15.0) < 1e-9
@@ -165,16 +167,18 @@ ZERO_FIELD = SpectralData((SpectralDatum(0.3 + 0.2j, 1.0, 0.0, 0.0),))
 
 
 def test_zero_fields_give_zero_residual(default_params):
-    res = laxpair.zero_curvature_residual(ZERO_FIELD, default_params, 0.8, 1.0, 0.5, 1e-2)
+    fields = evaluator(ZERO_FIELD, default_params)
+    res = laxpair.zero_curvature_residual(fields, default_params, 0.8, 1.0, 0.5, 1e-2)
     assert np.abs(res).max() == 0.0
 
 
 @pytest.mark.parametrize("h", [0.0, -0.01, [0.02, 0.0], np.nan, np.inf, [0.02, np.nan]])
 def test_residual_refuses_a_spacing_that_is_not_positive(default_params, h):
+    fields = evaluator(ZERO_FIELD, default_params)
     with pytest.raises(ValueError, match=exactly("h must be positive and finite")):
-        laxpair.zero_curvature_residual(ZERO_FIELD, default_params, 0.8, 1.0, 0.5, h)
+        laxpair.zero_curvature_residual(fields, default_params, 0.8, 1.0, 0.5, h)
     with pytest.raises(ValueError, match=exactly("h must be positive and finite")):
-        laxpair.jet_at(ZERO_FIELD, default_params, 1.0, 0.5, h)
+        laxpair.jet_at(fields, 1.0, 0.5, h)
 
 
 def test_default_zeta_samples():
@@ -187,7 +191,7 @@ def test_default_zeta_samples():
 
 def _ladder(data, p, zeta, order, spacings):
     return [
-        float(np.abs(laxpair.zero_curvature_residual(data, p, zeta, 2.0, 0.5, h, order)).max())
+        float(np.abs(laxpair.zero_curvature_residual(evaluator(data, p), p, zeta, 2.0, 0.5, h, order)).max())
         for h in spacings
     ]
 
@@ -207,6 +211,57 @@ def test_residual_fourth_order_convergence(default_datum, third_order_params):
     assert all(14.0 <= r <= 18.0 for r in ratios)
 
 
+@pytest.mark.parametrize("epsilon,k1", [(1.0, 1.0), (-0.7, 1.3)])
+def test_zero_curvature_ladders_on_a_plane_wave(epsilon, k1):
+    # at a2 = 0, (A, B) e^{i(kx - wt)} solves the system exactly when
+    # w = eps (k^3 - 6 k1^2 (|A|^2 + |B|^2) k); the evaluator is not involved.
+    # The CLI's default ladders and bands must pass it and fail it detuned.
+    p = SystemParams(epsilon=epsilon, k1=k1, a2=0.0)
+    amps, k = (0.3 + 0.1j, -0.2j), 0.9
+    omega = epsilon * (k**3 - 6.0 * k1 * k1 * (abs(amps[0]) ** 2 + abs(amps[1]) ** 2) * k)
+    zetas = laxpair.default_zeta_samples()
+    x, t = cli.DEFAULT_ZC["x"], cli.DEFAULT_ZC["t"]
+    for order in (2, 4):
+        lo, hi = cli.DEFAULT_TOLERANCES[f"zc_order{order}_band"]
+        spacings = cli.DEFAULT_ZC[f"order{order}_spacings"]
+        for w, exact in ((omega, True), (omega * 1.01, False)):
+            res = laxpair.zero_curvature_residual(plane_wave(k, amps, w), p, zetas, x, t, spacings, order)
+            sups = np.abs(res).max(axis=(-2, -1))
+            ratios = sups[:-1] / sups[1:]
+            in_band = (lo <= ratios) & (ratios <= hi)
+            assert ratios.shape == (2, 10)
+            assert in_band.all() if exact else not in_band.any()
+
+
+def _reaches_evaluator(source: str) -> bool:
+    """Whether an import statement anywhere in source names the nsoliton module."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("nsoliton" in name.split(".") for name in names):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module", [laxpair, rh], ids=["laxpair", "rh"])
+def test_independent_routes_do_not_import_the_evaluator(module):
+    # the RH factors and the zero-curvature check are compared against the
+    # evaluator, so neither may build on it
+    for line in (
+        "from .nsoliton import fields_batch",
+        "from . import core, nsoliton",
+        "import hirotalab.nsoliton as ns",
+        "def f():\n    from hirotalab import nsoliton",
+    ):
+        assert _reaches_evaluator(line)
+    assert not _reaches_evaluator(inspect.getsource(module))
+
+
 TWO_SOLITON = SpectralData((
     SpectralDatum(0.3 + 0.45j, 1.0, 0.8, 0.6),
     SpectralDatum(-0.25 + 0.6j, 1.0, 0.5 + 0.3j, 1.1),
@@ -222,18 +277,19 @@ def test_residual_second_order_convergence_two_soliton(third_order_params):
 @pytest.mark.parametrize("order, h", [(2, 1e-2), (4, 0.1)])
 def test_residual_over_zeta_samples_matches_scalar_calls(third_order_params, order, h):
     zetas = laxpair.default_zeta_samples()
-    batch = laxpair.zero_curvature_residual(TWO_SOLITON, third_order_params, zetas, 2.0, 0.5, h, order)
+    fields = evaluator(TWO_SOLITON, third_order_params)
+    batch = laxpair.zero_curvature_residual(fields, third_order_params, zetas, 2.0, 0.5, h, order)
     single = np.stack([
-        laxpair.zero_curvature_residual(TWO_SOLITON, third_order_params, z, 2.0, 0.5, h, order)
+        laxpair.zero_curvature_residual(fields, third_order_params, z, 2.0, 0.5, h, order)
         for z in zetas
     ])
     assert batch.shape == single.shape == (10, 3, 3)
     assert np.array_equal(batch.view(np.int64), single.view(np.int64))
     # a ladder of spacings in one call gives each spacing's own bits
     ladder = laxpair.zero_curvature_residual(
-        TWO_SOLITON, third_order_params, zetas, 2.0, 0.5, [h, h / 2], order
+        fields, third_order_params, zetas, 2.0, 0.5, [h, h / 2], order
     )
-    half = laxpair.zero_curvature_residual(TWO_SOLITON, third_order_params, zetas, 2.0, 0.5, h / 2, order)
+    half = laxpair.zero_curvature_residual(fields, third_order_params, zetas, 2.0, 0.5, h / 2, order)
     assert ladder.shape == (2, 10, 3, 3)
     assert np.array_equal(ladder.view(np.int64), np.stack([batch, half]).view(np.int64))
 
@@ -241,7 +297,7 @@ def test_residual_over_zeta_samples_matches_scalar_calls(third_order_params, ord
 @pytest.mark.parametrize("build", ["build_U", "build_V"])
 def test_lax_matrices_over_batched_jets_and_zetas_match_scalar_calls(third_order_params, build):
     xs = np.array([2.0, 1.9, -7.5])
-    batch = laxpair.jet_at(TWO_SOLITON, third_order_params, xs, 0.5, 1e-2)
+    batch = laxpair.jet_at(evaluator(TWO_SOLITON, third_order_params), xs, 0.5, 1e-2)
     zetas = np.array(laxpair.default_zeta_samples())
     fn = getattr(laxpair, build)
     assert batch.shape == (3, 2, 3)
@@ -259,9 +315,10 @@ def test_lax_matrices_over_batched_jets_and_zetas_match_scalar_calls(third_order
 def test_batched_jets_match_per_jet_calls(third_order_params, order, h):
     xs = np.array([2.0, 2.0, 1.9, 2.1, -7.5])
     ts = np.array([0.45, 0.55, 0.5, 0.5, 3.0])
-    batch = laxpair.jet_at(TWO_SOLITON, third_order_params, xs, ts, h, order)
+    fields = evaluator(TWO_SOLITON, third_order_params)
+    batch = laxpair.jet_at(fields, xs, ts, h, order)
     for i, (x, t) in enumerate(zip(xs, ts)):
-        single = laxpair.jet_at(TWO_SOLITON, third_order_params, float(x), float(t), h, order)
+        single = laxpair.jet_at(fields, float(x), float(t), h, order)
         assert single.shape == (3, 2)
         assert np.array_equal(batch[..., i], single)
 

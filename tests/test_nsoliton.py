@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams, phase, trapezoid_mass
+from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams, phase, sample, trapezoid_mass
 from hirotalab import cli, nsoliton
 
-from conftest import exactly, hump_heights, make_random_data, nsoliton_doc, peak_x
+from conftest import evaluator, exactly, hump_heights, make_random_data, nsoliton_doc, peak_x
 
 DATA_DIR = resources.files("hirotalab.data")
 moderate = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
@@ -298,7 +298,7 @@ def test_l2_mass_is_time_independent(default_datum, default_params):
     data = SpectralData((default_datum, other))
     grid = Grid1D(-80.0, 80.0, 4001)
     masses = [
-        trapezoid_mass(nsoliton.sample(data, default_params, grid, [t])[0])
+        trapezoid_mass(sample(evaluator(data, default_params), grid, [t])[0])
         for t in (-20.0, -5.0, 0.0, 7.0, 20.0)
     ]
     spread = (max(masses) - min(masses)) / np.mean(masses)
@@ -309,12 +309,12 @@ def test_l2_mass_is_time_independent(default_datum, default_params):
 
 def test_sample_empty_times(default_data, default_params):
     grid = Grid1D(-1.0, 1.0, 11)
-    assert nsoliton.sample(default_data, default_params, grid, []) == []
+    assert sample(evaluator(default_data, default_params), grid, []) == []
 
 
 def test_sample_degenerate_grid_matches_evaluate(default_data, default_params):
     grid = Grid1D(-3.0, 5.0, 2)
-    q, = nsoliton.sample(default_data, default_params, grid, [0.7])
+    q, = sample(evaluator(default_data, default_params), grid, [0.7])
     assert q.grid.nx == 2 and q.t == 0.7
     for i, x in enumerate(grid.points()):
         e1, e2 = nsoliton.fields_batch(default_data, default_params, float(x), 0.7)
@@ -328,7 +328,7 @@ def test_two_soliton_elastic_amplitudes(default_datum, default_params):
     data = SpectralData((default_datum, other))
     grid = Grid1D(-45.0, 45.0, 9001)
     for t in (-80.0, 80.0):
-        q, = nsoliton.sample(data, default_params, grid, [t])
+        q, = sample(evaluator(data, default_params), grid, [t])
         mod = np.sqrt((np.abs(q.values) ** 2).sum(axis=0))
         peaks = sorted(hump_heights(mod, 0.05))
         assert len(peaks) == 2

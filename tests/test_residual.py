@@ -7,7 +7,7 @@ import pytest
 from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams
 from hirotalab import nsoliton, residual
 
-from conftest import centre_perturbed, exactly
+from conftest import centre_perturbed, exactly, plane_wave
 
 
 def _entries():
@@ -168,15 +168,6 @@ def test_perturbed_field_fails_to_converge(default_data, third_order_params):
     assert rep1.estimated_order < 0.5
 
 
-def _plane_wave(k, amps, omega):
-    """(q1, q2) = amps e^{i(k x - omega t)}, broadcast over x and t."""
-    def fields(x, t):
-        wave = np.exp(1j * (k * x - omega * t))
-        return amps[0] * wave, amps[1] * wave
-
-    return fields
-
-
 @pytest.mark.parametrize("epsilon,k1", [(1.0, 1.0), (-0.7, 1.3)])
 def test_plane_wave_residual_converges(epsilon, k1):
     # at a2 = 0, (A, B) e^{i(kx - wt)} solves the system exactly when
@@ -186,13 +177,13 @@ def test_plane_wave_residual_converges(epsilon, k1):
     omega = epsilon * (k**3 - 6.0 * k1 * k1 * (abs(amps[0]) ** 2 + abs(amps[1]) ** 2) * k)
     for order, spacings, least in ((2, (0.1, 0.05, 0.025), 1.8), (4, (0.2, 0.1, 0.05), 3.8)):
         reps = residual.soliton_residual_ladder(
-            _plane_wave(k, amps, omega), p, -10.0, 10.0, spacings, 0.3, order
+            plane_wave(k, amps, omega), p, -10.0, 10.0, spacings, 0.3, order
         )
         for rep in reps:
             assert least <= rep.estimated_order <= order + 0.3
         # a frequency off by a relative 1e-2 leaves a fixed defect
         reps = residual.soliton_residual_ladder(
-            _plane_wave(k, amps, omega * 1.01), p, -10.0, 10.0, spacings, 0.3, order
+            plane_wave(k, amps, omega * 1.01), p, -10.0, 10.0, spacings, 0.3, order
         )
         for rep in reps:
             assert rep.estimated_order < 0.5

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams
+from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams, sample
 from hirotalab import cli, nsoliton, rh
 
-from conftest import exactly, make_random_data, nsoliton_doc
+from conftest import evaluator, exactly, make_random_data, nsoliton_doc
 
 lower_zeta = st.builds(
     complex,
@@ -139,7 +139,7 @@ def _sampled_soliton(params, span=60.0, h=0.01, datum=None):
     nx = int(round(2 * span / h)) + 1
     grid = Grid1D(-span, span, nx)
     data = SpectralData((d,))
-    q, = nsoliton.sample(data, params, grid, [0.0])
+    q, = sample(evaluator(data, params), grid, [0.0])
     return d, q
 
 
@@ -288,7 +288,7 @@ def test_scattering_matches_sequential_oracle(default_params, nx, h):
     # off the real axis only s11 is meaningful (see the docstring)
     span = 0.5 * (nx - 1) * h
     d = SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0)
-    q, = nsoliton.sample(SpectralData((d,)), default_params, Grid1D(-span, span, nx), [0.0])
+    q, = sample(evaluator(SpectralData((d,)), default_params), Grid1D(-span, span, nx), [0.0])
     s = rh.direct_scattering(q, d.zeta, default_params, tail_threshold=np.inf)
     assert abs(s[0, 0] - _sequential_scattering(q, d.zeta, default_params)[0, 0]) <= 1e-12
     for zeta in (0.3, 0.5, 1.1):
@@ -303,7 +303,7 @@ def test_eigenvalue_column_matches_blaschke_product(seed):
     # per-step picture reads at most 2.2e-10 at these four points, and so
     # does RK4 with the free part kept in its coefficient
     cfg = cli.parse_config(nsoliton_doc(seed))
-    q, = nsoliton.sample(cfg.spectral, cfg.params, cfg.scatter["grid"], [0.0])
+    q, = sample(cfg.fields, cfg.scatter["grid"], [0.0])
     zk = cfg.spectral.zetas()
     points = np.array([-0.5 + 0.3j, 0.5 + 0.3j, -0.5 + 1.0j, 0.5 + 1.0j])
     s11 = np.array([rh.direct_scattering(q, z, cfg.params)[0, 0] for z in points])
@@ -317,7 +317,7 @@ def test_eigenvalue_column_matches_blaschke_product(seed):
 
 def _scattering_peak(zeta, nx, p):
     d = SpectralDatum(0.3 + 0.2j, 1.0, 1.0, 2.0)
-    q, = nsoliton.sample(SpectralData((d,)), p, Grid1D(-60.0, 60.0, nx), [0.0])
+    q, = sample(evaluator(SpectralData((d,)), p), Grid1D(-60.0, 60.0, nx), [0.0])
     tracemalloc.start()
     try:
         rh.direct_scattering(q, zeta, p)
