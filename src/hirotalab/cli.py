@@ -68,7 +68,7 @@ DEFAULT_TOLERANCES = {
 
 # the share of propagate_linf that propagate's step-size control may spend;
 # the config's dt is the finest step
-STEP_BUDGET_SHARE = 0.01
+STEP_BUDGET_SHARE = 0.1
 # every grid a config builds (sample, residual rungs, scatter, propagate) holds
 # at most this many nodes; a residual rung of 10**5 nodes takes about 100 MB at N = 8
 MAX_GRID_NODES = 10**5

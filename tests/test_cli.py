@@ -432,6 +432,16 @@ def test_propagate_abort_line_names_step_and_growth_rate(tmp_path, capsys):
     )
 
 
+def _step_line(printed):
+    """(steps, rejected, h_min, h_max, est_sum) of propagate's one step line."""
+    lines = [row for row in printed.splitlines() if "steps taken" in row]
+    assert len(lines) == 1
+    steps, rejected, h_min, h_max, est = re.fullmatch(
+        r"  (\d+) steps taken, (\d+) rejected; step (\S+) to (\S+); summed error estimate (\S+)", lines[0]
+    ).groups()
+    return int(steps), int(rejected), float(h_min), float(h_max), float(est)
+
+
 def test_propagate_prints_its_step_line(tmp_path, capsys):
     # one line: steps kept and rejected, the smallest and largest step and
     # the summed estimate; the report CSV keeps its columns
@@ -440,15 +450,23 @@ def test_propagate_prints_its_step_line(tmp_path, capsys):
     path = _write_config(tmp_path, doc)
     out = tmp_path / "p"
     assert cli.main(["propagate", "--config", path, "--out", str(out)]) == 0
-    lines = [row for row in capsys.readouterr().out.splitlines() if "steps taken" in row]
-    assert len(lines) == 1
-    steps, rejected, h_min, h_max, est = re.fullmatch(
-        r"  (\d+) steps taken, (\d+) rejected; step (\S+) to (\S+); summed error estimate (\S+)", lines[0]
-    ).groups()
-    assert 0 < int(steps) < 50 and float(h_min) == 1e-3 <= float(h_max) and 0.0 < float(est) <= 1e-7
+    steps, rejected, h_min, h_max, est = _step_line(capsys.readouterr().out)
+    budget = cli.STEP_BUDGET_SHARE * cli.DEFAULT_TOLERANCES["propagate_linf"]
+    assert 0 < steps < 50 and h_min == 1e-3 <= h_max and 0.0 < est <= budget
     assert (out / "propagation_report.csv").read_text().split("\n")[0] == "name,value,threshold,pass"
     assert cli.main(["propagate", "--config", path, "--out", str(out), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_bundled_third_order_run_steps_at_its_stability_bound(tmp_path, capsys):
+    # 16e-3 would give dt nu_max^3 |eps| = 1.24 > 1, so 8e-3 is the top level;
+    # the error and drift stay far inside their tolerances
+    out = tmp_path / "p3"
+    assert cli.main(["propagate", "--config", str(THIRD_ORDER), "--out", str(out)]) == 0
+    steps, rejected, _, h_max, _ = _step_line(capsys.readouterr().out)
+    assert h_max == 8e-3 and rejected == 0 and steps <= 130
+    rows = _report_rows(out / "propagation_report.csv")
+    assert float(rows["final_linf"][0]) <= 2e-9 and float(rows["mass_drift"][0]) <= 1e-10
 
 
 @pytest.mark.parametrize(

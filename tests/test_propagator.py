@@ -438,7 +438,8 @@ def test_workspace_blocks_are_64_byte_aligned(n):
         assert w.shape == (4, n) and real.shape == (2, n)
 
 
-# the third-order config's datum and run, and 1% of its propagate_linf budget
+# the third-order config's datum and run, and an explicit step budget (a
+# tenth of the one the CLI gives that run)
 THIRD = SpectralDatum(0.3 + 0.55j, 1.0, 1.0 / np.sqrt(5.0), 2.0 / np.sqrt(5.0))
 BUDGET = 1e-7
 
@@ -460,6 +461,34 @@ def test_adaptive_run_coarsens_within_its_budget(third_order_params):
     assert 0.0 < stats["est_sum"] <= BUDGET
     for q, s in zip(snaps, (0.5, 1.0)):
         assert np.abs(q.values - _soliton_fields(THIRD, p, grid, 0.1 + s).values).max() <= 2e-10
+
+
+def test_estimate_overstates_the_kept_solutions_error(third_order_params):
+    # est is the third-order companion's local error; the step keeps the
+    # fourth-order solution, so at the level the CLI's run takes (8e-3) the
+    # summed est exceeds the time error against a run at dt/4 many times over
+    p = third_order_params
+    q0 = _soliton_fields(THIRD, p, Grid1D.periodic(80.0, 1024), 0.0)
+    h = 8e-3
+    stats = {}
+    q, = propagator.evolve(q0, p, 64 * h, h, [64 * h], stats=stats)
+    ref, = propagator.evolve(q0, p, 64 * h, h / 4, [64 * h])
+    err = np.abs(q.values - ref.values).max()
+    assert 0.0 < err and stats["est_sum"] >= 10.0 * err
+
+
+def test_budget_that_never_climbs_keeps_the_fixed_runs_bits(third_order_params):
+    # at the collision the estimate holds a positive budget's run at dt, and
+    # such a run is the run without a budget, snapshot for snapshot
+    p, dt, t0 = third_order_params, 2e-3, 20.3
+    grid = Grid1D.periodic(160.0, 2048)
+    q0 = _fields_on(grid, *nsoliton.fields_batch(PAIR, p, grid.points(), t0), t=t0)
+    args = (q0, p, 50 * dt, dt, [25 * dt, 50 * dt])
+    stats = {}
+    held = propagator.evolve(*args, err_budget=1e-6, stats=stats)
+    assert (stats["steps"], stats["rejected"], stats["h_max"]) == (50, 0, dt)
+    for a, b in zip(held, propagator.evolve(*args, err_budget=0.0), strict=True):
+        assert a.t == b.t and np.array_equal(a.values, b.values)
 
 
 def test_step_estimate_is_third_order_and_its_last_stage_is_the_next_first(third_order_params):
