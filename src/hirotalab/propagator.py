@@ -17,10 +17,10 @@ that stacks the two spectra v on their derivatives ik v, and one forward
 transform of the (2, n) nonlinear term.
 
 One kernel, _advance, steps the stacked spectra in place on a workspace
-that its caller passes in.  evolve(), the one entry point, checks the
-stability bound once per call, allocates one workspace, builds the step
-factors of a step size when it starts stepping at that size, and runs the
-kernel once per step.
+that its caller passes in.  evolve(), the one entry point, fixes once per
+call the step sizes that check_stability allows, allocates one workspace,
+builds the step factors of a step size when it starts stepping at that
+size, and runs the kernel once per step.
 The factors are ik, the dealias mask (stored as complex), the integrating
 factors e_half and e_full, the products dt e_half and 2 e_half, and the
 two scalar coefficients of the nonlinear term.  Nothing outlives a call,
@@ -51,6 +51,7 @@ __all__ = [
 
 EDGE_THRESHOLD = 1e-9
 STABILITY_LIMIT = 1.0
+GROWTH_LIMIT = 700.0
 
 
 class EdgeDecayError(ValueError):
@@ -121,13 +122,15 @@ def _fields(hat: np.ndarray, t: float, grid: Grid1D) -> SampledField:
 
 
 def check_stability(grid: Grid1D, p: SystemParams, dt: float) -> None:
-    """Raise ValueError unless dt > 0 and dt * nu_max^3 * |eps| <= STABILITY_LIMIT,
-    nu_max the largest retained cyclic wavenumber.
+    """Raise ValueError unless dt > 0, dt * nu_max^3 * |eps| <= STABILITY_LIMIT
+    and 2 a2 k_nyq^2 dt <= GROWTH_LIMIT.
 
     The integrating factor treats the full linear part exactly and the
     2/3-rule zeroes every mode above the dealiasing cutoff, so the explicit
-    (RK4) part only ever sees wavenumbers up to (2/3)(n/2)/period.  This is
-    a documented engineering guard, not a hard CFL theorem.
+    (RK4) part only ever sees cyclic wavenumbers up to nu_max =
+    (2/3)(n/2)/period: an engineering guard, not a hard CFL theorem.  The
+    integrating factor is built on every bin, up to k_nyq = 2 pi
+    (n//2)/period, and |e_full| <= exp(2 a2 k_nyq^2 dt) stays finite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -137,6 +140,10 @@ def check_stability(grid: Grid1D, p: SystemParams, dt: float) -> None:
         raise ValueError(
             f"dt * nu_max^3 * |eps| = {metric:.3g} exceeds {STABILITY_LIMIT}; reduce dt"
         )
+    k_nyq = 2.0 * np.pi * (grid.nx // 2) / _period(grid)
+    growth = 2.0 * p.a2 * k_nyq**2 * dt
+    if growth > GROWTH_LIMIT:
+        raise ValueError(f"2 a2 k_nyq^2 dt = {growth:.3g} exceeds {GROWTH_LIMIT:g}; reduce dt")
 
 
 def _growth_rate(grid: Grid1D, p: SystemParams) -> float:
@@ -153,14 +160,12 @@ def _step_factors(grid: Grid1D, p: SystemParams, dt: float) -> tuple:
     scalars 3 eps k1^2 and -4 k1^2 a2 of the nonlinear term.  The scaled
     arrays and scalars are grouped as the step expression groups them, and
     numpy multiplies a real mask by a complex array through the same complex
-    cast, so building them once moves no bit.
-
-    Raises FloatingPointError when e_half or e_full overflows.
+    cast, so building them once moves no bit.  A dt that passes
+    check_stability keeps e_half and e_full finite.
     """
     k = _wavenumbers(grid)
-    with np.errstate(over="raise"):
-        e_half = np.exp(linear_symbol(k, p) * (0.5 * dt))
-        e_full = e_half * e_half
+    e_half = np.exp(linear_symbol(k, p) * (0.5 * dt))
+    e_full = e_half * e_half
     mask = _dealias_mask(grid).astype(complex)
     arrays = (1j * k, mask, e_half, e_full, dt * e_half, 2.0 * e_half)
     ksq = p.k1 * p.k1
@@ -334,16 +339,6 @@ def step_schedule(t_final: float, dt: float, snapshots) -> tuple[int, list[int]]
     return n_steps, snap_steps
 
 
-def _level_factors(grid: Grid1D, p: SystemParams, h: float) -> tuple | None:
-    """The _step_factors of a step of size h, or None when h fails
-    check_stability or its integrating factor overflows."""
-    try:
-        check_stability(grid, p, h)
-        return _step_factors(grid, p, h)
-    except (ValueError, FloatingPointError):
-        return None
-
-
 def evolve(
     q0: SampledField,
     p: SystemParams,
@@ -357,33 +352,33 @@ def evolve(
     """Repeated stepping from the input's time with snapshot capture.
 
     Snapshot times must lie in [0, t_final] and be integer multiples of dt.
-    t_final = 0 returns the input unchanged.  The stability bound and the
-    integrating factor are checked at dt once per call; the spectra are
-    then advanced in place on one workspace for the whole call.  Each
-    snapshot is a fresh inverse transform, sharing no memory with the
-    workspace.
+    t_final = 0 returns the input unchanged.  The spectra are advanced in
+    place on one workspace for the whole call.  Each snapshot is a fresh
+    inverse transform, sharing no memory with the workspace.
 
-    dt is the finest step.  Steps are taken at levels h = dt 2^j, none past
-    the next snapshot, with the error estimate est of _advance:
+    dt is the finest step.  Steps are taken at levels h = dt 2^j with
+    0 <= j <= top, none past the next snapshot.  top is fixed before the
+    first step: 0 when err_budget is 0, else the highest j up to
+    n_steps.bit_length() whose h passes check_stability (whose bounds grow
+    with h).  With the error estimate est of _advance:
 
     - a step at j > 0 whose est exceeds err_budget h / t_final, or whose
       result is not finite, is redone at j - 1; a step at j = 0 is kept;
-    - the level goes up one after a kept step at the level with
-      16 est <= (1/2) err_budget 2h / t_final, est growing like h^4;
-    - a level that fails check_stability, or whose integrating factor
-      overflows, is skipped.
+    - the level goes up one, up to top, after a kept step at the level
+      with 16 est <= (1/2) err_budget 2h / t_final, est growing like h^4.
 
-    So err_budget = 0 (the default) takes every step at dt, and a positive
-    one spends at most err_budget, summed over the kept steps.  One factor
-    set is held at a time, built when the level changes.  The clock adds
-    dt once per dt stepped, as a run of fixed steps does, so snapshot times
-    carry that run's bits.
+    So err_budget = 0 (the default) takes every step at dt.  A positive
+    one bounds only the steps above dt, since a step at dt is kept whatever
+    its est: a run held at dt can sum past err_budget.  One factor set is
+    held at a time, built when the level changes.  The clock adds dt once
+    per dt stepped, as a run of fixed steps does, so snapshot times carry
+    that run's bits.
 
-    Raises BlowupError at the first step of size dt whose result is not
-    finite, or at step 1 when the integrating factor at dt overflows; its
-    step counts steps of dt.  When stats is a dict it receives the number
-    of kept and rejected steps (steps, rejected), the smallest and largest
-    kept step (h_min, h_max) and the kept steps' summed est (est_sum).
+    Raises ValueError when dt fails check_stability, and BlowupError at the
+    first step of size dt whose result is not finite; its step counts steps
+    of dt.  When stats is a dict it receives the number of kept and
+    rejected steps (steps, rejected), the smallest and largest kept step
+    (h_min, h_max) and the kept steps' summed est (est_sum).
     """
     edge = q0.edge_magnitude()
     if edge > edge_threshold:
@@ -394,17 +389,20 @@ def evolve(
 
     grid, v, t = q0.grid, _spectra(q0), q0.t
     check_stability(grid, p, dt)
+    top = 0
     try:
-        factors = _step_factors(grid, p, dt)
-    except FloatingPointError as exc:
-        raise BlowupError(t, 1, _growth_rate(grid, p)) from exc
+        while err_budget > 0 and top < n_steps.bit_length():
+            check_stability(grid, p, dt * 2 ** (top + 1))
+            top += 1
+    except ValueError:
+        pass
+    factors = _step_factors(grid, p, dt)
     ws = _workspace(grid.nx)
     saved = ws[-1]
     _first_stage(v, ws, factors)
     out = [q0] * snap_steps.count(0)
-    # i counts steps of dt; factors are those of level j (None when j is
-    # unusable), and top is the highest level not yet found unusable
-    i, j, level, top = 0, 0, 0, n_steps.bit_length()
+    # i counts steps of dt, and factors are those of level j
+    i, j, level = 0, 0, 0
     kept, rejected, h_min, h_max, est_sum = 0, 0, np.inf, 0.0, 0.0
     for target in sorted({*snap_steps, n_steps} - {0}):
         while i < target:
@@ -412,10 +410,7 @@ def evolve(
             if want != j:
                 # the old set goes before the new one is built
                 factors = None
-                factors, j = _level_factors(grid, p, dt * 2**want), want
-                if factors is None:
-                    level = top = want - 1
-                    continue
+                factors, j = _step_factors(grid, p, dt * 2**want), want
             h = dt * 2**j
             if j:
                 np.copyto(saved, v)
@@ -433,7 +428,7 @@ def evolve(
             i += 2**j
             kept += 1
             h_min, h_max, est_sum = min(h_min, h), max(h_max, h), est_sum + est
-            if err_budget > 0 and j == level < top and 16.0 * est <= 0.5 * err_budget * (2.0 * h) / t_final:
+            if j == level < top and 16.0 * est <= 0.5 * err_budget * (2.0 * h) / t_final:
                 level += 1
         out.extend([_fields(v, t, grid)] * snap_steps.count(target))
     if stats is not None:

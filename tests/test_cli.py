@@ -512,6 +512,20 @@ def test_invalid_propagate_section_fails_at_load(tmp_path, capsys, change):
     assert not (tmp_path / "bad").exists()
 
 
+def test_overflowing_integrating_factor_fails_at_load(tmp_path, capsys):
+    # eps = 0 passes the dispersion bound, and exp(2 a2 k^2 dt) overflows at
+    # the Nyquist bin of the default grid, k = 2 pi 512 / 80
+    doc = json.loads((THIRD_ORDER.parent / "default_config.json").read_text())
+    doc["params"]["epsilon"] = 0.0
+    doc["propagate"]["dt"] = 0.25
+    path = _write_config(tmp_path, doc)
+    code = cli.main(["propagate", "--config", path, "--out", str(tmp_path / "bad"), "--quiet"])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: propagate: 2 a2 k_nyq^2 dt = 809 exceeds 700; reduce dt")
+    assert not (tmp_path / "bad").exists()
+
+
 def test_snapshots_sharing_a_file_tag_fail_at_load():
     # both snapshots would write snapshot_t1.csv; only loaded, since the
     # schedule is 10^7 steps
