@@ -66,9 +66,9 @@ class EdgeDecayError(ValueError):
 class BlowupError(ArithmeticError):
     """The evolved field stopped being finite.
 
-    Carries the time and index of the failing step and the predicted
-    background growth rate 2 a2 k_max^2 of the largest retained mode, the
-    rate at which the linear part alone amplifies noise when a2 > 0.
+    Carries the time and index of the failing step and the predicted growth
+    rate 2 a2 k_nyq^2 of the highest bin.  The integrating factor acts on
+    every bin, masked or not, so when a2 > 0 that bin grows and ends the run.
     """
 
     def __init__(self, t: float, step: int, growth_rate: float) -> None:
@@ -77,7 +77,7 @@ class BlowupError(ArithmeticError):
         self.growth_rate = growth_rate
         super().__init__(
             f"field values became non-finite near t = {t:.6g} (step {step}); "
-            f"predicted background growth rate 2 a2 k_max^2 = {growth_rate:.6g}"
+            f"predicted background growth rate 2 a2 k_nyq^2 = {growth_rate:.6g}"
         )
 
 
@@ -121,6 +121,12 @@ def _fields(hat: np.ndarray, t: float, grid: Grid1D) -> SampledField:
     return SampledField(grid, t, np.fft.ifft(hat))
 
 
+def _growth_rate(grid: Grid1D, p: SystemParams) -> float:
+    """2 a2 k_nyq^2 in plain floats, k_nyq = 2 pi (n//2)/period the highest bin."""
+    k_nyq = 2.0 * np.pi * (grid.nx // 2) / _period(grid)
+    return 2.0 * p.a2 * k_nyq**2
+
+
 def check_stability(grid: Grid1D, p: SystemParams, dt: float) -> None:
     """Raise ValueError unless dt > 0, dt * nu_max^3 * |eps| <= STABILITY_LIMIT
     and 2 a2 k_nyq^2 dt <= GROWTH_LIMIT.
@@ -129,8 +135,8 @@ def check_stability(grid: Grid1D, p: SystemParams, dt: float) -> None:
     2/3-rule zeroes every mode above the dealiasing cutoff, so the explicit
     (RK4) part only ever sees cyclic wavenumbers up to nu_max =
     (2/3)(n/2)/period: an engineering guard, not a hard CFL theorem.  The
-    integrating factor is built on every bin, up to k_nyq = 2 pi
-    (n//2)/period, and |e_full| <= exp(2 a2 k_nyq^2 dt) stays finite.
+    integrating factor is built on every bin, and the growth bound keeps
+    |e_full| <= exp(2 a2 k_nyq^2 dt) finite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -140,16 +146,9 @@ def check_stability(grid: Grid1D, p: SystemParams, dt: float) -> None:
         raise ValueError(
             f"dt * nu_max^3 * |eps| = {metric:.3g} exceeds {STABILITY_LIMIT}; reduce dt"
         )
-    k_nyq = 2.0 * np.pi * (grid.nx // 2) / _period(grid)
-    growth = 2.0 * p.a2 * k_nyq**2 * dt
+    growth = _growth_rate(grid, p) * dt
     if growth > GROWTH_LIMIT:
         raise ValueError(f"2 a2 k_nyq^2 dt = {growth:.3g} exceeds {GROWTH_LIMIT:g}; reduce dt")
-
-
-def _growth_rate(grid: Grid1D, p: SystemParams) -> float:
-    """2 a2 k_max^2, k_max the largest wavenumber the dealias mask retains."""
-    k_max = np.abs(_wavenumbers(grid)[_dealias_mask(grid) > 0]).max()
-    return 2.0 * p.a2 * float(k_max) ** 2
 
 
 def _step_factors(grid: Grid1D, p: SystemParams, dt: float) -> tuple:

@@ -211,7 +211,12 @@ def direct_scattering(
     evolution (Lawson's integrating-factor RK4).  psi starts at the free
     factor exp((i/2) zeta sigma x_min) and S = exp(-(i/2) zeta sigma x_max)
     psi.  Off the real axis only the first column of S is meaningful, and
-    its (1,1) entry extends analytically to the upper half plane.
+    its (1,1) entry extends analytically to the upper half plane.  The other
+    two columns pick up the field at the box ends amplified by up to
+    e^{|Im zeta| (x_max - x_min)}, so on a long box even rounding noise there
+    overflows them.  The products run with numpy's overflow and invalid
+    warnings off: such columns come out non-finite without a warning, and
+    each column's bits do not depend on the others.
 
     The ODE is linear, so each RK4 step matrix P is a fixed polynomial in
     the coefficients at its start, middle and end node, which
@@ -251,17 +256,17 @@ def direct_scattering(
     n = grid.nx
     psi = _free_factor(zeta, grid.x_min)
     last = 2 * ((n - 1) // 2)  # node where the steps of 2h end
-    for i in range(0, last, 2 * FOLD_BLOCK):
-        hi = min(i + 2 * FOLD_BLOCK, last)
-        (r0, c0), (r1, c1), (r2, c2) = (stage(slice(i + j, hi + j, 2), j) for j in range(3))
-        steps = _step_matrices(r0, r1, r2, c0, c1, c2, 2.0 * h)
-        steps *= free(2.0 * h)
-        psi = _fold(steps) @ psi
-    if last == n - 2:
-        # odd interval count: one single RK4 step with averaged midpoint
-        (r0, c0), (r1, c1) = stage(slice(n - 2, n - 1), 0), stage(slice(n - 1, n), 1)
-        step = _step_matrices(r0, 0.5 * (r0 + r1), r1, c0, 0.5 * (c0 + c1), c1, h)
-        step *= free(h)
-        psi = step[:, :, 0] @ psi
-
-    return _free_factor(-zeta, grid.x_max) @ psi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, last, 2 * FOLD_BLOCK):
+            hi = min(i + 2 * FOLD_BLOCK, last)
+            (r0, c0), (r1, c1), (r2, c2) = (stage(slice(i + j, hi + j, 2), j) for j in range(3))
+            steps = _step_matrices(r0, r1, r2, c0, c1, c2, 2.0 * h)
+            steps *= free(2.0 * h)
+            psi = _fold(steps) @ psi
+        if last == n - 2:
+            # odd interval count: one single RK4 step with averaged midpoint
+            (r0, c0), (r1, c1) = stage(slice(n - 2, n - 1), 0), stage(slice(n - 1, n), 1)
+            step = _step_matrices(r0, 0.5 * (r0 + r1), r1, c0, 0.5 * (c0 + c1), c1, h)
+            step *= free(h)
+            psi = step[:, :, 0] @ psi
+        return _free_factor(-zeta, grid.x_max) @ psi

@@ -90,6 +90,19 @@ def hump_heights(mod: np.ndarray, floor: float) -> list[float]:
     return heights
 
 
+def haar_unitary(seed: int) -> np.ndarray:
+    """A 2x2 unitary drawn from the Haar measure: the Q of a complex Gaussian
+    matrix's QR, each column's phase fixed by R's diagonal (Mezzadri 2007)."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# the coupled system is invariant under q -> U q for a constant unitary U,
+# since |q|^2 and q^dagger q_x are; the symmetry tests share this one
+HAAR_U = haar_unitary(20260810)
+
+
 def make_random_data(n: int, seed: int) -> SpectralData:
     rng = np.random.default_rng(seed)
     items = []

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hirotalab import cli, nsoliton, rh
+from hirotalab.core import sample
+from hirotalab import cli, nsoliton, propagator, rh
 
 from conftest import PAIR, exactly, nsoliton_doc
 
@@ -425,11 +426,28 @@ def test_propagate_abort_line_names_step_and_growth_rate(tmp_path, capsys):
     lines = [row for row in printed if "propagation aborted" in row]
     assert len(lines) == 1 and "(step 7)" in lines[0]
     assert sum("[FAIL] propagation_completed" in row for row in printed) == 1
-    # 2 a2 k_max^2 for the bundled grid, k_max = 2 pi 341 / 80
-    assert f"{2.0 * (2 * np.pi * 341 / 80.0) ** 2:.6g}" in lines[0]
+    # 2 a2 k_nyq^2 for the bundled grid, k_nyq = 2 pi 512 / 80
+    assert f"2 a2 k_nyq^2 = {2.0 * (2 * np.pi * 512 / 80.0) ** 2:.6g}" in lines[0]
     assert (out / "propagation_report.csv").read_bytes() == (
         b"name,value,threshold,pass\npropagation_completed,nan,BlowupError,false\n"
     )
+
+
+def test_abort_growth_rate_is_the_highest_bins_measured_rate():
+    # the default run ends on bin n//2: the dealias mask zeroes it, but the
+    # integrating factor amplifies it at 2 a2 k_nyq^2 (3234.07), not at the
+    # 1434.56 of the largest retained mode
+    cfg = cli.load_config(None)
+    opts = cfg.propagate
+    grid, dt, edge = opts["grid"], opts["dt"], opts["edge_threshold"]
+    q0, = sample(cfg.fields, grid, [0.0])
+    snaps = propagator.evolve(q0, cfg.params, 5 * dt, dt, [i * dt for i in range(6)], edge_threshold=edge)
+    amp = np.abs(np.fft.fft(np.stack([q.values for q in snaps]))[:, :, grid.nx // 2])
+    measured = np.log(amp[5] / amp[1]) / (4 * dt)
+    with pytest.raises(propagator.BlowupError) as info:
+        propagator.evolve(q0, cfg.params, opts["t_final"], dt, opts["snapshot_times"], edge_threshold=edge)
+    assert info.value.step == 7
+    assert measured == pytest.approx([info.value.growth_rate] * 2, rel=1e-9)
 
 
 def _step_line(printed):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hirotalab.core import Grid1D, SampledField, SpectralDatum, SystemParams, trapezoid_mass
 from hirotalab import nsoliton, propagator, residual
 
-from conftest import PAIR
+from conftest import HAAR_U, PAIR
 
 
 def _fields_on(grid: Grid1D, v1, v2, t=0.0):
@@ -285,8 +285,8 @@ def test_second_order_dispersion_run_blows_up(default_params):
         propagator.evolve(q0, default_params, 1.0, 1e-3, [1.0], edge_threshold=1e-2)
     # pinned abort step and time: a change of transform must not move them
     assert info.value.step == 7 and info.value.t == pytest.approx(7e-3)
-    # 2 a2 k_max^2 with k_max = 2 pi 341 / 80, the largest retained mode
-    assert info.value.growth_rate == pytest.approx(2.0 * (2 * np.pi * 341 / 80.0) ** 2)
+    # 2 a2 k_nyq^2 with k_nyq = 2 pi 512 / 80, the highest bin
+    assert info.value.growth_rate == pytest.approx(2.0 * (2 * np.pi * 512 / 80.0) ** 2)
 
 
 def _reference_nonlinear_hat(v, ik, mask, p):
@@ -312,7 +312,8 @@ def _reference_step(state, p, dt):
     propagator.check_stability(grid, p, dt)
     k = propagator._wavenumbers(grid)
     mask = propagator._dealias_mask(grid)
-    growth = 2.0 * p.a2 * float(np.abs(k[mask > 0]).max()) ** 2
+    # the integrating factor amplifies every bin, so the highest, n//2, is the fastest
+    growth = 2.0 * p.a2 * (2.0 * np.pi * (grid.nx // 2) / (grid.spacing * grid.nx)) ** 2
     e_half = np.exp(propagator.linear_symbol(k, p) * (0.5 * dt))
     e_full = e_half * e_half
     ik = 1j * k
@@ -436,6 +437,17 @@ def test_workspace_blocks_are_64_byte_aligned(n):
 # tenth of the one the CLI gives that run)
 THIRD = SpectralDatum(0.3 + 0.55j, 1.0, 1.0 / np.sqrt(5.0), 2.0 / np.sqrt(5.0))
 BUDGET = 1e-7
+
+
+def test_evolve_commutes_with_a_unitary_polarization(third_order_params):
+    # evolve(U q0) = U evolve(q0): a q^T written for a q^dagger in a coupling
+    # term breaks this, though not the q1 <-> q2 swap, which is real
+    grid = Grid1D.periodic(80.0, 1024)
+    q0 = _soliton_fields(THIRD, third_order_params, grid, 0.0)
+    q, = propagator.evolve(q0, third_order_params, 0.1, 1e-3, [0.1])
+    r, = propagator.evolve(_fields_on(grid, *(HAAR_U @ q0.values)), third_order_params, 0.1, 1e-3, [0.1])
+    # 2.2e-16 against a peak of 0.49
+    assert np.abs(r.values - HAAR_U @ q.values).max() <= 1e-14
 
 
 def test_adaptive_run_coarsens_within_its_budget(third_order_params):

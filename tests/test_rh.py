@@ -1,14 +1,15 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hirotalab.core import Grid1D, SpectralData, SpectralDatum, SystemParams, sample
+from hirotalab.core import Grid1D, SampledField, SpectralData, SpectralDatum, SystemParams, sample
 from hirotalab import cli, nsoliton, rh
 
-from conftest import evaluator, exactly, make_random_data, nsoliton_doc
+from conftest import HAAR_U, evaluator, exactly, make_random_data, nsoliton_doc
 
 lower_zeta = st.builds(
     complex,
@@ -333,3 +334,84 @@ def test_scattering_memory_does_not_grow_with_grid(third_order_params, zeta):
     # 16001 nodes
     small = _scattering_peak(zeta, 8001, third_order_params)
     assert _scattering_peak(zeta, 16001, third_order_params) <= small
+
+
+def _sech_pulse(grid: Grid1D, amplitude: float, chirp: float) -> SampledField:
+    """The Satsuma-Yajima pulse A sech(x) e^{i mu x} (1, 2i)/sqrt(5) on grid."""
+    x = grid.points()
+    pol = np.array([1.0, 2.0j]) / np.sqrt(5.0)
+    return SampledField(grid, 0.0, (amplitude / np.cosh(x) * np.exp(1j * chirp * x)) * pol[:, None])
+
+
+def test_off_axis_scattering_of_a_noisy_field_does_not_warn(third_order_params):
+    # with rounding noise out to the ends of a long box, columns 2-3 of S
+    # overflow off the real axis; the call must not warn, and the first
+    # column must not notice: s11 at the pulse's eigenvalue is the noise-free one
+    grid = Grid1D(-320.0, 320.0, 12801)
+    clean = _sech_pulse(grid, 1.3, 0.3)
+    rng = np.random.default_rng(20260810)
+    noise = 1e-16 * (rng.normal(size=(2, grid.nx)) + 1j * rng.normal(size=(2, grid.nx)))
+    zeta = -0.3 + 1.6j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = rh.direct_scattering(SampledField(grid, 0.0, clean.values + noise), zeta, third_order_params)
+        s0 = rh.direct_scattering(clean, zeta, third_order_params)
+    # the case this test is about: the meaningless columns did overflow
+    assert not np.isfinite(s[:, 1:]).all()
+    assert np.isfinite(s[:, 0]).all()
+    # 1.307e-6 either way, 2.3e-17 apart
+    assert abs(s[0, 0] - s0[0, 0]) <= 1e-15
+
+
+def test_scattering_is_blind_to_a_unitary_polarization(third_order_params):
+    # |q|^2 and q^dagger q_x are invariant under q -> U q, and so are s11
+    # and |b| = |(s21, s31)|, on soliton data and on a pulse that radiates
+    p = third_order_params
+    d = SpectralDatum(0.3 + 0.55j, 1.0, 1.0 / np.sqrt(5.0), 2.0 / np.sqrt(5.0))
+    _, soliton = _sampled_soliton(p, datum=d)
+    pulse = _sech_pulse(soliton.grid, 1.3, 0.0)
+    for q, eigenvalue in ((soliton, d.zeta), (pulse, 1.6j)):
+        rotated = SampledField(q.grid, 0.0, HAAR_U @ q.values)
+        s, r = rh.direct_scattering(q, eigenvalue, p), rh.direct_scattering(rotated, eigenvalue, p)
+        assert abs(r[0, 0] - s[0, 0]) <= 1e-13
+        for xi in (0.3, 1.2):
+            s, r = rh.direct_scattering(q, xi, p), rh.direct_scattering(rotated, xi, p)
+            assert abs(r[0, 0] - s[0, 0]) <= 1e-13
+            assert abs(np.linalg.norm(r[1:, 0]) - np.linalg.norm(s[1:, 0])) <= 1e-13
+
+
+# bounds of the Satsuma-Yajima test, about ten times the measured 3.4e-8 for
+# |s11| at an eigenvalue, 3.8e-7 and 3.7e-9 for the reflection modulus
+SY_EIGEN_BOUND = 4e-7
+SY_RADIATION_BOUND = {1.3: 4e-6, 0.45: 4e-8}
+
+
+def _satsuma_yajima_errors(amplitude, chirp, formula_amplitude, p):
+    """|s11| at the eigenvalues and the largest relative error of |b|^2 at 9 xi
+    in [0, 2] of a sech pulse, against Satsuma and Yajima's closed form for a
+    pulse of formula_amplitude: eigenvalues 2i(k1 A - 1/2 - n) - mu for every
+    n >= 0 that keeps k1 A - 1/2 - n > 0, and |b|^2 = sin^2(pi k1 A) /
+    cosh^2(pi (xi + mu)/2) on the real axis."""
+    q = _sech_pulse(Grid1D(-40.0, 40.0, 4001), amplitude, chirp)
+    c = p.k1 * formula_amplitude
+    eigenvalues = [2j * (c - 0.5 - n) - chirp for n in range(int(c) + 1) if c - 0.5 - n > 0]
+    s11 = [abs(rh.direct_scattering(q, z, p)[0, 0]) for z in eigenvalues]
+    xi = np.linspace(0.0, 2.0, 9)
+    b2 = np.array([np.sum(np.abs(rh.direct_scattering(q, z, p)[1:, 0]) ** 2) for z in xi])
+    want = np.sin(np.pi * c) ** 2 / np.cosh(np.pi * (xi + chirp) / 2.0) ** 2
+    return s11, float(np.abs(b2 / want - 1.0).max())
+
+
+@pytest.mark.parametrize("amplitude, chirp, count", [(1.3, 0.0, 1), (0.45, 0.3, 0)])
+def test_sech_pulse_scatters_as_satsuma_yajima(third_order_params, amplitude, chirp, count):
+    # non-soliton data with an exact answer: a radiating pulse, with one
+    # eigenvalue at 1.6i or none
+    s11, radiation = _satsuma_yajima_errors(amplitude, chirp, amplitude, third_order_params)
+    assert len(s11) == count and all(v <= SY_EIGEN_BOUND for v in s11)
+    assert radiation <= SY_RADIATION_BOUND[amplitude]
+
+
+def test_satsuma_yajima_bounds_see_an_amplitude_off_by_1e_3(third_order_params):
+    # A = 1.301 against the A = 1.3 formula reads 5.6e-4 and 4.6e-3
+    s11, radiation = _satsuma_yajima_errors(1.301, 0.0, 1.3, third_order_params)
+    assert s11[0] > SY_EIGEN_BOUND and radiation > SY_RADIATION_BOUND[1.3]
